@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -86,24 +86,22 @@ def wave_speeds(rho: float, lame_lambda: float, lame_mu: float) -> tuple[float, 
 
 @dataclass(frozen=True)
 class ElasticMedium:
-    """Material constants of a homogeneous isotropic elastic medium."""
+    """Material constants of a homogeneous isotropic elastic medium.
+
+    ``cp`` and ``cs`` are the pressure and shear wave speeds, computed
+    once by `wave_speeds` when the medium is built.
+    """
 
     rho: float
     lame_lambda: float
     lame_mu: float
+    cp: float = field(init=False, repr=False, compare=False)
+    cs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        wave_speeds(self.rho, self.lame_lambda, self.lame_mu)
-
-    @property
-    def cp(self) -> float:
-        """Pressure (longitudinal) wave speed."""
-        return math.sqrt((self.lame_lambda + 2.0 * self.lame_mu) / self.rho)
-
-    @property
-    def cs(self) -> float:
-        """Shear (transverse) wave speed."""
-        return math.sqrt(self.lame_mu / self.rho)
+        cp, cs = wave_speeds(self.rho, self.lame_lambda, self.lame_mu)
+        object.__setattr__(self, "cp", cp)
+        object.__setattr__(self, "cs", cs)
 
     @classmethod
     def from_speeds(cls, rho: float, cp: float, cs: float) -> "ElasticMedium":
@@ -294,7 +292,7 @@ def iteration_matrix(
         ],
         dtype=complex,
     )
-    r_plus, r_minus = eigenvalues_closed_form(medium, omega, k, delta)
+    r_plus, r_minus = _eigenpair(sym, delta)
     return IterationMatrix2(
         r=r,
         r_plus=r_plus,
@@ -314,7 +312,10 @@ def eigenvalues_closed_form(
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    sym = characteristic_roots(medium, omega, k)
+    return _eigenpair(characteristic_roots(medium, omega, k), delta)
+
+
+def _eigenpair(sym: ModeSymbol, delta: float) -> tuple[complex, complex]:
     l1, l2 = sym.lambda1, sym.lambda2
     x = sym.x1 * (cmath.exp(-l1 * delta) - cmath.exp(-l2 * delta))
     ea = cmath.exp(-delta * (l1 + l2))

@@ -234,20 +234,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         f"must be even and >= 2, got {cfg.overlap_cells}",
     )
     if not cfg.single_domain:
-        hx = (cfg.x_max - cfg.x_min) / cfg.nx
-        mid = (0.0 - cfg.x_min) / hx
-        need(
-            abs(mid - round(mid)) < 1e-9 and 0 < round(mid) < cfg.nx,
-            "x_min/x_max/nx",
-            "the decomposition midline x = 0 must fall on an interior mesh line",
-        )
-        half = cfg.overlap_cells // 2
-        need(
-            0 < round(mid) - half and round(mid) + half < cfg.nx,
-            "overlap_cells",
-            f"{cfg.overlap_cells} cells leave no room for both subdomains "
-            f"on an nx={cfg.nx} mesh",
-        )
+        try:
+            schwarz.subdomain_columns(
+                (cfg.x_min, cfg.x_max), cfg.nx, cfg.overlap_cells
+            )
+        except ValueError as exc:
+            raise ConfigError(f"field {exc}") from exc
 
 
 def _format_value(value) -> str:
@@ -281,11 +273,7 @@ def _write_table(path, header_lines, columns, rows) -> None:
     lines = [f"# {line}" for line in header_lines]
     lines.append(",".join(columns))
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    payload = ("\n".join(lines) + "\n").encode()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    fem.atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _outdir(out: str) -> str:
@@ -420,13 +408,11 @@ def cmd_gmres(cfg: ExperimentConfig, out: str) -> int:
     system = _system(cfg)
     decomposition = _decomposition(cfg, system.mesh)
     rhs = experiment_load(cfg, system)
+    solve = schwarz.RestrictedSolve(system, decomposition)
     result = schwarz.gmres(
-        system, decomposition, rhs,
-        tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart,
+        solve, rhs, tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart
     )
-    _, ras_history = schwarz.stationary_ras(
-        system, decomposition, rhs, cfg.stationary_iters
-    )
+    _, ras_history = schwarz.stationary_ras(solve, rhs, cfg.stationary_iters)
     header = config_header(cfg, "gmres")
     out = _outdir(out)
     _write_table(
@@ -620,12 +606,10 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }
-    path = os.path.join(_outdir(out), "verify_report.json")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    fem.atomic_write(
+        os.path.join(_outdir(out), "verify_report.json"),
+        (json.dumps(report, indent=2) + "\n").encode(),
+    )
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
         print(

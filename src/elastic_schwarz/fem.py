@@ -12,6 +12,7 @@ with a unit diagonal.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ __all__ = [
     "direct_solve",
     "interface_mode_amplitudes",
     "dominant_mode",
+    "atomic_write",
     "export_solution_csv",
     "export_solution_binary",
     "read_solution_binary",
@@ -298,9 +300,9 @@ def dominant_mode(amplitudes: np.ndarray) -> int:
     return int(np.argmax(np.abs(amplitudes))) + 1
 
 
-def _atomic_write_bytes(path, payload: bytes) -> None:
-    import os
-
+def atomic_write(path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temporary file and a rename,
+    so a reader never sees a partly written file."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -321,7 +323,7 @@ def export_solution_csv(
         lines.append(
             f"{n},{x:.17g},{y:.17g},{u[2 * n]:.17g},{u[2 * n + 1]:.17g}"
         )
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:
@@ -334,7 +336,7 @@ def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:
         "<8sIIII", BINARY_MAGIC, BINARY_VERSION, mesh.nx, mesh.ny, mesh.n_nodes
     )
     table = np.column_stack([mesh.nodes, u[0::2], u[1::2]]).astype("<f8")
-    _atomic_write_bytes(path, header + table.tobytes())
+    atomic_write(path, header + table.tobytes())
 
 
 def read_solution_binary(path) -> tuple[dict, np.ndarray]:

@@ -8,18 +8,19 @@ split at the overlap midline, each subdomain solves with Dirichlet data
 injected from the previous glued iterate at its interface mesh line, and
 the owned values are written back.  All Krylov and spectrum work happens
 on the non-Dirichlet unknowns (the eliminated dofs carry a pinned unit
-diagonal and would only pad the spectrum with ones).
+diagonal and would only pad the spectrum with ones).  All four run
+through one operator, `RestrictedSolve`: each subdomain solves on its
+interior and keeps the part it owns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import gmres as scipy_gmres
 
 from .fem import (
     AssembledSystem,
@@ -35,6 +36,8 @@ __all__ = [
     "ErrorHistory",
     "GmresResult",
     "BudgetExceededError",
+    "RestrictedSolve",
+    "subdomain_columns",
     "decompose",
     "single_domain",
     "seeded_initial_guess",
@@ -80,7 +83,6 @@ class Decomposition:
     subdomains: list
     owner: np.ndarray
     midline_col: int | None
-    _solver_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def overlap_width(self) -> float:
@@ -91,36 +93,47 @@ def _free_dof_mask(mesh: StructuredMesh) -> np.ndarray:
     return ~np.repeat(mesh.boundary_node_mask(), 2)
 
 
-def decompose(mesh: StructuredMesh, overlap_cells: int) -> Decomposition:
-    """Split the rectangle into left/right subdomains overlapping by
-    ``overlap_cells`` mesh columns, symmetric about the line x = 0.
+def subdomain_columns(
+    x_range: tuple[float, float], nx: int, overlap_cells: int
+) -> tuple[int, int, int]:
+    """Mesh columns (left interface, midline, right interface) of the
+    two-subdomain split of ``nx`` columns over ``x_range``.
 
     ``overlap_cells`` must be even (so the ownership midline x = 0 is a
-    mesh line) and small enough that both subdomains are proper subsets;
-    the interface planes land on mesh lines at +-overlap_cells/2 * hx.
+    mesh line) and small enough that both subdomains are proper subsets.
+    A violation raises ValueError whose message starts with the name of
+    the offending parameter and a colon.
     """
     if overlap_cells < 2 or overlap_cells % 2 != 0:
         raise ValueError(
-            f"overlap_cells must be even and >= 2, got {overlap_cells}; "
+            f"overlap_cells: must be even and >= 2, got {overlap_cells}; "
             "an asymmetric split is not supported"
         )
-    hx = mesh.hx
-    mid = (0.0 - mesh.x_range[0]) / hx
+    mid = (0.0 - x_range[0]) / ((x_range[1] - x_range[0]) / nx)
     mid_col = round(mid)
-    if abs(mid - mid_col) > 1e-9 or not 0 < mid_col < mesh.nx:
+    if abs(mid - mid_col) > 1e-9 or not 0 < mid_col < nx:
         raise ValueError(
-            "the ownership midline x = 0 must coincide with an interior "
-            f"mesh line; x range {mesh.x_range} with nx={mesh.nx} does not allow it"
+            "x_range/nx: the ownership midline x = 0 must coincide with an "
+            f"interior mesh line; x range {x_range} with nx={nx} does not allow it"
         )
     half = overlap_cells // 2
-    col_right = mid_col + half  # interface line of the left subdomain
-    col_left = mid_col - half
-    if col_left <= 0 or col_right >= mesh.nx:
+    if mid_col - half <= 0 or mid_col + half >= nx:
         raise ValueError(
-            f"overlap_cells={overlap_cells} does not leave both subdomains "
-            f"proper subsets of the {mesh.nx}-column mesh"
+            f"overlap_cells: {overlap_cells} cells do not leave both subdomains "
+            f"proper subsets of the {nx}-column mesh"
         )
+    return mid_col - half, mid_col, mid_col + half
 
+
+def decompose(mesh: StructuredMesh, overlap_cells: int) -> Decomposition:
+    """Split the rectangle into left/right subdomains overlapping by
+    ``overlap_cells`` mesh columns, symmetric about the line x = 0; the
+    interface planes land on mesh lines at +-overlap_cells/2 * hx (see
+    `subdomain_columns` for the geometry requirements).
+    """
+    col_left, mid_col, col_right = subdomain_columns(
+        mesh.x_range, mesh.nx, overlap_cells
+    )
     cols = mesh.node_columns()
     free_node = ~mesh.boundary_node_mask()
     node_ids = np.arange(mesh.n_nodes)
@@ -184,25 +197,49 @@ def single_domain(mesh: StructuredMesh) -> Decomposition:
     )
 
 
-class _Solvers:
-    """Per-(system, decomposition) factorizations and couplings."""
+class RestrictedSolve:
+    """The RAS subdomain solves of one system on one decomposition.
+
+    Each subdomain is factored once, here.  Calling the object on a
+    vector, or a block of columns, over the free (non-Dirichlet) unknowns
+    solves every subdomain on its interior and keeps the part it owns;
+    that is the RAS preconditioner.  Given ``previous`` (a free-unknown
+    vector), each subdomain also takes Dirichlet data from it on its
+    interface line, and dofs that no subdomain owns keep its value: that
+    is one parallel Schwarz sweep.  Without it they come back zero.
+    """
 
     def __init__(self, system: AssembledSystem, decomposition: Decomposition):
+        self.system = system
+        self.free = np.flatnonzero(~system.dirichlet_mask)
+        pos = np.full(system.n_dofs, -1, dtype=np.int64)
+        pos[self.free] = np.arange(self.free.size)
         matrix = system.matrix.tocsr()
-        self.parts = []
+        self._parts = []
         for sub in decomposition.subdomains:
             local = matrix[sub.interior_free][:, sub.interior_free].tocsc()
             coupling = matrix[sub.interior_free][:, sub.interface_free].tocsr()
-            self.parts.append((sub, splu(local), coupling))
+            self._parts.append((
+                pos[sub.interior_free],
+                pos[sub.owned_free],
+                sub.owned_in_interior,
+                pos[sub.interface_free],
+                splu(local),
+                coupling,
+            ))
 
-
-def _solvers(system: AssembledSystem, decomposition: Decomposition) -> _Solvers:
-    key = id(system)
-    cached = decomposition._solver_cache.get(key)
-    if cached is None or cached[0] is not system:
-        cached = (system, _Solvers(system, decomposition))
-        decomposition._solver_cache[key] = cached
-    return cached[1]
+    def __call__(
+        self, v: np.ndarray, previous: np.ndarray | None = None
+    ) -> np.ndarray:
+        z = np.zeros_like(v) if previous is None else previous.copy()
+        for interior, owned, keep, interface, lu, coupling in self._parts:
+            # the right-hand side stays unnamed so it is freed before the
+            # owned rows are copied out of the solution
+            z[owned] = lu.solve(
+                v[interior] if previous is None
+                else v[interior] - coupling @ previous[interface]
+            )[keep]
+        return z
 
 
 def seeded_initial_guess(
@@ -278,7 +315,9 @@ def schwarz_iterate(
     reference = (
         np.zeros_like(x) if not np.any(b) else direct_solve(system)
     )
-    solvers = _solvers(system, decomposition)
+    solve = RestrictedSolve(system, decomposition)
+    free = solve.free
+    b_free = b[free]
 
     err_max = np.empty(n_iter + 1)
     err_l2 = np.empty(n_iter + 1)
@@ -288,10 +327,7 @@ def schwarz_iterate(
         system.mesh, decomposition.midline_col, x - reference
     )
     for n in range(n_iter):
-        previous = x.copy()
-        for sub, lu, coupling in solvers.parts:
-            local_rhs = b[sub.interior_free] - coupling @ previous[sub.interface_free]
-            x[sub.owned_free] = lu.solve(local_rhs)[sub.owned_in_interior]
+        x[free] = solve(b_free, previous=x[free])
         err_max[n + 1], err_l2[n + 1], modes[n + 1], amps[n + 1] = _record(
             system.mesh, decomposition.midline_col, x - reference
         )
@@ -300,34 +336,28 @@ def schwarz_iterate(
     )
 
 
-def ras_apply(
-    system: AssembledSystem, decomposition: Decomposition, residual: np.ndarray
-) -> np.ndarray:
-    """Apply the RAS preconditioner: ownership-weighted sum of subdomain
-    solves of the restricted residual.  Factorizations are cached on the
-    decomposition after the first call."""
+def ras_apply(solve: RestrictedSolve, residual: np.ndarray) -> np.ndarray:
+    """Apply the RAS preconditioner to a full-length residual:
+    ownership-weighted sum of subdomain solves of the restricted residual."""
     residual = np.asarray(residual, dtype=float)
     z = np.zeros_like(residual)
-    for sub, lu, _ in _solvers(system, decomposition).parts:
-        z[sub.owned_free] = lu.solve(residual[sub.interior_free])[
-            sub.owned_in_interior
-        ]
+    z[solve.free] = solve(residual[solve.free])
     return z
 
 
 def stationary_ras(
-    system: AssembledSystem,
-    decomposition: Decomposition,
+    solve: RestrictedSolve,
     rhs: np.ndarray,
     n_iter: int,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the RAS-preconditioned Richardson iteration, tracking the
     preconditioned relative residual (same quantity GMRES reports)."""
+    system = solve.system
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
     x[system.dirichlet_mask] = 0.0
     rhs = np.where(system.dirichlet_mask, 0.0, np.asarray(rhs, dtype=float))
-    z = ras_apply(system, decomposition, rhs - system.matrix @ x)
+    z = ras_apply(solve, rhs - system.matrix @ x)
     norm0 = float(np.linalg.norm(z))
     history = np.empty(n_iter + 1)
     history[0] = 1.0
@@ -337,7 +367,7 @@ def stationary_ras(
         return x, history
     for n in range(n_iter):
         x = x + z
-        z = ras_apply(system, decomposition, rhs - system.matrix @ x)
+        z = ras_apply(solve, rhs - system.matrix @ x)
         history[n + 1] = float(np.linalg.norm(z)) / norm0
     return x, history
 
@@ -353,14 +383,8 @@ def preconditioned_operator(
             f"of {SPECTRUM_BUDGET}; use a coarser mesh"
         )
     free = np.flatnonzero(~system.dirichlet_mask)
-    pos = np.full(system.n_dofs, -1, dtype=np.int64)
-    pos[free] = np.arange(free.size)
     dense = system.matrix[free][:, free].toarray()
-    out = np.zeros_like(dense)
-    for sub, lu, _ in _solvers(system, decomposition).parts:
-        rows = pos[sub.interior_free]
-        out[pos[sub.owned_free]] = lu.solve(dense[rows])[sub.owned_in_interior]
-    return out
+    return RestrictedSolve(system, decomposition)(dense)
 
 
 def spectrum(
@@ -379,8 +403,9 @@ class GmresResult:
     """Outcome of a preconditioned GMRES solve.
 
     ``history`` holds the preconditioned relative residual, entry 0 being
-    the start; in-cycle values come from the rotated-residual recurrence
-    (exact up to roundoff), cycle boundaries are recomputed.
+    the start; in-cycle values are SciPy's Givens-rotated residual
+    estimates (exact up to roundoff), the last entry of each restart cycle
+    is recomputed from the iterate.
     """
 
     x: np.ndarray
@@ -391,15 +416,15 @@ class GmresResult:
 
 
 def gmres(
-    system: AssembledSystem,
-    decomposition: Decomposition,
+    solve: RestrictedSolve,
     rhs: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 500,
     restart: int | None = None,
 ) -> GmresResult:
-    """Left-preconditioned GMRES with modified Gram-Schmidt and Givens
-    rotations, using RAS as the preconditioner.
+    """Left-preconditioned GMRES with RAS as the preconditioner:
+    `scipy.sparse.linalg.gmres` on the operator v -> M^-1 A v over the
+    free unknowns, one SciPy call per restart cycle.
 
     Restarted when ``restart`` is given, otherwise a single cycle capped at
     ``max_iter``.  A restart cycle that makes no progress flags stagnation
@@ -407,99 +432,38 @@ def gmres(
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    solvers = _solvers(system, decomposition)
-    free = np.flatnonzero(~system.dirichlet_mask)
-    pos = np.full(system.n_dofs, -1, dtype=np.int64)
-    pos[free] = np.arange(free.size)
+    system, free = solve.system, solve.free
     a = system.matrix[free][:, free].tocsr()
     b = np.asarray(rhs, dtype=float)[free]
     n = free.size
-
-    def precond(v: np.ndarray) -> np.ndarray:
-        z = np.zeros_like(v)
-        for sub, lu, _ in solvers.parts:
-            z[pos[sub.owned_free]] = lu.solve(v[pos[sub.interior_free]])[
-                sub.owned_in_interior
-            ]
-        return z
-
-    def full_vector(xf: np.ndarray) -> np.ndarray:
-        out = np.zeros(system.n_dofs)
-        out[free] = xf
-        return out
-
-    b_pre = precond(b)
+    x = np.zeros(n)
+    b_pre = solve(b)
     b_norm = float(np.linalg.norm(b_pre))
     if b_norm == 0.0:
-        return GmresResult(
-            x=full_vector(np.zeros(n)),
-            history=np.array([0.0]),
-            converged=True,
-            stagnated=False,
-            iterations=0,
-        )
-
-    x = np.zeros(n)
-    history = [1.0]
-    total = 0
-    converged = False
+        history, converged = [0.0], True
+    else:
+        history, converged = [1.0], 1.0 < tol
     stagnated = False
     cycle_len = restart if restart is not None else max_iter
+    operator = LinearOperator((n, n), matvec=lambda v: solve(a @ v), dtype=float)
 
-    while total < max_iter and not converged and not stagnated:
-        r = precond(b - a @ x)
-        beta = float(np.linalg.norm(r))
-        cycle_start = beta / b_norm
-        if cycle_start < tol:
-            converged = True
-            break
-        m = min(cycle_len, max_iter - total)
-        basis = np.zeros((m + 1, n))
-        hess = np.zeros((m + 1, m))
-        giv_c = np.zeros(m)
-        giv_s = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        basis[0] = r / beta
-        steps = 0
-        breakdown = False
-        for j in range(m):
-            w = precond(a @ basis[j])
-            for i in range(j + 1):
-                hess[i, j] = float(w @ basis[i])
-                w -= hess[i, j] * basis[i]
-            hess[j + 1, j] = float(np.linalg.norm(w))
-            breakdown = hess[j + 1, j] <= 1e-14 * beta
-            if not breakdown:
-                basis[j + 1] = w / hess[j + 1, j]
-            for i in range(j):
-                t = giv_c[i] * hess[i, j] + giv_s[i] * hess[i + 1, j]
-                hess[i + 1, j] = -giv_s[i] * hess[i, j] + giv_c[i] * hess[i + 1, j]
-                hess[i, j] = t
-            denom = math.hypot(hess[j, j], hess[j + 1, j])
-            giv_c[j] = hess[j, j] / denom
-            giv_s[j] = hess[j + 1, j] / denom
-            hess[j, j] = denom
-            hess[j + 1, j] = 0.0
-            g[j + 1] = -giv_s[j] * g[j]
-            g[j] = giv_c[j] * g[j]
-            steps = j + 1
-            total += 1
-            history.append(abs(g[j + 1]) / b_norm)
-            if history[-1] < tol or breakdown:
-                break
-        y = solve_triangular(hess[:steps, :steps], g[:steps])
-        x = x + basis[:steps].T @ y
-        true_rel = float(np.linalg.norm(precond(b - a @ x))) / b_norm
-        history[-1] = true_rel
-        converged = true_rel < tol
-        if not converged and true_rel >= cycle_start * (1.0 - 1e-12):
-            stagnated = True
+    while len(history) <= max_iter and not converged and not stagnated:
+        cycle_start = history[-1]
+        x, _ = scipy_gmres(
+            operator, b_pre, x0=x, rtol=tol, atol=0.0,
+            restart=min(cycle_len, max_iter + 1 - len(history)), maxiter=1,
+            callback=history.append, callback_type="pr_norm",
+        )
+        history[-1] = float(np.linalg.norm(solve(b - a @ x))) / b_norm
+        converged = history[-1] < tol
+        stagnated = not converged and history[-1] >= cycle_start * (1.0 - 1e-12)
 
+    out = np.zeros(system.n_dofs)
+    out[free] = x
     return GmresResult(
-        x=full_vector(x),
+        x=out,
         history=np.asarray(history),
         converged=converged,
         stagnated=stagnated,
-        iterations=total,
+        iterations=len(history) - 1,
     )

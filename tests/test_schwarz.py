@@ -1,10 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elastic_schwarz import fem, schwarz
+from elastic_schwarz import fem
 from elastic_schwarz.fem import assemble, build_mesh
 from elastic_schwarz.schwarz import (
     BudgetExceededError,
+    RestrictedSolve,
     decompose,
     gmres,
     preconditioned_operator,
@@ -78,18 +84,45 @@ class TestSchwarzIterate:
         assert not history.err_max.any()
         assert len(history) == 6
 
-    def test_matches_stationary_ras(self, small_setup):
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        half_nx=st.integers(4, 10),
+        ny=st.integers(3, 8),
+        half_overlap=st.integers(1, 3),
+        omega=st.floats(0.5, 5.0),
+        one_domain=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_stationary_ras(
+        self, medium, half_nx, ny, half_overlap, omega, one_domain, seed
+    ):
         # the glued parallel sweep and the preconditioned Richardson update
         # are the same algorithm
-        system, dec = small_setup
-        start = seeded_initial_guess(system, seed=3)
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 2 * half_nx, ny)
+        system = assemble(mesh, medium, omega)
+        dec = (
+            single_domain(mesh) if one_domain
+            else decompose(mesh, 2 * min(half_overlap, half_nx - 1))
+        )
+        start = seeded_initial_guess(system, seed=seed)
         iterate, history = schwarz_iterate(system, dec, start, 8)
-        x = start.copy()
-        for _ in range(8):
-            x = x + ras_apply(system, dec, system.rhs - system.matrix @ x)
-        assert np.abs(x - iterate).max() < 1e-10
+        x, _ = stationary_ras(RestrictedSolve(system, dec), system.rhs, 8, x0=start)
+        scale = max(1.0, float(np.abs(iterate).max()))
+        assert np.abs(x - iterate).max() < 1e-10 * scale
         mods = np.hypot(x[0::2], x[1::2])
         assert history.err_max[-1] == pytest.approx(mods.max(), rel=1e-10)
+
+    def test_decomposition_does_not_keep_the_system_alive(self, medium):
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 8, 4)
+        dec = decompose(mesh, 2)
+        system = assemble(mesh, medium, 1.0)
+        schwarz_iterate(system, dec, seeded_initial_guess(system, seed=1), 2)
+        preconditioned_operator(system, dec)
+        ras_apply(RestrictedSolve(system, dec), system.rhs)
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
 
     def test_history_lengths(self, small_setup):
         system, dec = small_setup
@@ -133,7 +166,8 @@ class TestSeededInitialGuess:
 class TestRasApply:
     def test_zero_residual(self, small_setup):
         system, dec = small_setup
-        assert not ras_apply(system, dec, np.zeros(system.n_dofs)).any()
+        solve = RestrictedSolve(system, dec)
+        assert not ras_apply(solve, np.zeros(system.n_dofs)).any()
 
     def test_single_domain_is_exact_solve(self, medium):
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 6, 6)
@@ -142,7 +176,7 @@ class TestRasApply:
         rng = np.random.default_rng(0)
         residual = rng.standard_normal(system.n_dofs)
         residual[system.dirichlet_mask] = 0.0
-        increment = ras_apply(system, dec, residual)
+        increment = ras_apply(RestrictedSolve(system, dec), residual)
         free = ~system.dirichlet_mask
         direct = np.zeros_like(residual)
         dense = system.matrix[free][:, free].toarray()
@@ -155,7 +189,8 @@ class TestRasApply:
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(system.n_dofs)
         rhs[system.dirichlet_mask] = 0.0
-        _, history = stationary_ras(system, single_domain(mesh), rhs, 3)
+        solve = RestrictedSolve(system, single_domain(mesh))
+        _, history = stationary_ras(solve, rhs, 3)
         assert history[1] < 1e-12
 
 
@@ -217,38 +252,41 @@ class TestGmres:
             mesh=mesh,
         )
         rng = np.random.default_rng(3)
-        result = gmres(system, single_domain(mesh), rng.standard_normal(n))
+        solve = RestrictedSolve(system, single_domain(mesh))
+        result = gmres(solve, rng.standard_normal(n))
         assert result.converged
         assert result.iterations == 1
 
     def test_converges_and_residual_monotone(self, small_setup):
         system, dec = small_setup
         rhs = system.matrix @ seeded_initial_guess(system, seed=11)
-        result = gmres(system, dec, rhs, tol=1e-8, max_iter=300)
+        solve = RestrictedSolve(system, dec)
+        result = gmres(solve, rhs, tol=1e-8, max_iter=300)
         assert result.converged
         assert result.history[-1] < 1e-8
         diffs = np.diff(result.history)
         assert diffs.max() <= 1e-10  # non-increasing within the single cycle
         residual = rhs - system.matrix @ result.x
-        z = ras_apply(system, dec, residual)
-        z0 = ras_apply(system, dec, rhs)
+        z = ras_apply(solve, residual)
+        z0 = ras_apply(solve, rhs)
         assert np.linalg.norm(z) / np.linalg.norm(z0) < 1e-8
 
     def test_restarted_variant_converges(self, small_setup):
         system, dec = small_setup
         rhs = system.matrix @ seeded_initial_guess(system, seed=11)
-        result = gmres(system, dec, rhs, tol=1e-6, max_iter=400, restart=10)
+        solve = RestrictedSolve(system, dec)
+        result = gmres(solve, rhs, tol=1e-6, max_iter=400, restart=10)
         assert result.converged
         assert result.history[-1] < 1e-6
 
     def test_rejects_nonpositive_tol(self, small_setup):
         system, dec = small_setup
         with pytest.raises(ValueError, match="tol"):
-            gmres(system, dec, system.rhs, tol=0.0)
+            gmres(RestrictedSolve(system, dec), system.rhs, tol=0.0)
 
     def test_zero_rhs(self, small_setup):
         system, dec = small_setup
-        result = gmres(system, dec, np.zeros(system.n_dofs))
+        result = gmres(RestrictedSolve(system, dec), np.zeros(system.n_dofs))
         assert result.converged and result.iterations == 0
         assert not result.x.any()
 
@@ -257,7 +295,7 @@ class TestGmres:
         system = assemble(mesh, medium, 5.0)
         dec = decompose(mesh, 4)
         rhs = system.matrix @ seeded_initial_guess(system, seed=11)
-        _, history = stationary_ras(system, dec, rhs, 20)
+        _, history = stationary_ras(RestrictedSolve(system, dec), rhs, 20)
         assert history[-1] > 1.0
         op = preconditioned_operator(system, dec)
         radius = np.abs(np.linalg.eigvals(np.eye(op.shape[0]) - op)).max()
@@ -270,6 +308,18 @@ class TestGmres:
         system = assemble(mesh, medium, 1.0)
         dec = decompose(mesh, 4)
         rhs = system.matrix @ seeded_initial_guess(system, seed=1870)
-        result = gmres(system, dec, rhs, tol=1e-6, max_iter=500)
+        result = gmres(RestrictedSolve(system, dec), rhs, tol=1e-6, max_iter=500)
         assert result.converged
         assert abs(result.iterations - 16) <= 2
+
+    def test_restart_one_stagnates_at_divergent_frequency(self, medium):
+        # GMRES(1) at omega=5 on the reference mesh makes no progress in
+        # some cycle before the iteration cap and flags it
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 80, 40)
+        system = assemble(mesh, medium, 5.0)
+        rhs = system.matrix @ seeded_initial_guess(system, seed=1870)
+        solve = RestrictedSolve(system, decompose(mesh, 4))
+        result = gmres(solve, rhs, tol=1e-6, max_iter=40, restart=1)
+        assert result.stagnated and not result.converged
+        assert result.iterations < 40
+        assert result.history[-1] >= result.history[-2] * (1.0 - 1e-12)
