@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Spectrum of the RAS-preconditioned operator on a 40x20 mesh (the dense
-eigensolve scale) for the two reference frequencies."""
+"""Spectrum of the RAS-preconditioned operator on a 40x20 mesh for the
+two reference frequencies."""
 import argparse
 import sys
 

@@ -9,8 +9,9 @@ starts with comment lines serializing the resolved configuration, so any
 file can be reproduced by feeding its own header back in (the output
 directory itself is deliberately not part of the header).
 
-Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 eigensolve
-budget exceeded, 5 verification failure.
+Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 operator
+memory budget exceeded, 5 verification failure, 6 non-finite iterate (the
+history stops before it and carries a ``nonfinite_at=`` header line).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+EXIT_NONFINITE = 6
 
 
 class ConfigError(ValueError):
@@ -127,7 +129,7 @@ def _parse_value(key: str, raw: str):
     raise ConfigError(f"unknown configuration field {key!r}")
 
 
-_RESERVED_KEYS = {"command", "converged", "stagnated"}
+_RESERVED_KEYS = {"command", "converged", "stagnated", "nonfinite_at"}
 
 
 def parse_kv_lines(lines) -> dict:
@@ -276,6 +278,16 @@ def _write_table(path, header_lines, columns, rows) -> None:
     fem.atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
+def _nonfinite_flag(history_length: int, iterations: int) -> list[str]:
+    """Header line of a history that stopped before a non-finite iterate
+    (none for a complete one, so finite runs keep their bytes)."""
+    if history_length == iterations + 1:
+        return []
+    print(f"non-finite iterate {history_length}; history stops before it",
+          file=sys.stderr)
+    return [f"nonfinite_at={history_length}"]
+
+
 def _outdir(out: str) -> str:
     os.makedirs(out, exist_ok=True)
     return out
@@ -372,10 +384,11 @@ def cmd_schwarz(cfg: ExperimentConfig, out: str) -> int:
     )
     final, history = schwarz.schwarz_iterate(system, decomposition, initial, cfg.n_iter)
     header = config_header(cfg, "schwarz")
+    flag = _nonfinite_flag(len(history), cfg.n_iter)
     out = _outdir(out)
     _write_table(
         os.path.join(out, "schwarz_history.csv"),
-        header,
+        header + flag,
         ["iter", "err_max", "err_l2", "dominant_mode_j"],
         [
             (n, history.err_max[n], history.err_l2[n], int(history.dominant_mode[n]))
@@ -388,7 +401,7 @@ def cmd_schwarz(cfg: ExperimentConfig, out: str) -> int:
     fem.export_solution_binary(
         system.mesh, final, os.path.join(out, "schwarz_final.bin")
     )
-    return EXIT_OK
+    return EXIT_NONFINITE if flag else EXIT_OK
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out: str) -> int:
@@ -414,6 +427,7 @@ def cmd_gmres(cfg: ExperimentConfig, out: str) -> int:
     )
     _, ras_history = schwarz.stationary_ras(solve, rhs, cfg.stationary_iters)
     header = config_header(cfg, "gmres")
+    flag = _nonfinite_flag(ras_history.size, cfg.stationary_iters)
     out = _outdir(out)
     _write_table(
         os.path.join(out, "gmres_history.csv"),
@@ -424,11 +438,11 @@ def cmd_gmres(cfg: ExperimentConfig, out: str) -> int:
     )
     _write_table(
         os.path.join(out, "ras_history.csv"),
-        header,
+        header + flag,
         ["iter", "relres"],
         list(enumerate(float(r) for r in ras_history)),
     )
-    return EXIT_OK
+    return EXIT_NONFINITE if flag else EXIT_OK
 
 
 def _random_medium(rng: np.random.Generator) -> ElasticMedium:

@@ -11,6 +11,11 @@ on the non-Dirichlet unknowns (the eliminated dofs carry a pinned unit
 diagonal and would only pad the spectrum with ones).  All four run
 through one operator, `RestrictedSolve`: each subdomain solves on its
 interior and keeps the part it owns.
+
+The RAS error propagator T = I - M^-1 A reads its argument only on the
+interface unknowns (`interface_unknowns`), so the spectrum of M^-1 A is
+that of its small interface block plus ones: the discrete form of the
+interface iteration the mode analysis solves per Fourier mode.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "RestrictedSolve",
     "subdomain_columns",
     "decompose",
+    "interface_unknowns",
     "single_domain",
     "seeded_initial_guess",
     "schwarz_iterate",
@@ -49,11 +55,12 @@ __all__ = [
     "gmres",
 ]
 
-SPECTRUM_BUDGET = 20000
+SPECTRUM_BUDGET_BYTES = 2 * 1024**3
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a dense eigensolve request exceeds the unknown budget."""
+    """Raised when a dense operator block and its eigenproblem would
+    exceed the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,26 @@ def single_domain(mesh: StructuredMesh) -> Decomposition:
     )
 
 
+def interface_unknowns(
+    system: AssembledSystem, decomposition: Decomposition
+) -> np.ndarray:
+    """Positions, among the free unknowns, of the dofs on either
+    subdomain's interface line and of the free dofs no subdomain owns
+    (boundary dofs left free by a system without Dirichlet rows).
+
+    The RAS error propagator T = I - M^-1 A reads its argument only there:
+    an owned dof gets -(subdomain solve of the interface coupling), an
+    unowned one keeps its value.  So T = T[:, S] R_S, and the eigenvalues
+    of M^-1 A are those of its S x S block plus n - |S| exact ones.
+    """
+    read = np.zeros(system.n_dofs, dtype=bool)
+    owned = np.zeros(system.n_dofs, dtype=bool)
+    for sub in decomposition.subdomains:
+        read[sub.interface_free] = True
+        owned[sub.owned_free] = True
+    return np.flatnonzero((read | ~owned)[~system.dirichlet_mask])
+
+
 class RestrictedSolve:
     """The RAS subdomain solves of one system on one decomposition.
 
@@ -217,15 +244,18 @@ class RestrictedSolve:
         matrix = system.matrix.tocsr()
         self._parts = []
         for sub in decomposition.subdomains:
-            local = matrix[sub.interior_free][:, sub.interior_free].tocsc()
-            coupling = matrix[sub.interior_free][:, sub.interface_free].tocsr()
+            rows = matrix[sub.interior_free]
+            # the subdomain matrices are symmetric: order on A^T + A
+            lu = splu(
+                rows[:, sub.interior_free].tocsc(), permc_spec="MMD_AT_PLUS_A"
+            )
             self._parts.append((
                 pos[sub.interior_free],
                 pos[sub.owned_free],
                 sub.owned_in_interior,
                 pos[sub.interface_free],
-                splu(local),
-                coupling,
+                lu,
+                rows[:, sub.interface_free].tocsr(),
             ))
 
     def __call__(
@@ -289,6 +319,9 @@ def _record(mesh: StructuredMesh, midline_col, e: np.ndarray):
     modulus = np.hypot(ex, ey)
     err_max = float(modulus.max())
     err_l2 = float(math.sqrt(mesh.hx * mesh.hy * float(np.sum(modulus**2))))
+    if math.isinf(err_l2) and math.isfinite(err_max):  # the squares overflowed
+        scaled = float(np.sum((modulus / err_max) ** 2))
+        err_l2 = err_max * math.sqrt(mesh.hx * mesh.hy * scaled)
     if midline_col is None:
         return err_max, err_l2, 0, 0.0
     trace_nodes = np.arange(mesh.ny + 1) * (mesh.nx + 1) + midline_col
@@ -308,6 +341,9 @@ def schwarz_iterate(
 
     The error is measured against the exact discrete solution (zero for a
     zero load, a direct solve otherwise); divergence is a valid outcome.
+    A run that overflows stops before the first iterate whose record is
+    not finite: the history is then shorter than ``n_iter + 1`` and the
+    returned iterate is the last finite one.
     """
     x = np.asarray(initial, dtype=float).copy()
     x[system.dirichlet_mask] = 0.0
@@ -319,20 +355,21 @@ def schwarz_iterate(
     free = solve.free
     b_free = b[free]
 
-    err_max = np.empty(n_iter + 1)
-    err_l2 = np.empty(n_iter + 1)
-    modes = np.empty(n_iter + 1, dtype=np.int64)
-    amps = np.empty(n_iter + 1)
-    err_max[0], err_l2[0], modes[0], amps[0] = _record(
-        system.mesh, decomposition.midline_col, x - reference
-    )
-    for n in range(n_iter):
-        x[free] = solve(b_free, previous=x[free])
-        err_max[n + 1], err_l2[n + 1], modes[n + 1], amps[n + 1] = _record(
-            system.mesh, decomposition.midline_col, x - reference
-        )
+    records = []
+    iterate = x
+    for n in range(n_iter + 1):
+        if n:
+            iterate = x.copy()
+            iterate[free] = solve(b_free, previous=x[free])
+        record = _record(system.mesh, decomposition.midline_col, iterate - reference)
+        if not all(math.isfinite(value) for value in record):
+            break
+        x = iterate
+        records.append(record)
+    err_max, err_l2, modes, amps = np.array(records, dtype=float).reshape(-1, 4).T
     return x, ErrorHistory(
-        err_max=err_max, err_l2=err_l2, dominant_mode=modes, mode_amplitude=amps
+        err_max=err_max, err_l2=err_l2, dominant_mode=modes.astype(np.int64),
+        mode_amplitude=amps,
     )
 
 
@@ -352,7 +389,11 @@ def stationary_ras(
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the RAS-preconditioned Richardson iteration, tracking the
-    preconditioned relative residual (same quantity GMRES reports)."""
+    preconditioned relative residual (same quantity GMRES reports).
+
+    A run that overflows stops before the first non-finite residual: the
+    history is then shorter than ``n_iter + 1`` and ``x`` is the last
+    iterate whose residual was finite."""
     system = solve.system
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
     x[system.dirichlet_mask] = 0.0
@@ -366,34 +407,62 @@ def stationary_ras(
         history[0] = 1.0
         return x, history
     for n in range(n_iter):
-        x = x + z
-        z = ras_apply(solve, rhs - system.matrix @ x)
+        step = x + z
+        z = ras_apply(solve, rhs - system.matrix @ step)
         history[n + 1] = float(np.linalg.norm(z)) / norm0
+        if not math.isfinite(history[n + 1]):
+            return x, history[: n + 1]
+        x = step
     return x, history
 
 
 def preconditioned_operator(
-    system: AssembledSystem, decomposition: Decomposition
+    system: AssembledSystem,
+    decomposition: Decomposition,
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dense matrix of the RAS-preconditioned operator on the non-Dirichlet
-    unknowns, built by applying the preconditioner to the matrix columns."""
-    if system.n_dofs > SPECTRUM_BUDGET:
-        raise BudgetExceededError(
-            f"{system.n_dofs} unknowns exceed the dense eigensolve budget "
-            f"of {SPECTRUM_BUDGET}; use a coarser mesh"
-        )
+    """Dense columns of the RAS-preconditioned operator M^-1 A on the
+    non-Dirichlet unknowns, built by applying the preconditioner to the
+    matrix columns: all n of them (the n x n operator) or the n x m block
+    of the given free-unknown positions.
+
+    The estimated memory of the block, its solve and an m x m
+    eigenproblem is checked against `SPECTRUM_BUDGET_BYTES` before any
+    factorization.
+    """
     free = np.flatnonzero(~system.dirichlet_mask)
-    dense = system.matrix[free][:, free].toarray()
-    return RestrictedSolve(system, decomposition)(dense)
+    n = free.size
+    m = n if columns is None else len(columns)
+    # block, solution, subdomain right-hand side and solve, m x m eigenproblem
+    needed = 8 * (4 * n * m + 2 * m * m)
+    if needed > SPECTRUM_BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"a {n} x {m} operator block and its eigenproblem need about "
+            f"{needed / 1024**3:.1f} GiB, over the budget of "
+            f"{SPECTRUM_BUDGET_BYTES / 1024**3:.1f} GiB; use a coarser mesh"
+        )
+    a = system.matrix[free][:, free]
+    block = a.toarray() if columns is None else a[:, columns].toarray()
+    return RestrictedSolve(system, decomposition)(block)
 
 
 def spectrum(
     system: AssembledSystem, decomposition: Decomposition
 ) -> np.ndarray:
     """All eigenvalues of the preconditioned operator on the free unknowns,
-    via the dense nonsymmetric eigensolver, sorted by (re, im) so repeated
-    runs emit identical tables."""
-    eigs = np.linalg.eigvals(preconditioned_operator(system, decomposition))
+    sorted by (re, im) so repeated runs emit identical tables.
+
+    Only the interface block is diagonalized (`interface_unknowns`); the
+    remaining n - |S| eigenvalues are exactly one.  The dense
+    ``eigvals(preconditioned_operator(system, decomposition))`` is the
+    reference it agrees with.
+    """
+    columns = interface_unknowns(system, decomposition)
+    block = preconditioned_operator(system, decomposition, columns)
+    n = block.shape[0]
+    eigs = np.concatenate(
+        [np.linalg.eigvals(block[columns]), np.ones(n - columns.size)]
+    )
     order = np.lexsort((eigs.imag, eigs.real))
     return eigs[order]
 

@@ -255,6 +255,13 @@ def leading_propagator_mode(omega: float) -> tuple[float, int]:
     prediction of the sweep's rate: r per sweep, r^2 per double sweep.
     k = 4 resolves the +-r pair the two-subdomain propagator carries.
     """
+    key = ("propagator", omega)
+    if key not in _cache:
+        _cache[key] = _leading_propagator_mode(omega)
+    return _cache[key]
+
+
+def _leading_propagator_mode(omega: float) -> tuple[float, int]:
     system = reference_system(omega)
     dec = reference_decomposition(system.mesh)
     solve = schwarz.RestrictedSolve(system, dec)
@@ -311,6 +318,22 @@ def test_criterion_08_schwarz_experiment_omega5():
         f"(r = {r:.4f} > 1, rel. dev. {rate_dev:.1e} <= 1e-2); dominant mode "
         f"j={history.dominant_mode[25]} vs leading eigenvector "
         f"j={eig_mode} [{elapsed:.2f}s < 120s]",
+    )
+
+
+def test_reduced_spectrum_radius_matches_propagator():
+    # cross-check of the interface-reduced spectrum against criterion 8's
+    # ARPACK radius of I - M^-1 A on the reference mesh (80x40, omega=5)
+    system = reference_system(5.0)
+    eigs = schwarz.spectrum(system, reference_decomposition(system.mesh))
+    radius = float(np.abs(1.0 - eigs).max())
+    r, _ = leading_propagator_mode(5.0)
+    deviation = abs(radius - r) / r
+    criterion(
+        "interface-reduced spectrum vs ARPACK propagator radius",
+        eigs.size == 2 * 79 * 39 and deviation <= 1e-8,
+        f"max |1 - ev| = {radius:.10f} vs r = {r:.10f} "
+        f"(rel. dev. {deviation:.1e} <= 1e-8)",
     )
 
 

@@ -160,6 +160,33 @@ class TestSchwarzCommand:
         assert code == 2
         assert "midline" in capsys.readouterr().err
 
+    def test_nonfinite_iterate_exits_6(self, tmp_path, capsys):
+        # at omega=5 the iterate grows ~7.7x per double sweep: from 1e300 it
+        # overflows within the 25 sweeps
+        assert main(["schwarz", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e300"]) == 6
+        assert "non-finite" in capsys.readouterr().err
+        path = tmp_path / "schwarz_history.csv"
+        lines = read(path).decode().splitlines()
+        flag = [line for line in lines if line.startswith("# nonfinite_at=")]
+        assert len(flag) == 1
+        body = [line.split(",") for line in lines
+                if not line.startswith(("#", "iter,"))]
+        assert 0 < len(body) == int(flag[0].split("=")[1]) < 26
+        values = np.array([[float(v) for v in row] for row in body])
+        assert np.isfinite(values).all()
+        # the flag line does not break the header round trip
+        assert "nonfinite_at" not in parse_kv_lines(header_only(path))
+        from elastic_schwarz.fem import read_solution_binary
+
+        _, table = read_solution_binary(tmp_path / "schwarz_final.bin")
+        assert np.isfinite(table).all()
+
+    def test_finite_run_carries_no_flag(self, tmp_path):
+        assert main(["schwarz", "--out", str(tmp_path), "--nx", "20", "--ny", "10",
+                     "--omega", "5", "--n-iter", "5"]) == 0
+        assert "nonfinite" not in read(tmp_path / "schwarz_history.csv").decode()
+
     def test_writes_field_artifacts(self, tmp_path):
         assert main(["schwarz", "--out", str(tmp_path), "--nx", "20", "--ny", "10",
                      "--n-iter", "2"]) == 0
@@ -184,9 +211,19 @@ class TestSpectrumCommand:
         assert np.abs(eigs[:, 1]).max() < 1e-8
 
     def test_budget_exceeded_exits_4(self, tmp_path, capsys):
+        # 15,996 interface unknowns: the operator block needs about 30 GiB
         assert main(["spectrum", "--out", str(tmp_path),
-                     "--nx", "140", "--ny", "72"]) == 4
+                     "--nx", "8", "--ny", "4000"]) == 4
         assert "coarser" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_interface_reduced_spectrum_fits_160x60(self, tmp_path):
+        # 18,762 free unknowns; the dense n x n operator does not fit in memory
+        assert main(["spectrum", "--out", str(tmp_path),
+                     "--nx", "160", "--ny", "60"]) == 0
+        lines = read(tmp_path / "spectrum.csv").decode().splitlines()
+        body = [line for line in lines if not line.startswith(("#", "re,"))]
+        assert len(body) == 2 * 159 * 59
 
 
 class TestGmresCommand:
@@ -198,6 +235,16 @@ class TestGmresCommand:
         body = [line for line in lines if not (line.startswith("#") or
                                                line.startswith("iter,"))]
         assert len(body) == 2  # start plus one iteration
+
+    def test_nonfinite_stationary_ras_exits_6(self, tmp_path):
+        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e150"]) == 6
+        lines = read(tmp_path / "ras_history.csv").decode().splitlines()
+        flag = [line for line in lines if line.startswith("# nonfinite_at=")]
+        body = [line for line in lines if not line.startswith(("#", "iter,"))]
+        assert len(flag) == 1 and len(body) == int(flag[0].split("=")[1]) < 51
+        assert all(np.isfinite(float(line.split(",")[1])) for line in body)
+        assert "# converged=true" in read(tmp_path / "gmres_history.csv").decode()
 
     def test_histories_written(self, tmp_path):
         assert main(["gmres", "--out", str(tmp_path), "--nx", "20", "--ny", "10"]) == 0

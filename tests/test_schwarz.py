@@ -13,6 +13,7 @@ from elastic_schwarz.schwarz import (
     RestrictedSolve,
     decompose,
     gmres,
+    interface_unknowns,
     preconditioned_operator,
     ras_apply,
     schwarz_iterate,
@@ -133,6 +134,19 @@ class TestSchwarzIterate:
                       history.dominant_mode, history.mode_amplitude):
             assert field.shape == (4,)
 
+    def test_stops_before_nonfinite_iterate(self, medium):
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 5.0)
+        start = seeded_initial_guess(system, seed=1, max_modulus=1e300)
+        final, history = schwarz_iterate(system, decompose(mesh, 4), start, 25)
+        assert 0 < len(history) < 26
+        for field in (history.err_max, history.err_l2, history.mode_amplitude):
+            assert field.shape == (len(history),) and np.isfinite(field).all()
+        # past 1e154 the squares in err_l2 overflow; the norm does not
+        assert history.err_l2[-1] > 1e300
+        assert np.isfinite(final).all()
+        assert np.hypot(final[0::2], final[1::2]).max() == history.err_max[-1]
+
     def test_divergence_is_a_valid_outcome(self, medium):
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
         system = assemble(mesh, medium, 5.0)
@@ -161,6 +175,16 @@ class TestSeededInitialGuess:
     def test_zero_amplitude(self, small_setup):
         system, _ = small_setup
         assert not seeded_initial_guess(system, seed=5, max_modulus=0.0).any()
+
+
+class TestStationaryRas:
+    def test_stops_before_nonfinite_residual(self, medium):
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 5.0)
+        rhs = system.matrix @ seeded_initial_guess(system, seed=1, max_modulus=1e150)
+        x, history = stationary_ras(RestrictedSolve(system, decompose(mesh, 4)), rhs, 50)
+        assert 1 < history.size < 51
+        assert np.isfinite(history).all() and np.isfinite(x).all()
 
 
 class TestRasApply:
@@ -233,10 +257,72 @@ class TestSpectrum:
         assert observed == pytest.approx(radius, rel=2e-2)
 
     def test_budget_guard(self, medium):
-        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 140, 72)
+        # tall and thin: cheap to assemble, but 15,996 interface unknowns
+        # make the 55,986 x 15,996 operator block far exceed the budget
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 8, 4000)
         system = assemble(mesh, medium, 1.0)
         with pytest.raises(BudgetExceededError, match="coarser"):
             spectrum(system, decompose(mesh, 4))
+
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
+    def test_matches_dense_oracle(self, medium, omega):
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, omega)
+        dec = decompose(mesh, 4)
+        eigs = spectrum(system, dec)
+        dense = np.sort_complex(
+            np.linalg.eigvals(preconditioned_operator(system, dec))
+        )
+        assert np.abs(eigs - dense).max() < 1e-8
+        n_interface = interface_unknowns(system, dec).size
+        assert n_interface == 76  # 2 interface lines x 19 nodes x 2 dofs
+        assert np.count_nonzero(eigs == 1.0) == eigs.size - n_interface
+
+    def test_interface_block_is_the_operator_columns(self, small_setup):
+        system, dec = small_setup
+        columns = interface_unknowns(system, dec)
+        block = preconditioned_operator(system, dec, columns)
+        dense = preconditioned_operator(system, dec)[:, columns]
+        assert block.shape == (system.n_dofs - system.dirichlet_mask.sum(), 76)
+        # the solves see the same columns, blocked differently
+        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        half_nx=st.integers(3, 8),
+        ny=st.integers(2, 7),
+        half_overlap=st.integers(1, 3),
+        omega=st.floats(0.5, 5.0),
+        kind=st.sampled_from(["decompose", "single_domain", "identity"]),
+    )
+    def test_reduced_equals_dense_property(
+        self, medium, half_nx, ny, half_overlap, omega, kind
+    ):
+        import scipy.sparse as sp
+
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 2 * half_nx, ny)
+        system = assemble(mesh, medium, omega)
+        if kind == "identity":
+            # no Dirichlet rows: the boundary dofs are free and unowned
+            system = fem.AssembledSystem(
+                matrix=sp.identity(system.n_dofs, format="csr"),
+                rhs=np.zeros(system.n_dofs),
+                dirichlet_mask=np.zeros(system.n_dofs, dtype=bool),
+                mesh=mesh,
+            )
+        dec = (
+            single_domain(mesh) if kind == "single_domain"
+            else decompose(mesh, 2 * min(half_overlap, half_nx - 1))
+        )
+        eigs = spectrum(system, dec)
+        dense = np.sort_complex(
+            np.linalg.eigvals(preconditioned_operator(system, dec))
+        )
+        scale = max(1.0, float(np.abs(dense).max()))
+        assert eigs.shape == dense.shape
+        assert np.abs(eigs - dense).max() < 1e-8 * scale
+        n_interface = interface_unknowns(system, dec).size
+        assert np.count_nonzero(eigs == 1.0) >= eigs.size - n_interface
 
 
 class TestGmres:
