@@ -10,12 +10,14 @@ provides wavenumber sweeps, the band maximum of the convergence factor,
 and its small-overlap asymptotics.
 
 Everything here is a pure function of its inputs (safe to call
-concurrently); all arithmetic is plain double precision.
+concurrently); all arithmetic is plain double precision.  The functions of
+a wavenumber k broadcast over an array of them, one array evaluation in
+place of a Python loop; a scalar k runs the same code on a length-1 array
+and gets Python scalars (complex, float, `Zone`) back.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "Zone",
+    "DegenerateModeError",
     "ElasticMedium",
     "ModeSymbol",
     "BasisMatrices",
@@ -124,42 +127,75 @@ class ElasticMedium:
         return cls(rho=rho, lame_lambda=lame_lambda, lame_mu=lame_mu)
 
 
-def principal_sqrt(radicand: float) -> complex:
-    """Square root of a real number with the decay/radiation branch.
+def _vector(x, dtype=float) -> np.ndarray:
+    # A scalar runs as a length-1 array: numpy evaluates 0-d operands with
+    # its scalar routines, whose complex products round differently from
+    # its array loops, and an array call must equal its element-wise calls.
+    return np.atleast_1d(np.asarray(x, dtype=dtype))
+
+
+def _shaped(k, value):
+    """``value``, computed on ``_vector(k)``, in the shape of ``k``: a
+    scalar k gets a Python scalar (complex, float, Zone) or one matrix."""
+    if np.ndim(k):
+        return value
+    value = value[0]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # hypot, as Python's abs(complex): numpy's complex absolute value rounds
+    # differently and turns more unimodular eigenvalues into 1 +- 1 ulp
+    return np.hypot(z.real, z.imag)
+
+
+def _stack_2x2(a00, a01, a10, a11) -> np.ndarray:
+    """Stack of 2x2 matrices, shape (..., 2, 2), from their entries."""
+    return np.stack([np.stack([a00, a01], -1), np.stack([a10, a11], -1)], -2)
+
+
+def principal_sqrt(radicand):
+    """Square root of a real number (or array) with the decay/radiation
+    branch.
 
     Nonnegative input gives the nonnegative real root (spatial decay);
     negative input gives +i*sqrt(|x|) (outgoing oscillation).  This is the
     branch that keeps the half-plane solutions bounded at infinity.
     """
-    if radicand >= 0.0:
-        return complex(math.sqrt(radicand), 0.0)
-    return complex(0.0, math.sqrt(-radicand))
+    x = _vector(radicand)
+    root = np.sqrt(np.abs(x))
+    return _shaped(radicand, np.where(x >= 0.0, root, 1j * root))
 
 
-def _radicands(k: float, omega: float, cp: float, cs: float) -> tuple[float, float]:
+def _radicands(k, omega: float, cp: float, cs: float):
     # Shared by classify_zone and characteristic_roots so the cut-off
     # comparisons see bitwise-identical values.
     return k * k - (omega / cs) ** 2, k * k - (omega / cp) ** 2
 
 
-def classify_zone(k: float, omega: float, cp: float, cs: float) -> Zone:
-    """Place a wavenumber in the three-band structure of the iteration.
+def classify_zone(k, omega: float, cp: float, cs: float):
+    """Place a wavenumber (or each of an array of them) in the three-band
+    structure of the iteration.
 
     [0, omega/cp) stagnates, (omega/cp, omega/cs) diverges, beyond
-    omega/cs contracts; the two cut-offs themselves are BOUNDARY.
+    omega/cs contracts; the two cut-offs themselves are BOUNDARY.  An
+    array k gives an object array of `Zone` members.
     """
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     if not (cp > cs > 0):
         raise ValueError(f"need cp > cs > 0, got cp={cp}, cs={cs}")
-    rad_s, rad_p = _radicands(k, omega, cp, cs)
-    if rad_p == 0.0 or rad_s == 0.0:
-        return Zone.BOUNDARY
-    if rad_p < 0.0:
-        return Zone.STAGNANT
-    if rad_s < 0.0:
-        return Zone.DIVERGENT
-    return Zone.CONTRACTIVE
+    rad_s, rad_p = _radicands(_vector(k), omega, cp, cs)
+    zones = np.select(
+        [(rad_p == 0.0) | (rad_s == 0.0), rad_p < 0.0, rad_s < 0.0],
+        [Zone.BOUNDARY, Zone.STAGNANT, Zone.DIVERGENT],
+        Zone.CONTRACTIVE,
+    )
+    return _shaped(k, zones)
+
+
+class DegenerateModeError(ValueError):
+    """A Fourier mode at which the closed form divides by zero."""
 
 
 @dataclass(frozen=True)
@@ -168,20 +204,22 @@ class ModeSymbol:
 
     ``lambda1`` and ``lambda2`` are the decay roots attached to the shear
     and pressure speeds; ``x1`` and ``x2`` are the two auxiliary ratios
-    that the interface iteration matrix is built from.
+    that the interface iteration matrix is built from.  For an array of
+    wavenumbers every field but ``omega`` is an array of their shape.
     """
 
-    k: float
+    k: float | np.ndarray
     omega: float
-    lambda1: complex
-    lambda2: complex
-    x1: complex
-    x2: complex
-    zone: Zone
+    lambda1: complex | np.ndarray
+    lambda2: complex | np.ndarray
+    x1: complex | np.ndarray
+    x2: complex | np.ndarray
+    zone: Zone | np.ndarray
 
 
-def characteristic_roots(medium: ElasticMedium, omega: float, k: float) -> ModeSymbol:
-    """Decay roots and auxiliary ratios for one Fourier mode.
+def characteristic_roots(medium: ElasticMedium, omega: float, k) -> ModeSymbol:
+    """Decay roots and auxiliary ratios for one Fourier mode, or for each
+    of an array of wavenumbers.
 
     Both roots take the principal branch (nonnegative real part, positive
     imaginary part on the negative real axis), so subdomain solutions decay
@@ -191,25 +229,22 @@ def characteristic_roots(medium: ElasticMedium, omega: float, k: float) -> ModeS
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     cp, cs = medium.cp, medium.cs
-    rad_s, rad_p = _radicands(k, omega, cp, cs)
+    ks = _vector(k)
+    rad_s, rad_p = _radicands(ks, omega, cp, cs)
     lam1 = principal_sqrt(rad_s)
     lam2 = principal_sqrt(rad_p)
     prod = lam1 * lam2
-    den = k * k - prod
-    if abs(den) < _ROOT_PRODUCT_GUARD:
-        raise ValueError(
-            f"degenerate mode: |k^2 - lambda1*lambda2| = {abs(den):.3e} "
-            f"at k={k}, omega={omega}"
+    den = ks * ks - prod
+    degenerate = np.abs(den) < _ROOT_PRODUCT_GUARD
+    if np.any(degenerate):
+        i = int(np.argmax(degenerate))
+        raise DegenerateModeError(
+            f"degenerate mode: |k^2 - lambda1*lambda2| = {abs(den.flat[i]):.3e} "
+            f"at k={ks.flat[i]}, omega={omega}"
         )
-    return ModeSymbol(
-        k=k,
-        omega=omega,
-        lambda1=lam1,
-        lambda2=lam2,
-        x1=(k * k + prod) / den,
-        x2=-2j * k * lam2 / den,
-        zone=classify_zone(k, omega, cp, cs),
-    )
+    x1, x2 = (ks * ks + prod) / den, -2j * ks * lam2 / den
+    fields = (lam1, lam2, x1, x2, classify_zone(ks, omega, cp, cs))
+    return ModeSymbol(_shaped(k, ks), omega, *(_shaped(k, f) for f in fields))
 
 
 @dataclass(frozen=True)
@@ -218,7 +253,7 @@ class BasisMatrices:
 
     Columns of ``m_x`` span the right-decaying solutions used on the left
     subdomain, columns of ``n_x`` the left-decaying ones of the right
-    subdomain.
+    subdomain.  Both are (..., 2, 2) stacks, one matrix per wavenumber.
     """
 
     m_x: np.ndarray
@@ -232,37 +267,34 @@ def basis_matrices(sym: ModeSymbol, x: float) -> BasisMatrices:
     closed-form eigenvalue path (``eigenvalues_closed_form``) is regular
     there and should be used instead.
     """
-    k = sym.k
-    if k == 0:
+    k = _vector(sym.k)
+    if np.any(k == 0):
         raise ValueError(
             "basis matrices are normalized by 1/k and undefined at k=0; "
             "use eigenvalues_closed_form, which is regular there"
         )
-    l1, l2 = sym.lambda1, sym.lambda2
-    ep1, ep2 = cmath.exp(l1 * x), cmath.exp(l2 * x)
-    em1, em2 = cmath.exp(-l1 * x), cmath.exp(-l2 * x)
-    m = np.array(
-        [[ep1, (-1j * l2 / k) * ep2], [(1j * l1 / k) * ep1, ep2]], dtype=complex
-    )
-    n = np.array(
-        [[em1, (1j * l2 / k) * em2], [(-1j * l1 / k) * em1, em2]], dtype=complex
-    )
-    return BasisMatrices(m_x=m, n_x=n)
+    l1, l2 = _vector(sym.lambda1, complex), _vector(sym.lambda2, complex)
+    ep1, ep2 = np.exp(l1 * x), np.exp(l2 * x)
+    em1, em2 = np.exp(-l1 * x), np.exp(-l2 * x)
+    m = _stack_2x2(ep1, (-1j * l2 / k) * ep2, (1j * l1 / k) * ep1, ep2)
+    n = _stack_2x2(em1, (1j * l2 / k) * em2, (-1j * l1 / k) * em1, em2)
+    return BasisMatrices(m_x=_shaped(sym.k, m), n_x=_shaped(sym.k, n))
 
 
 @dataclass(frozen=True)
 class IterationMatrix2:
-    """Double-sweep interface iteration matrix with its spectral data."""
+    """Double-sweep interface iteration matrix with its spectral data
+    (a (..., 2, 2) stack and arrays for an array of wavenumbers)."""
 
     r: np.ndarray
-    r_plus: complex
-    r_minus: complex
-    rho_cla: float
-    zone: Zone
+    r_plus: complex | np.ndarray
+    r_minus: complex | np.ndarray
+    rho_cla: float | np.ndarray
+    zone: Zone | np.ndarray
 
 
 def iteration_matrix(
-    medium: ElasticMedium, omega: float, k: float, delta: float
+    medium: ElasticMedium, omega: float, k, delta: float
 ) -> IterationMatrix2:
     """Closed-form 2x2 iteration matrix over one double Schwarz sweep.
 
@@ -272,64 +304,56 @@ def iteration_matrix(
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    sym = characteristic_roots(medium, omega, k)
+    sym = characteristic_roots(medium, omega, _vector(k))
     l1, l2, k_ = sym.lambda1, sym.lambda2, sym.k
-    prod = l1 * l2
-    den = k_ * k_ - prod
+    den = k_ * k_ - l1 * l2
     x1, x2 = sym.x1, sym.x2
     # x1*x2 * (l1/l2) with the l2 factor cancelled, finite at the cut-offs
     z = x1 * (-2j * k_ * l1) / den
-    ea = cmath.exp(-delta * (l1 + l2))
-    e1 = cmath.exp(-2.0 * delta * l1)
-    e2 = cmath.exp(-2.0 * delta * l2)
+    ea = np.exp(-delta * (l1 + l2))
+    e1 = np.exp(-2.0 * delta * l1)
+    e2 = np.exp(-2.0 * delta * l2)
     # diagonal uses x2^2 l1/l2 = 1 - x1^2 exactly, isolating the large-x1
     # cancellation inside the exponential differences (zero overlap is then
     # the identity matrix exactly)
-    r = np.array(
-        [
-            [ea + x1 * x1 * (e1 - ea), x1 * x2 * (e1 - ea)],
-            [z * (ea - e2), ea + x1 * x1 * (e2 - ea)],
-        ],
-        dtype=complex,
+    r = _stack_2x2(
+        ea + x1 * x1 * (e1 - ea),
+        x1 * x2 * (e1 - ea),
+        z * (ea - e2),
+        ea + x1 * x1 * (e2 - ea),
     )
     r_plus, r_minus = _eigenpair(sym, delta)
-    return IterationMatrix2(
-        r=r,
-        r_plus=r_plus,
-        r_minus=r_minus,
-        rho_cla=max(abs(r_plus), abs(r_minus)),
-        zone=sym.zone,
-    )
+    rho_cla = np.maximum(_modulus(r_plus), _modulus(r_minus))
+    fields = (r, r_plus, r_minus, rho_cla, sym.zone)
+    return IterationMatrix2(*(_shaped(k, f) for f in fields))
 
 
-def eigenvalues_closed_form(
-    medium: ElasticMedium, omega: float, k: float, delta: float
-) -> tuple[complex, complex]:
+def eigenvalues_closed_form(medium: ElasticMedium, omega: float, k, delta: float):
     """Eigenvalue pair of the double-sweep iteration matrix, closed form.
 
     Regular for every real k (including k = 0 and the cut-offs); at
-    delta = 0 both eigenvalues equal 1 exactly.
+    delta = 0 both eigenvalues equal 1 exactly.  An array k gives a pair
+    of arrays.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    return _eigenpair(characteristic_roots(medium, omega, k), delta)
+    r_plus, r_minus = _eigenpair(characteristic_roots(medium, omega, _vector(k)), delta)
+    return _shaped(k, r_plus), _shaped(k, r_minus)
 
 
-def _eigenpair(sym: ModeSymbol, delta: float) -> tuple[complex, complex]:
+def _eigenpair(sym: ModeSymbol, delta: float) -> tuple[np.ndarray, np.ndarray]:
     l1, l2 = sym.lambda1, sym.lambda2
-    x = sym.x1 * (cmath.exp(-l1 * delta) - cmath.exp(-l2 * delta))
-    ea = cmath.exp(-delta * (l1 + l2))
+    x = sym.x1 * (np.exp(-l1 * delta) - np.exp(-l2 * delta))
+    ea = np.exp(-delta * (l1 + l2))
     xsq = x * x
-    s = cmath.sqrt(xsq * (xsq + 4.0 * ea))
+    s = np.sqrt(xsq * (xsq + 4.0 * ea))
     return 0.5 * xsq + ea + 0.5 * s, 0.5 * xsq + ea - 0.5 * s
 
 
-def convergence_factor(
-    medium: ElasticMedium, omega: float, k: float, delta: float
-) -> float:
+def convergence_factor(medium: ElasticMedium, omega: float, k, delta: float):
     """Modulus of the worst eigenvalue of the double-sweep iteration."""
-    r_plus, r_minus = eigenvalues_closed_form(medium, omega, k, delta)
-    return max(abs(r_plus), abs(r_minus))
+    r_plus, r_minus = eigenvalues_closed_form(medium, omega, _vector(k), delta)
+    return _shaped(k, np.maximum(_modulus(r_plus), _modulus(r_minus)))
 
 
 @dataclass(frozen=True)
@@ -348,8 +372,7 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate eigenvalue moduli and zone over an increasing wavenumber grid.
 
-    Deterministic, one row per grid point; rows come back ordered by k no
-    matter how the evaluation is scheduled.
+    Deterministic, one row per grid point, ordered by k.
     """
     ks = np.asarray(k_grid, dtype=float)
     if ks.size == 0:
@@ -358,19 +381,15 @@ def sweep(
         raise ValueError("k_grid must be nonnegative")
     if ks.size > 1 and np.any(np.diff(ks) <= 0):
         raise ValueError("k_grid must be strictly increasing")
-    rows = []
-    for k in ks:
-        r_plus, r_minus = eigenvalues_closed_form(medium, omega, float(k), delta)
-        rows.append(
-            SweepPoint(
-                k=float(k),
-                abs_r_plus=abs(r_plus),
-                abs_r_minus=abs(r_minus),
-                rho_cla=max(abs(r_plus), abs(r_minus)),
-                zone=classify_zone(float(k), omega, medium.cp, medium.cs),
-            )
+    r_plus, r_minus = eigenvalues_closed_form(medium, omega, ks, delta)
+    zones = classify_zone(ks, omega, medium.cp, medium.cs)
+    return [
+        SweepPoint(k=k, abs_r_plus=p, abs_r_minus=m, rho_cla=max(p, m), zone=zone)
+        for k, p, m, zone in zip(
+            ks.tolist(), _modulus(r_plus).tolist(), _modulus(r_minus).tolist(),
+            zones.tolist(),
         )
-    return rows
+    ]
 
 
 def max_rho(
@@ -378,10 +397,11 @@ def max_rho(
 ) -> tuple[float, float]:
     """Maximize the convergence factor over the divergent band.
 
-    Dense grid scan (>= 2000 interior points) followed by golden-section
-    refinement to a relative wavenumber tolerance of 1e-10.  The grid stage
-    guards against the kinks where the two eigenvalue moduli cross, which a
-    derivative-based search would mishandle.
+    Dense grid scan (>= 2000 interior points, one array evaluation)
+    followed by golden-section refinement to a relative wavenumber
+    tolerance of 1e-10.  The grid stage guards against the kinks where the
+    two eigenvalue moduli cross, which a derivative-based search would
+    mishandle.
     """
     if not delta > 0:
         raise ValueError(
@@ -393,11 +413,11 @@ def max_rho(
     lo = omega / medium.cp
     hi = omega / medium.cs
 
-    def rho(k: float) -> float:
+    def rho(k):
         return convergence_factor(medium, omega, k, delta)
 
     ks = np.linspace(lo, hi, grid_points + 2)[1:-1]
-    rhos = np.array([rho(float(k)) for k in ks])
+    rhos = rho(ks)
     i = int(np.argmax(rhos))
     a = float(ks[i - 1]) if i > 0 else lo
     b = float(ks[i + 1]) if i < ks.size - 1 else hi
@@ -447,7 +467,7 @@ def asymptotic_slope(cp: float, cs: float, omega: float) -> float:
     )
 
 
-def first_order_coefficient(medium: ElasticMedium, omega: float, k: float) -> float:
+def first_order_coefficient(medium: ElasticMedium, omega: float, k):
     """Coefficient of delta in the small-overlap expansion of rho at fixed k.
 
     Only defined strictly inside the divergent band, where the shear root
@@ -455,22 +475,23 @@ def first_order_coefficient(medium: ElasticMedium, omega: float, k: float) -> fl
     the pressure root is real positive.
     """
     cp, cs = medium.cp, medium.cs
-    rad_s, rad_p = _radicands(k, omega, cp, cs)
-    if not (rad_p > 0.0 and rad_s < 0.0):
+    ks = _vector(k)
+    rad_s, rad_p = _radicands(ks, omega, cp, cs)
+    outside = ~((rad_p > 0.0) & (rad_s < 0.0))
+    if np.any(outside):
         raise ValueError(
-            f"k={k} is not strictly inside the divergent band "
+            f"k={ks[outside][0]} is not strictly inside the divergent band "
             f"({omega / cp}, {omega / cs})"
         )
     shear_sq = -rad_s  # |lambda1|^2, positive here
-    lam2 = math.sqrt(rad_p)
-    return (
+    lam2 = np.sqrt(rad_p)
+    return _shaped(
+        k,
         2.0 * omega * omega * lam2 * shear_sq
-        / (cp * cp * (k**4 + shear_sq * rad_p))
+        / (cp * cp * (ks**4 + shear_sq * rad_p)),
     )
 
 
-def first_order_rho(
-    medium: ElasticMedium, omega: float, k: float, delta: float
-) -> float:
+def first_order_rho(medium: ElasticMedium, omega: float, k, delta: float):
     """First-order-in-overlap value of the convergence factor at fixed k."""
     return 1.0 + first_order_coefficient(medium, omega, k) * delta

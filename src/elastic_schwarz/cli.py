@@ -278,14 +278,14 @@ def _write_table(path, header_lines, columns, rows) -> None:
     fem.atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def _nonfinite_flag(history_length: int, iterations: int) -> list[str]:
-    """Header line of a history that stopped before a non-finite iterate
+def _nonfinite_flag(name: str, rows: int, stopped: bool) -> list[str]:
+    """Header line of a history that stopped before a non-finite value
     (none for a complete one, so finite runs keep their bytes)."""
-    if history_length == iterations + 1:
+    if not stopped:
         return []
-    print(f"non-finite iterate {history_length}; history stops before it",
+    print(f"{name}: non-finite iterate {rows}; history stops before it",
           file=sys.stderr)
-    return [f"nonfinite_at={history_length}"]
+    return [f"nonfinite_at={rows}"]
 
 
 def _outdir(out: str) -> str:
@@ -343,37 +343,36 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_modesim(cfg: ExperimentConfig, out: str) -> int:
     medium = cfg.medium()
-    ks = [k for k in np.linspace(cfg.k_min, cfg.k_max, cfg.k_count) if k > 0]
-    rows = []
-    for k in ks:
-        sym = analysis.characteristic_roots(medium, cfg.omega, float(k))
-        numeric = modesim.numeric_iteration_matrix(sym, cfg.delta)
-        eigs = np.linalg.eigvals(numeric)
-        r_plus, r_minus = analysis.eigenvalues_closed_form(
-            medium, cfg.omega, float(k), cfg.delta
-        )
-        pairing = min(
-            abs(eigs[0] - r_plus) + abs(eigs[1] - r_minus),
-            abs(eigs[0] - r_minus) + abs(eigs[1] - r_plus),
-        )
-        scale = max(1.0, abs(r_plus), abs(r_minus))
-        growth = modesim.power_growth(sym, cfg.delta, cfg.power_iters, cfg.seed)
-        rows.append(
-            (
-                float(k),
-                max(abs(r_plus), abs(r_minus)),
-                float(np.abs(eigs).max()),
-                pairing / scale,
-                growth,
-            )
-        )
+    ks = np.linspace(cfg.k_min, cfg.k_max, cfg.k_count)
+    ks = ks[ks > 0]
+    sym = analysis.characteristic_roots(medium, cfg.omega, ks)
+    eigs = np.linalg.eigvals(modesim.numeric_iteration_matrix(sym, cfg.delta))
+    closed = analysis.iteration_matrix(medium, cfg.omega, ks, cfg.delta)
+    deviation = _pairing(eigs, closed.r_plus, closed.r_minus)
+    growth = modesim.power_growth(sym, cfg.delta, cfg.power_iters, cfg.seed)
     _write_table(
         os.path.join(_outdir(out), "modesim.csv"),
         config_header(cfg, "modesim"),
         ["k", "rho_closed", "rho_numeric", "eig_deviation", "power_growth"],
-        rows,
+        zip(
+            ks.tolist(),
+            closed.rho_cla.tolist(),
+            np.abs(eigs).max(axis=1).tolist(),
+            (deviation / np.maximum(1.0, closed.rho_cla)).tolist(),
+            growth.tolist(),
+        ),
     )
     return EXIT_OK
+
+
+def _pairing(eigs: np.ndarray, r_plus: np.ndarray, r_minus: np.ndarray) -> np.ndarray:
+    """Distance between each row of numeric eigenvalue pairs and the
+    closed-form pair, under the better of the two matchings."""
+    first, second = eigs[:, 0], eigs[:, 1]
+    return np.minimum(
+        np.abs(first - r_plus) + np.abs(second - r_minus),
+        np.abs(first - r_minus) + np.abs(second - r_plus),
+    )
 
 
 def cmd_schwarz(cfg: ExperimentConfig, out: str) -> int:
@@ -384,7 +383,7 @@ def cmd_schwarz(cfg: ExperimentConfig, out: str) -> int:
     )
     final, history = schwarz.schwarz_iterate(system, decomposition, initial, cfg.n_iter)
     header = config_header(cfg, "schwarz")
-    flag = _nonfinite_flag(len(history), cfg.n_iter)
+    flag = _nonfinite_flag("schwarz_history", len(history), len(history) <= cfg.n_iter)
     out = _outdir(out)
     _write_table(
         os.path.join(out, "schwarz_history.csv"),
@@ -427,22 +426,24 @@ def cmd_gmres(cfg: ExperimentConfig, out: str) -> int:
     )
     _, ras_history = schwarz.stationary_ras(solve, rhs, cfg.stationary_iters)
     header = config_header(cfg, "gmres")
-    flag = _nonfinite_flag(ras_history.size, cfg.stationary_iters)
+    gmres_flag = _nonfinite_flag("gmres_history", result.history.size, result.nonfinite)
+    rows = ras_history.size
+    ras_flag = _nonfinite_flag("ras_history", rows, rows <= cfg.stationary_iters)
     out = _outdir(out)
     _write_table(
         os.path.join(out, "gmres_history.csv"),
         header + [f"converged={_format_value(result.converged)}",
-                  f"stagnated={_format_value(result.stagnated)}"],
+                  f"stagnated={_format_value(result.stagnated)}"] + gmres_flag,
         ["iter", "relres"],
         list(enumerate(float(r) for r in result.history)),
     )
     _write_table(
         os.path.join(out, "ras_history.csv"),
-        header + flag,
+        header + ras_flag,
         ["iter", "relres"],
         list(enumerate(float(r) for r in ras_history)),
     )
-    return EXIT_NONFINITE if flag else EXIT_OK
+    return EXIT_NONFINITE if gmres_flag or ras_flag else EXIT_OK
 
 
 def _random_medium(rng: np.random.Generator) -> ElasticMedium:
@@ -484,55 +485,38 @@ def run_verification(cfg: ExperimentConfig) -> list[dict]:
 
     ks = np.linspace(0.05, 4.0 * omega / medium.cs, 500)
     guard = 1e-6
-    worst_eig = 0.0
-    worst_entry = 0.0
-    worst_trace = 0.0
-    worst_equiv = 0.0
-    worst_inv = 0.0
-    for k in ks:
-        k = float(k)
-        if (
-            abs(k - omega / medium.cp) < guard
-            or abs(k - omega / medium.cs) < guard
-        ):
-            continue
-        sym = analysis.characteristic_roots(medium, omega, k)
-        numeric = modesim.numeric_iteration_matrix(sym, delta)
-        closed = analysis.iteration_matrix(medium, omega, k, delta)
-        scale_m = max(1.0, float(np.abs(closed.r).max()))
-        worst_entry = max(
-            worst_entry, float(np.abs(numeric - closed.r).max()) / scale_m
-        )
-        eigs = np.linalg.eigvals(numeric)
-        pairing = min(
-            abs(eigs[0] - closed.r_plus) + abs(eigs[1] - closed.r_minus),
-            abs(eigs[0] - closed.r_minus) + abs(eigs[1] - closed.r_plus),
-        )
-        scale = max(1.0, abs(closed.r_plus), abs(closed.r_minus))
-        worst_eig = max(worst_eig, pairing / scale)
-        # trace and determinant drift is roundoff on the scale of the
-        # entries (resp. their products), so normalize accordingly
-        trace_dev = abs(closed.r_plus + closed.r_minus - np.trace(closed.r))
-        det_dev = abs(
-            closed.r_plus * closed.r_minus - np.linalg.det(closed.r)
-        )
-        worst_trace = max(
-            worst_trace,
-            trace_dev / scale_m,
-            det_dev / max(1.0, scale_m * scale_m),
-        )
-        second = modesim.numeric_iteration_matrix(sym, delta, subdomain=2)
-        e1 = np.sort_complex(np.linalg.eigvals(numeric))
-        e2 = np.sort_complex(np.linalg.eigvals(second))
-        worst_equiv = max(worst_equiv, float(np.abs(e1 - e2).max()) / scale)
-        inverse = modesim.numeric_iteration_matrix_inverse(sym, delta)
-        inv_scale = max(
-            1.0, float(np.abs(numeric).max()) * float(np.abs(inverse).max())
-        )
-        worst_inv = max(
-            worst_inv,
-            float(np.abs(numeric @ inverse - np.eye(2)).max()) / inv_scale,
-        )
+    ks = ks[
+        (np.abs(ks - omega / medium.cp) >= guard)
+        & (np.abs(ks - omega / medium.cs) >= guard)
+    ]
+    sym = analysis.characteristic_roots(medium, omega, ks)
+    numeric = modesim.numeric_iteration_matrix(sym, delta)
+    closed = analysis.iteration_matrix(medium, omega, ks, delta)
+    scale_m = np.maximum(1.0, np.abs(closed.r).max(axis=(1, 2)))
+    worst_entry = np.max(np.abs(numeric - closed.r).max(axis=(1, 2)) / scale_m)
+    eigs = np.linalg.eigvals(numeric)
+    scale = np.maximum(1.0, closed.rho_cla)
+    worst_eig = np.max(_pairing(eigs, closed.r_plus, closed.r_minus) / scale)
+    # trace and determinant drift is roundoff on the scale of the
+    # entries (resp. their products), so normalize accordingly
+    trace = np.trace(closed.r, axis1=1, axis2=2)
+    trace_dev = np.abs(closed.r_plus + closed.r_minus - trace)
+    det_dev = np.abs(closed.r_plus * closed.r_minus - np.linalg.det(closed.r))
+    worst_trace = max(
+        np.max(trace_dev / scale_m),
+        np.max(det_dev / np.maximum(1.0, scale_m * scale_m)),
+    )
+    second = modesim.numeric_iteration_matrix(sym, delta, subdomain=2)
+    e1 = np.sort_complex(eigs)
+    e2 = np.sort_complex(np.linalg.eigvals(second))
+    worst_equiv = np.max(np.abs(e1 - e2).max(axis=1) / scale)
+    inverse = modesim.numeric_iteration_matrix_inverse(sym, delta)
+    inv_scale = np.maximum(
+        1.0, np.abs(numeric).max(axis=(1, 2)) * np.abs(inverse).max(axis=(1, 2))
+    )
+    worst_inv = np.max(
+        np.abs(numeric @ inverse - np.eye(2)).max(axis=(1, 2)) / inv_scale
+    )
     add("closed_form_vs_oracle_eigenvalues", worst_eig, 1e-10, "500-point grid")
     add("closed_form_vs_oracle_entries", worst_entry, 1e-10, "500-point grid")
     add("trace_det_consistency", worst_trace, 1e-12)
@@ -541,39 +525,34 @@ def run_verification(cfg: ExperimentConfig) -> list[dict]:
 
     if delta > 0:
         lo, hi = omega / medium.cp, omega / medium.cs
-        stagnant = [
-            analysis.convergence_factor(medium, omega, float(k), delta)
-            for k in lo * np.linspace(0.02, 0.98, 40)
-        ]
-        divergent = [
-            analysis.convergence_factor(medium, omega, float(k), delta)
-            for k in lo + (hi - lo) * np.linspace(0.05, 0.95, 40)
-        ]
-        contractive = [
-            analysis.convergence_factor(medium, omega, float(k), delta)
-            for k in np.linspace(hi + 0.1, 4.0 * hi, 40)
-        ]
-        add("zone_stagnant_rho_is_one", max(abs(r - 1.0) for r in stagnant), 1e-9)
+        stagnant, divergent, contractive = (
+            analysis.convergence_factor(medium, omega, band, delta)
+            for band in (
+                lo * np.linspace(0.02, 0.98, 40),
+                lo + (hi - lo) * np.linspace(0.05, 0.95, 40),
+                np.linspace(hi + 0.1, 4.0 * hi, 40),
+            )
+        )
+        add("zone_stagnant_rho_is_one", np.max(np.abs(stagnant - 1.0)), 1e-9)
         add(
             "zone_divergent_rho_above_one",
-            max(0.0, (1.0 + 1e-6) - min(divergent)),
+            max(0.0, (1.0 + 1e-6) - divergent.min()),
             0.0,
-            f"min rho = {min(divergent):.6f}",
+            f"min rho = {divergent.min():.6f}",
         )
         add(
             "zone_contractive_rho_below_one",
-            max(0.0, max(contractive) - (1.0 - 1e-6)),
+            max(0.0, contractive.max() - (1.0 - 1e-6)),
             0.0,
-            f"max rho = {max(contractive):.6f}",
+            f"max rho = {contractive.max():.6f}",
         )
     else:
-        flat = [
-            analysis.convergence_factor(medium, omega, float(k), 0.0)
-            for k in np.linspace(0.0, 4.0 * omega / medium.cs, 60)
-        ]
+        flat = analysis.convergence_factor(
+            medium, omega, np.linspace(0.0, 4.0 * omega / medium.cs, 60), 0.0
+        )
         add(
             "zone_degenerate_no_overlap",
-            max(abs(r - 1.0) for r in flat),
+            np.max(np.abs(flat - 1.0)),
             1e-12,
             "delta=0: every mode stagnates",
         )
@@ -592,21 +571,18 @@ def run_verification(cfg: ExperimentConfig) -> list[dict]:
     )
 
     lo, hi = omega / medium.cp, omega / medium.cs
-    worst_fo = 0.0
-    for rel in np.linspace(0.05, 0.95, 20):
-        k = float(lo + (hi - lo) * rel)
-        coef = analysis.first_order_coefficient(medium, omega, k)
-        fd = (analysis.convergence_factor(medium, omega, k, 1e-4) - 1.0) / 1e-4
-        worst_fo = max(worst_fo, abs(fd - coef) / coef)
+    ks = lo + (hi - lo) * np.linspace(0.05, 0.95, 20)
+    coef = analysis.first_order_coefficient(medium, omega, ks)
+    fd = (analysis.convergence_factor(medium, omega, ks, 1e-4) - 1.0) / 1e-4
+    worst_fo = np.max(np.abs(fd - coef) / coef)
     add("first_order_rho_vs_finite_difference", worst_fo, 1e-2, "20 interior k")
 
     if delta > 0:
-        worst_pg = 0.0
-        for k in (0.5 * (lo + hi), 2.5 * hi):
-            sym = analysis.characteristic_roots(medium, omega, float(k))
-            growth = modesim.power_growth(sym, delta, cfg.power_iters, cfg.seed)
-            rho = analysis.convergence_factor(medium, omega, float(k), delta)
-            worst_pg = max(worst_pg, abs(growth - rho) / rho)
+        ks = np.array([0.5 * (lo + hi), 2.5 * hi])
+        sym = analysis.characteristic_roots(medium, omega, ks)
+        growth = modesim.power_growth(sym, delta, cfg.power_iters, cfg.seed)
+        rho = analysis.convergence_factor(medium, omega, ks, delta)
+        worst_pg = np.max(np.abs(growth - rho) / rho)
         add("power_growth_vs_closed_form", worst_pg, 1e-2, "mid-band and evanescent")
 
     return checks
@@ -702,7 +678,11 @@ def main(argv=None) -> int:
     except schwarz.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (fem.SingularSystemError, ValueError) as exc:
+    except (
+        analysis.DegenerateModeError,
+        modesim.SingularBasisError,
+        fem.SingularSystemError,
+    ) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

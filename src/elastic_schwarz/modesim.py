@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ModeSymbol, basis_matrices
+from .analysis import ModeSymbol, _shaped, _stack_2x2, basis_matrices
 
 __all__ = [
     "CoefficientState",
+    "SingularBasisError",
     "numeric_iteration_matrix",
     "numeric_iteration_matrix_inverse",
     "interface_step",
@@ -27,53 +28,74 @@ __all__ = [
 _DET_GUARD = 1e-250
 
 
+class SingularBasisError(ValueError):
+    """A subdomain solution basis that cannot be inverted."""
+
+
 def _invert_2x2(m: np.ndarray, what: str) -> np.ndarray:
     # Explicit adjugate: deterministic, no pivoting ambiguity at this size.
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < _DET_GUARD:
-        largest = float(np.abs(m).max())
-        cond = largest * largest / abs(det) if det != 0 else math.inf
-        raise ValueError(
-            f"{what} is numerically singular: |det| = {abs(det):.3e}, "
-            f"condition estimate ~ {cond:.3e}"
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    singular = np.abs(det) < _DET_GUARD
+    if np.any(singular):
+        i = int(np.argmax(singular))
+        size = abs(np.ravel(det)[i])
+        largest = float(np.abs(m.reshape(-1, 2, 2)[i]).max())
+        cond = largest * largest / size if size != 0 else math.inf
+        raise SingularBasisError(
+            f"{what} is numerically singular (matrix {i} of the stack): "
+            f"|det| = {size:.3e}, condition estimate ~ {cond:.3e}"
         )
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+    adjugate = _stack_2x2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
+    return adjugate / det[..., None, None]
+
+
+def _bases(sym: ModeSymbol, delta: float) -> list[np.ndarray]:
+    # m_x, n_x at the overlap plane, then at the zero plane, as stacks with
+    # a leading mode axis (one mode for a scalar k)
+    shape = np.shape(np.atleast_1d(sym.k)) + (2, 2)
+    pairs = (basis_matrices(sym, x) for x in (delta, 0.0))
+    return [m.reshape(shape) for pair in pairs for m in (pair.m_x, pair.n_x)]
+
+
+def _half_sweeps(sym: ModeSymbol, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    # each side refits its coefficients to the other side's interface trace
+    m_overlap, n_overlap, m_zero, n_zero = _bases(sym, delta)
+    to_alpha = _invert_2x2(m_overlap, "left basis at the overlap plane") @ n_overlap
+    to_beta = _invert_2x2(n_zero, "right basis at the zero plane") @ m_zero
+    return to_alpha, to_beta
 
 
 def numeric_iteration_matrix(
     sym: ModeSymbol, delta: float, *, subdomain: int = 1
 ) -> np.ndarray:
-    """Double-sweep matrix assembled numerically from the solution bases.
+    """Double-sweep matrix assembled numerically from the solution bases:
+    one 2x2 matrix, or a (..., 2, 2) stack for a symbol of a k array.
 
     ``subdomain=1`` tracks the left-subdomain coefficients, ``subdomain=2``
     the right ones; the two matrices are spectrally equivalent.
     """
-    at_overlap = basis_matrices(sym, delta)
-    at_zero = basis_matrices(sym, 0.0)
-    left = _invert_2x2(at_overlap.m_x, "left basis at the overlap plane") @ at_overlap.n_x
-    right = _invert_2x2(at_zero.n_x, "right basis at the zero plane") @ at_zero.m_x
-    if subdomain == 1:
-        return left @ right
-    if subdomain == 2:
-        return right @ left
-    raise ValueError(f"subdomain must be 1 or 2, got {subdomain}")
+    if subdomain not in (1, 2):
+        raise ValueError(f"subdomain must be 1 or 2, got {subdomain}")
+    left, right = _half_sweeps(sym, delta)
+    return _shaped(sym.k, left @ right if subdomain == 1 else right @ left)
 
 
 def numeric_iteration_matrix_inverse(sym: ModeSymbol, delta: float) -> np.ndarray:
     """Inverse of the left-subdomain double-sweep matrix, by the same route."""
-    at_overlap = basis_matrices(sym, delta)
-    at_zero = basis_matrices(sym, 0.0)
-    return (
-        _invert_2x2(at_zero.m_x, "left basis at the zero plane")
-        @ at_zero.n_x
-        @ _invert_2x2(at_overlap.n_x, "right basis at the overlap plane")
-        @ at_overlap.m_x
+    m_overlap, n_overlap, m_zero, n_zero = _bases(sym, delta)
+    return _shaped(
+        sym.k,
+        _invert_2x2(m_zero, "left basis at the zero plane")
+        @ n_zero
+        @ _invert_2x2(n_overlap, "right basis at the overlap plane")
+        @ m_overlap,
     )
 
 
 @dataclass(frozen=True)
 class CoefficientState:
-    """Coefficient pairs of both subdomains at one sweep index."""
+    """Coefficient pairs of both subdomains at one sweep index (shape
+    (..., 2) for a stack of modes)."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -83,36 +105,38 @@ class CoefficientState:
 def interface_step(state: CoefficientState, sym: ModeSymbol, delta: float) -> CoefficientState:
     """One parallel sweep: each side refits its coefficients to the other
     side's previous interface trace."""
-    at_overlap = basis_matrices(sym, delta)
-    at_zero = basis_matrices(sym, 0.0)
-    to_alpha = _invert_2x2(at_overlap.m_x, "left basis at the overlap plane") @ at_overlap.n_x
-    to_beta = _invert_2x2(at_zero.n_x, "right basis at the zero plane") @ at_zero.m_x
+    to_alpha, to_beta = (_shaped(sym.k, h) for h in _half_sweeps(sym, delta))
     return CoefficientState(
-        alpha=to_alpha @ state.beta,
-        beta=to_beta @ state.alpha,
+        alpha=(to_alpha @ state.beta[..., None])[..., 0],
+        beta=(to_beta @ state.alpha[..., None])[..., 0],
         iteration=state.iteration + 1,
     )
 
 
-def power_growth(sym: ModeSymbol, delta: float, n_iter: int, seed: int) -> float:
-    """Spectral-radius estimate by normalized power iteration.
+def power_growth(sym: ModeSymbol, delta: float, n_iter: int, seed: int):
+    """Spectral-radius estimate by normalized power iteration, for one mode
+    or, at once, for each mode of a symbol of a k array.
 
-    Runs ``n_iter`` double sweeps from a seeded random start and returns the
-    geometric mean of the per-double-sweep norm growth over the last half of
-    the run (the first half absorbs the transient of the non-normal matrix).
-    Reliable to about 1% when the two eigenvalue moduli are separated.
+    Runs ``n_iter`` double sweeps from a seeded random start (the same for
+    every mode) and returns the geometric mean of the per-double-sweep
+    norm growth over the last half of the run (the first half absorbs the
+    transient of the non-normal matrix).  Reliable to about 1% when the
+    two eigenvalue moduli are separated.
     """
     if n_iter < 50:
         raise ValueError(f"n_iter must be >= 50, got {n_iter}")
-    r = numeric_iteration_matrix(sym, delta)
+    r = np.reshape(numeric_iteration_matrix(sym, delta), (-1, 2, 2))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v /= np.linalg.norm(v)
-    logs = []
-    for _ in range(n_iter):
+    v = np.repeat(v[None, :, None], len(r), axis=0)
+    tail_start = n_iter // 2
+    log_sum = np.zeros(len(r))
+    for n in range(n_iter):
         v = r @ v
-        g = float(np.linalg.norm(v))
-        logs.append(math.log(g))
+        g = np.linalg.norm(v, axis=1, keepdims=True)
+        if n >= tail_start:
+            log_sum += np.log(g[:, 0, 0])
         v /= g
-    tail = logs[n_iter // 2 :]
-    return math.exp(sum(tail) / len(tail))
+    growth = np.exp(log_sum / (n_iter - tail_start))
+    return _shaped(sym.k, growth.reshape(np.shape(np.atleast_1d(sym.k))))

@@ -314,14 +314,25 @@ class ErrorHistory:
         return self.err_max.size
 
 
+def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
+    """sqrt(weight * sum v^2) of a real vector (``np.linalg.norm`` for unit
+    weight), finite whenever that value is: only when the squares
+    overflow is it recomputed from v / max|v|, so finite sums keep their
+    bits."""
+    norm = math.sqrt(weight * float(np.dot(v, v)))
+    if math.isinf(norm):
+        peak = float(np.max(np.abs(v)))
+        if math.isfinite(peak):
+            scaled = v / peak
+            norm = peak * math.sqrt(weight * float(np.dot(scaled, scaled)))
+    return norm
+
+
 def _record(mesh: StructuredMesh, midline_col, e: np.ndarray):
     ex, ey = e[0::2], e[1::2]
     modulus = np.hypot(ex, ey)
     err_max = float(modulus.max())
-    err_l2 = float(math.sqrt(mesh.hx * mesh.hy * float(np.sum(modulus**2))))
-    if math.isinf(err_l2) and math.isfinite(err_max):  # the squares overflowed
-        scaled = float(np.sum((modulus / err_max) ** 2))
-        err_l2 = err_max * math.sqrt(mesh.hx * mesh.hy * scaled)
+    err_l2 = _l2_norm(modulus, mesh.hx * mesh.hy)
     if midline_col is None:
         return err_max, err_l2, 0, 0.0
     trace_nodes = np.arange(mesh.ny + 1) * (mesh.nx + 1) + midline_col
@@ -393,23 +404,25 @@ def stationary_ras(
 
     A run that overflows stops before the first non-finite residual: the
     history is then shorter than ``n_iter + 1`` and ``x`` is the last
-    iterate whose residual was finite."""
+    iterate whose residual was finite; a non-finite initial residual gives
+    an empty history."""
     system = solve.system
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
     x[system.dirichlet_mask] = 0.0
     rhs = np.where(system.dirichlet_mask, 0.0, np.asarray(rhs, dtype=float))
     z = ras_apply(solve, rhs - system.matrix @ x)
-    norm0 = float(np.linalg.norm(z))
+    norm0 = _l2_norm(z)
+    if not math.isfinite(norm0):
+        return x, np.empty(0)
     history = np.empty(n_iter + 1)
     history[0] = 1.0
     if norm0 == 0.0:
-        history[:] = 0.0
-        history[0] = 1.0
+        history[1:] = 0.0
         return x, history
     for n in range(n_iter):
         step = x + z
         z = ras_apply(solve, rhs - system.matrix @ step)
-        history[n + 1] = float(np.linalg.norm(z)) / norm0
+        history[n + 1] = _l2_norm(z) / norm0
         if not math.isfinite(history[n + 1]):
             return x, history[: n + 1]
         x = step
@@ -474,7 +487,10 @@ class GmresResult:
     ``history`` holds the preconditioned relative residual, entry 0 being
     the start; in-cycle values are SciPy's Givens-rotated residual
     estimates (exact up to roundoff), the last entry of each restart cycle
-    is recomputed from the iterate.
+    is recomputed from the iterate.  ``nonfinite`` marks a run stopped
+    before its first non-finite residual: ``history`` then ends at the last
+    finite one (it is empty when the initial residual is not finite) and
+    ``x`` is the iterate the last complete finite cycle reached.
     """
 
     x: np.ndarray
@@ -482,6 +498,7 @@ class GmresResult:
     converged: bool
     stagnated: bool
     iterations: int
+    nonfinite: bool
 
 
 def gmres(
@@ -497,7 +514,8 @@ def gmres(
 
     Restarted when ``restart`` is given, otherwise a single cycle capped at
     ``max_iter``.  A restart cycle that makes no progress flags stagnation
-    and returns the partial result.
+    and returns the partial result; one that meets a non-finite residual
+    flags ``nonfinite`` and returns the iterate it started from.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -507,8 +525,11 @@ def gmres(
     n = free.size
     x = np.zeros(n)
     b_pre = solve(b)
-    b_norm = float(np.linalg.norm(b_pre))
-    if b_norm == 0.0:
+    b_norm = _l2_norm(b_pre)
+    nonfinite = not math.isfinite(b_norm)
+    if nonfinite:
+        history, converged = [], False
+    elif b_norm == 0.0:
         history, converged = [0.0], True
     else:
         history, converged = [1.0], 1.0 < tol
@@ -516,23 +537,32 @@ def gmres(
     cycle_len = restart if restart is not None else max_iter
     operator = LinearOperator((n, n), matvec=lambda v: solve(a @ v), dtype=float)
 
-    while len(history) <= max_iter and not converged and not stagnated:
-        cycle_start = history[-1]
-        x, _ = scipy_gmres(
+    while len(history) <= max_iter and not (converged or stagnated or nonfinite):
+        start = len(history)
+        candidate, _ = scipy_gmres(
             operator, b_pre, x0=x, rtol=tol, atol=0.0,
-            restart=min(cycle_len, max_iter + 1 - len(history)), maxiter=1,
+            restart=min(cycle_len, max_iter + 1 - start), maxiter=1,
             callback=history.append, callback_type="pr_norm",
         )
-        history[-1] = float(np.linalg.norm(solve(b - a @ x))) / b_norm
+        estimates = history[start:]
+        relres = _l2_norm(solve(b - a @ candidate)) / b_norm
+        finite = np.isfinite(estimates + [relres])
+        if not finite.all():
+            del history[start + int(np.argmin(finite)):]
+            nonfinite = True
+            break
+        history[-1] = relres
+        x = candidate
         converged = history[-1] < tol
-        stagnated = not converged and history[-1] >= cycle_start * (1.0 - 1e-12)
+        stagnated = not converged and history[-1] >= history[start - 1] * (1.0 - 1e-12)
 
     out = np.zeros(system.n_dofs)
     out[free] = x
     return GmresResult(
         x=out,
-        history=np.asarray(history),
+        history=np.asarray(history, dtype=float),
         converged=converged,
         stagnated=stagnated,
-        iterations=len(history) - 1,
+        iterations=max(len(history) - 1, 0),
+        nonfinite=nonfinite,
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from elastic_schwarz import modesim
 from elastic_schwarz.analysis import (
+    DegenerateModeError,
     ElasticMedium,
     Zone,
     asymptotic_slope,
@@ -36,6 +37,62 @@ media = st.builds(
 omegas = st.floats(0.5, 5.0)
 wavenumbers = st.floats(0.0, 20.0)
 overlaps = st.floats(0.0, 0.3)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestArrayCalls:
+    """An array of wavenumbers runs the scalar code once, element-wise."""
+
+    @given(
+        medium=media, omega=omegas, delta=overlaps,
+        extra=st.lists(wavenumbers, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_array_call_equals_scalar_calls(self, medium, omega, delta, extra):
+        # k = 0 and both cut-offs exactly, plus random wavenumbers
+        grid = np.array([0.0, omega / medium.cp, omega / medium.cs, *extra])
+        plus, minus = eigenvalues_closed_form(medium, omega, grid, delta)
+        zones = classify_zone(grid, omega, medium.cp, medium.cs)
+        sym = characteristic_roots(medium, omega, grid)
+        assert zones[1] is zones[2] is Zone.BOUNDARY
+        for i, k in enumerate(grid.tolist()):
+            r_plus, r_minus = eigenvalues_closed_form(medium, omega, k, delta)
+            assert type(r_plus) is complex and type(r_minus) is complex
+            assert same_bits(r_plus, plus[i]) and same_bits(r_minus, minus[i])
+            assert classify_zone(k, omega, medium.cp, medium.cs) is zones[i]
+            one = characteristic_roots(medium, omega, k)
+            assert one.zone is sym.zone[i]
+            for name in ("lambda1", "lambda2", "x1", "x2"):
+                assert same_bits(getattr(one, name), getattr(sym, name)[i])
+
+    def test_scalar_calls_return_python_scalars(self, medium):
+        assert type(principal_sqrt(-4.0)) is complex
+        assert type(convergence_factor(medium, 1.0, 1.5, 0.1)) is float
+        assert type(first_order_coefficient(medium, 1.0, 1.5)) is float
+        it = iteration_matrix(medium, 1.0, 1.5, 0.1)
+        assert it.r.shape == (2, 2) and type(it.rho_cla) is float
+        assert it.zone is Zone.DIVERGENT
+
+    def test_array_shapes(self, medium):
+        ks = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+        assert convergence_factor(medium, 1.0, ks, 0.1).shape == (3, 4)
+        assert classify_zone(ks, 1.0, 1.0, 0.5).shape == (3, 4)
+        it = iteration_matrix(medium, 1.0, ks, 0.1)
+        assert it.r.shape == (3, 4, 2, 2)
+        np.testing.assert_array_equal(
+            it.r[1, 2], iteration_matrix(medium, 1.0, float(ks[1, 2]), 0.1).r
+        )
+
+    def test_degenerate_guard_names_first_offending_k(self, medium, monkeypatch):
+        from elastic_schwarz import analysis
+
+        # |k^2 - lambda1*lambda2| is 2.68, 1.98 and 1.93 on this grid
+        monkeypatch.setattr(analysis, "_ROOT_PRODUCT_GUARD", 2.0)
+        with pytest.raises(DegenerateModeError, match="at k=0.25,"):
+            characteristic_roots(medium, 1.0, np.array([3.0, 0.25, 0.5]))
 
 
 class TestWaveSpeeds:

@@ -1,7 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastic_schwarz.cli import (
     ConfigError,
@@ -19,6 +22,16 @@ def read(path):
 
 def header_only(path):
     return [line for line in read(path).decode().splitlines() if line.startswith("#")]
+
+
+def flagged_history(path):
+    """The ``nonfinite_at`` header lines and the rows of a history table,
+    after checking that every row is finite."""
+    lines = read(path).decode().splitlines()
+    flag = [line for line in lines if line.startswith("# nonfinite_at=")]
+    body = [line for line in lines if not line.startswith(("#", "iter,"))]
+    assert all(np.isfinite(float(line.split(",")[1])) for line in body)
+    return flag, body
 
 
 class TestConfig:
@@ -67,6 +80,34 @@ class TestConfig:
         parsed = parse_kv_lines(config_header(cfg, "sweep"))
         cfg2 = load_config(None, parsed)
         assert cfg2 == cfg
+
+    @given(
+        omega=st.floats(0.1, 20.0), delta=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**31), restart=st.none() | st.integers(1, 50),
+        single_domain=st.booleans(), tol=st.floats(1e-12, 1e-2),
+        lame=st.none() | st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        speeds=st.tuples(st.floats(0.1, 5.0), st.floats(1.5, 4.0)),
+        k_count=st.integers(2, 1000), noise=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_header_round_trip_property(
+        self, omega, delta, seed, restart, single_domain, tol, lame, speeds,
+        k_count, noise,
+    ):
+        given_keys = {
+            "omega": omega, "delta": delta, "seed": seed, "restart": restart,
+            "single_domain": single_domain, "tol": tol, "k_count": k_count,
+            "noise": noise,
+        }
+        if lame is None:
+            cs, ratio = speeds
+            given_keys.update(cp=ratio * cs, cs=cs)
+        else:
+            given_keys.update(lame_lambda=lame[0], lame_mu=lame[1])
+        cfg = load_config(None, given_keys)
+        for command in ("sweep", "gmres"):
+            parsed = parse_kv_lines(f"# {line}" for line in config_header(cfg, command))
+            assert load_config(None, parsed) == cfg
 
     def test_comment_lines_ignored(self):
         parsed = parse_kv_lines(["# just a note", "", "omega = 2.0"])
@@ -135,6 +176,32 @@ class TestModesimCommand:
             fields = line.split(",")
             assert float(fields[3]) <= 1e-10
             assert float(fields[1]) == pytest.approx(float(fields[2]), rel=1e-9)
+
+
+class TestErrorMapping:
+    def test_degenerate_mode_exits_3(self, tmp_path, monkeypatch, capsys):
+        from elastic_schwarz import analysis
+
+        monkeypatch.setattr(analysis, "_ROOT_PRODUCT_GUARD", 1e300)
+        assert main(["sweep", "--out", str(tmp_path), "--k-count", "5"]) == 3
+        assert "solver error: degenerate mode" in capsys.readouterr().err
+
+    def test_singular_basis_exits_3(self, tmp_path, monkeypatch, capsys):
+        from elastic_schwarz import modesim
+
+        monkeypatch.setattr(modesim, "_DET_GUARD", np.inf)
+        assert main(["modesim", "--out", str(tmp_path), "--k-count", "5"]) == 3
+        assert "numerically singular" in capsys.readouterr().err
+
+    def test_other_errors_are_not_solver_errors(self, tmp_path, monkeypatch):
+        from elastic_schwarz import analysis
+
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(analysis, "sweep", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["sweep", "--out", str(tmp_path)])
 
 
 class TestSchwarzCommand:
@@ -237,14 +304,40 @@ class TestGmresCommand:
         assert len(body) == 2  # start plus one iteration
 
     def test_nonfinite_stationary_ras_exits_6(self, tmp_path):
-        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
-                     "--omega", "5", "--initial-error", "1e150"]) == 6
-        lines = read(tmp_path / "ras_history.csv").decode().splitlines()
-        flag = [line for line in lines if line.startswith("# nonfinite_at=")]
-        body = [line for line in lines if not line.startswith(("#", "iter,"))]
-        assert len(flag) == 1 and len(body) == int(flag[0].split("=")[1]) < 51
-        assert all(np.isfinite(float(line.split(",")[1])) for line in body)
+        # from 1e150 the RAS residual grows ~3.3x per step and passes the
+        # largest double after about 300 steps; GMRES converges first
+        config = tmp_path / "long.cfg"
+        config.write_text("stationary_iters = 400\n")
+        assert main(["gmres", "--config", str(config), "--out", str(tmp_path),
+                     "--nx", "40", "--ny", "20", "--omega", "5",
+                     "--initial-error", "1e150"]) == 6
+        flag, body = flagged_history(tmp_path / "ras_history.csv")
+        assert len(flag) == 1 and 51 < len(body) == int(flag[0].split("=")[1]) < 401
         assert "# converged=true" in read(tmp_path / "gmres_history.csv").decode()
+
+    def test_large_finite_residuals_are_recorded(self, tmp_path):
+        # residual norms near 1e180 have squares past the largest double
+        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e150"]) == 0
+        flag, body = flagged_history(tmp_path / "ras_history.csv")
+        assert not flag and len(body) == 51
+
+    def test_nonfinite_gmres_exits_6(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e300"]) == 6
+        assert time.perf_counter() - start < 10.0
+        assert "gmres_history: non-finite" in capsys.readouterr().err
+        flag, body = flagged_history(tmp_path / "gmres_history.csv")
+        assert len(flag) == 1 and 0 < len(body) == int(flag[0].split("=")[1])
+        assert "# converged=false" in read(tmp_path / "gmres_history.csv").decode()
+
+    def test_nonfinite_initial_residual_flags_row_0(self, tmp_path):
+        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e308"]) == 6
+        for name in ("gmres_history.csv", "ras_history.csv"):
+            flag, body = flagged_history(tmp_path / name)
+            assert flag == ["# nonfinite_at=0"] and not body
 
     def test_histories_written(self, tmp_path):
         assert main(["gmres", "--out", str(tmp_path), "--nx", "20", "--ny", "10"]) == 0

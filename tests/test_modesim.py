@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastic_schwarz import modesim
 from elastic_schwarz.analysis import (
+    ElasticMedium,
     characteristic_roots,
     convergence_factor,
     eigenvalues_closed_form,
@@ -78,6 +81,11 @@ class TestNumericIterationMatrix:
         with pytest.raises(ValueError, match="condition"):
             modesim._invert_2x2(singular, "test matrix")
 
+    def test_singular_guard_names_the_matrix_of_a_stack(self):
+        stack = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]], dtype=complex)
+        with pytest.raises(modesim.SingularBasisError, match="matrix 1 of"):
+            modesim._invert_2x2(stack, "test stack")
+
 
 class TestInterfaceStep:
     def test_double_step_equals_matrix_action(self, medium):
@@ -126,3 +134,53 @@ class TestPowerGrowth:
         sym = characteristic_roots(medium, 1.0, 3.0)
         with pytest.raises(ValueError, match="n_iter"):
             modesim.power_growth(sym, 0.1, 10, seed=0)
+
+
+class TestStacks:
+    """The oracle on a k array equals its per-mode calls bit for bit."""
+
+    @given(
+        rho=st.floats(0.1, 10.0), lam=st.floats(0.1, 10.0), mu=st.floats(0.1, 10.0),
+        omega=st.floats(0.5, 5.0), delta=st.floats(0.0, 0.3),
+        ks=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_batched_equals_per_mode(self, rho, lam, mu, omega, delta, ks, seed):
+        medium = ElasticMedium(rho=rho, lame_lambda=lam, lame_mu=mu)
+        sym = characteristic_roots(medium, omega, np.array(ks))
+        stack = modesim.numeric_iteration_matrix(sym, delta)
+        second = modesim.numeric_iteration_matrix(sym, delta, subdomain=2)
+        inverse = modesim.numeric_iteration_matrix_inverse(sym, delta)
+        growth = modesim.power_growth(sym, delta, 60, seed)
+        assert stack.shape == (len(ks), 2, 2) and growth.shape == (len(ks),)
+        for i, k in enumerate(ks):
+            one = characteristic_roots(medium, omega, k)
+            np.testing.assert_array_equal(
+                modesim.numeric_iteration_matrix(one, delta), stack[i]
+            )
+            np.testing.assert_array_equal(
+                modesim.numeric_iteration_matrix(one, delta, subdomain=2), second[i]
+            )
+            np.testing.assert_array_equal(
+                modesim.numeric_iteration_matrix_inverse(one, delta), inverse[i]
+            )
+            value = modesim.power_growth(one, delta, 60, seed)
+            assert type(value) is float and value == growth[i]
+
+    def test_interface_step_on_a_stack(self, medium):
+        ks = np.array([2.0, 7.0])
+        sym = characteristic_roots(medium, 5.0, ks)
+        state = modesim.CoefficientState(
+            alpha=np.array([[1.0 + 0.5j, -0.25j], [0.5, 1.0j]]),
+            beta=np.array([[0.3 + 0.0j, 1.0 - 1.0j], [1.0, 0.0]]),
+            iteration=0,
+        )
+        stepped = modesim.interface_step(state, sym, 0.1)
+        for i, k in enumerate(ks):
+            one = modesim.interface_step(
+                modesim.CoefficientState(state.alpha[i], state.beta[i], 0),
+                characteristic_roots(medium, 5.0, float(k)), 0.1,
+            )
+            np.testing.assert_array_equal(one.alpha, stepped.alpha[i])
+            np.testing.assert_array_equal(one.beta, stepped.beta[i])

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from elastic_schwarz.fem import assemble, build_mesh
 from elastic_schwarz.schwarz import (
     BudgetExceededError,
     RestrictedSolve,
+    _l2_norm,
     decompose,
     gmres,
     interface_unknowns,
@@ -179,12 +181,38 @@ class TestSeededInitialGuess:
 
 class TestStationaryRas:
     def test_stops_before_nonfinite_residual(self, medium):
+        # from 1e150 the residual grows ~3.3x per step and passes the
+        # largest double after about 300 steps
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
         system = assemble(mesh, medium, 5.0)
         rhs = system.matrix @ seeded_initial_guess(system, seed=1, max_modulus=1e150)
-        x, history = stationary_ras(RestrictedSolve(system, decompose(mesh, 4)), rhs, 50)
-        assert 1 < history.size < 51
+        x, history = stationary_ras(RestrictedSolve(system, decompose(mesh, 4)), rhs, 400)
+        assert 51 < history.size < 401
         assert np.isfinite(history).all() and np.isfinite(x).all()
+
+    def test_nonfinite_initial_residual_gives_empty_history(self, small_setup):
+        system, dec = small_setup
+        rhs = np.zeros(system.n_dofs)
+        rhs[np.flatnonzero(~system.dirichlet_mask)[0]] = np.inf
+        _, history = stationary_ras(RestrictedSolve(system, dec), rhs, 5)
+        assert history.size == 0
+
+
+class TestL2Norm:
+    def test_plain_norm_bits_when_finite(self):
+        v = np.random.default_rng(0).standard_normal(1000)
+        assert _l2_norm(v) == np.linalg.norm(v)
+        assert _l2_norm(v, 0.25) == math.sqrt(0.25 * float(np.dot(v, v)))
+
+    def test_rescaled_when_the_squares_overflow(self):
+        v = np.full(100, 1e200)
+        assert _l2_norm(v) == pytest.approx(1e201, rel=1e-15)
+        assert _l2_norm(v, 0.01) == pytest.approx(1e200, rel=1e-15)
+
+    def test_infinite_only_when_the_norm_is(self):
+        assert _l2_norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2.0) * 1e308)
+        assert _l2_norm(np.array([1.5e308, 1.5e308])) == math.inf
+        assert _l2_norm(np.array([1.0, np.inf])) == math.inf
 
 
 class TestRasApply:
@@ -375,6 +403,30 @@ class TestGmres:
         result = gmres(RestrictedSolve(system, dec), np.zeros(system.n_dofs))
         assert result.converged and result.iterations == 0
         assert not result.x.any()
+
+    def test_stops_before_nonfinite_residual(self, medium):
+        # the load's norm is finite (about 4e301), the Krylov residual
+        # estimates of SciPy's GMRES overflow at once
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 5.0)
+        rhs = system.matrix @ seeded_initial_guess(system, seed=1, max_modulus=1e300)
+        result = gmres(RestrictedSolve(system, decompose(mesh, 4)), rhs)
+        assert result.nonfinite and not (result.converged or result.stagnated)
+        assert result.history.size >= 1 and np.isfinite(result.history).all()
+        assert np.isfinite(result.x).all()
+
+    def test_nonfinite_initial_residual_gives_empty_history(self, small_setup):
+        system, dec = small_setup
+        rhs = np.zeros(system.n_dofs)
+        rhs[np.flatnonzero(~system.dirichlet_mask)[0]] = np.inf
+        result = gmres(RestrictedSolve(system, dec), rhs)
+        assert result.nonfinite and result.history.size == 0
+        assert result.iterations == 0 and not result.x.any()
+
+    def test_finite_run_is_not_flagged(self, small_setup):
+        system, dec = small_setup
+        rhs = system.matrix @ seeded_initial_guess(system, seed=11)
+        assert not gmres(RestrictedSolve(system, dec), rhs).nonfinite
 
     def test_divergent_frequency_stationary_grows(self, medium):
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
