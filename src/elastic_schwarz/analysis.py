@@ -31,7 +31,7 @@ __all__ = [
     "ModeSymbol",
     "BasisMatrices",
     "IterationMatrix2",
-    "SweepPoint",
+    "Sweep",
     "wave_speeds",
     "principal_sqrt",
     "classify_zone",
@@ -357,24 +357,21 @@ def convergence_factor(medium: ElasticMedium, omega: float, k, delta: float):
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One row of a wavenumber sweep."""
+class Sweep:
+    """A wavenumber sweep as columns, one entry per grid point in the order
+    of k: both eigenvalue moduli, the convergence factor and the `Zone`
+    (an object array)."""
 
-    k: float
-    abs_r_plus: float
-    abs_r_minus: float
-    rho_cla: float
-    zone: Zone
+    k: np.ndarray
+    abs_r_plus: np.ndarray
+    abs_r_minus: np.ndarray
+    rho_cla: np.ndarray
+    zone: np.ndarray
 
 
-def sweep(
-    medium: ElasticMedium, omega: float, delta: float, k_grid
-) -> list[SweepPoint]:
-    """Evaluate eigenvalue moduli and zone over an increasing wavenumber grid.
-
-    Deterministic, one row per grid point, ordered by k.
-    """
-    ks = np.asarray(k_grid, dtype=float)
+def sweep(medium: ElasticMedium, omega: float, delta: float, k_grid) -> Sweep:
+    """Evaluate eigenvalue moduli and zone over an increasing wavenumber grid."""
+    ks = np.array(k_grid, dtype=float)
     if ks.size == 0:
         raise ValueError("k_grid must be nonempty")
     if np.any(ks < 0):
@@ -382,14 +379,14 @@ def sweep(
     if ks.size > 1 and np.any(np.diff(ks) <= 0):
         raise ValueError("k_grid must be strictly increasing")
     r_plus, r_minus = eigenvalues_closed_form(medium, omega, ks, delta)
-    zones = classify_zone(ks, omega, medium.cp, medium.cs)
-    return [
-        SweepPoint(k=k, abs_r_plus=p, abs_r_minus=m, rho_cla=max(p, m), zone=zone)
-        for k, p, m, zone in zip(
-            ks.tolist(), _modulus(r_plus).tolist(), _modulus(r_minus).tolist(),
-            zones.tolist(),
-        )
-    ]
+    abs_r_plus, abs_r_minus = _modulus(r_plus), _modulus(r_minus)
+    return Sweep(
+        k=ks,
+        abs_r_plus=abs_r_plus,
+        abs_r_minus=abs_r_minus,
+        rho_cla=np.maximum(abs_r_plus, abs_r_minus),
+        zone=classify_zone(ks, omega, medium.cp, medium.cs),
+    )
 
 
 def max_rho(

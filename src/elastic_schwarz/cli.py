@@ -21,12 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import analysis, fem, modesim, schwarz
 from .analysis import ElasticMedium
+from .fem import write_table as _write_table
 
 __all__ = ["ExperimentConfig", "load_config", "config_header", "run_verification", "main"]
 
@@ -83,50 +84,32 @@ class ExperimentConfig:
         )
 
 
-_INT_KEYS = {
-    "overlap_cells", "nx", "ny", "k_count", "max_iter", "n_iter",
-    "stationary_iters", "power_iters", "seed",
-}
-_FLOAT_KEYS = {
-    "rho", "cp", "cs", "lame_lambda", "lame_mu", "omega", "delta",
-    "x_min", "x_max", "y_min", "y_max", "k_min", "k_max", "tol",
-    "initial_error", "noise",
-}
-_BOOL_KEYS = {"single_domain", "identity_system"}
 _SPEED_KEYS = {"cp", "cs"}
 _LAME_KEYS = {"lame_lambda", "lame_mu"}
-_ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | {"restart"}
-)
 
-# canonical header order; the non-given material pair is skipped at write time
-_HEADER_ORDER = [
-    "rho", "cp", "cs", "lame_lambda", "lame_mu", "omega", "delta",
-    "overlap_cells", "nx", "ny", "x_min", "x_max", "y_min", "y_max",
-    "k_min", "k_max", "k_count", "tol", "max_iter", "restart", "n_iter",
-    "stationary_iters", "power_iters", "initial_error", "noise", "seed",
-    "single_domain", "identity_system",
-]
+# parser of each configuration key, in header order: the type of the
+# field's default; restart (default none) is the one optional integer
+_KEY_TYPES = {
+    f.name: int if f.default is None else type(f.default)
+    for f in fields(ExperimentConfig)
+    if f.name != "medium_given"
+}
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+    raw, kind = raw.strip(), _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if key == "restart":
-            return None if raw.lower() == "none" else int(raw)
+        if key == "restart" and raw.lower() == "none":
+            return None
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"field {key}: cannot parse value {raw!r}") from exc
-    raise ConfigError(f"unknown configuration field {key!r}")
 
 
 _RESERVED_KEYS = {"command", "converged", "stagnated", "nonfinite_at"}
@@ -152,7 +135,7 @@ def parse_kv_lines(lines) -> dict:
         key = key.strip()
         if key in _RESERVED_KEYS:
             continue
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown configuration field {key!r}")
         out[key] = _parse_value(key, raw)
     return out
@@ -169,7 +152,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         for key, value in overrides.items():
             if value is None:
                 continue
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"unknown configuration field {key!r}")
             given[key] = value
     return _resolve(given)
@@ -259,23 +242,11 @@ def config_header(cfg: ExperimentConfig, command: str) -> list[str]:
     as a config file reproduces the run."""
     skip = _LAME_KEYS if cfg.medium_given == "speeds" else _SPEED_KEYS
     lines = [f"command={command}"]
-    for key in _HEADER_ORDER:
+    for key in _KEY_TYPES:
         if key in skip:
             continue
         lines.append(f"{key}={_format_value(getattr(cfg, key))}")
     return lines
-
-
-def _write_table(path, header_lines, columns, rows) -> None:
-    def fmt(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.17g}"
-        return str(value)
-
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join(columns))
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    fem.atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _nonfinite_flag(name: str, rows: int, stopped: bool) -> list[str]:
@@ -331,12 +302,12 @@ def experiment_load(cfg: ExperimentConfig, system: fem.AssembledSystem) -> np.nd
 
 def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.k_count)
-    rows = analysis.sweep(cfg.medium(), cfg.omega, cfg.delta, ks)
+    s = analysis.sweep(cfg.medium(), cfg.omega, cfg.delta, ks)
     _write_table(
         os.path.join(_outdir(out), "sweep.csv"),
         config_header(cfg, "sweep"),
         ["k", "abs_r_plus", "abs_r_minus", "rho", "zone"],
-        [(p.k, p.abs_r_plus, p.abs_r_minus, p.rho_cla, p.zone.value) for p in rows],
+        [s.k, s.abs_r_plus, s.abs_r_minus, s.rho_cla, [z.value for z in s.zone]],
     )
     return EXIT_OK
 
@@ -354,13 +325,8 @@ def cmd_modesim(cfg: ExperimentConfig, out: str) -> int:
         os.path.join(_outdir(out), "modesim.csv"),
         config_header(cfg, "modesim"),
         ["k", "rho_closed", "rho_numeric", "eig_deviation", "power_growth"],
-        zip(
-            ks.tolist(),
-            closed.rho_cla.tolist(),
-            np.abs(eigs).max(axis=1).tolist(),
-            (deviation / np.maximum(1.0, closed.rho_cla)).tolist(),
-            growth.tolist(),
-        ),
+        [ks, closed.rho_cla, np.abs(eigs).max(axis=1),
+         deviation / np.maximum(1.0, closed.rho_cla), growth],
     )
     return EXIT_OK
 
@@ -389,10 +355,7 @@ def cmd_schwarz(cfg: ExperimentConfig, out: str) -> int:
         os.path.join(out, "schwarz_history.csv"),
         header + flag,
         ["iter", "err_max", "err_l2", "dominant_mode_j"],
-        [
-            (n, history.err_max[n], history.err_l2[n], int(history.dominant_mode[n]))
-            for n in range(len(history))
-        ],
+        [np.arange(len(history)), history.err_max, history.err_l2, history.dominant_mode],
     )
     fem.export_solution_csv(
         system.mesh, final, os.path.join(out, "schwarz_final.csv"), header
@@ -411,7 +374,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: str) -> int:
         os.path.join(_outdir(out), "spectrum.csv"),
         config_header(cfg, "spectrum"),
         ["re", "im"],
-        [(float(z.real), float(z.imag)) for z in eigs],
+        [eigs.real, eigs.imag],
     )
     return EXIT_OK
 
@@ -435,13 +398,13 @@ def cmd_gmres(cfg: ExperimentConfig, out: str) -> int:
         header + [f"converged={_format_value(result.converged)}",
                   f"stagnated={_format_value(result.stagnated)}"] + gmres_flag,
         ["iter", "relres"],
-        list(enumerate(float(r) for r in result.history)),
+        [np.arange(result.history.size), result.history],
     )
     _write_table(
         os.path.join(out, "ras_history.csv"),
         header + ras_flag,
         ["iter", "relres"],
-        list(enumerate(float(r) for r in ras_history)),
+        [np.arange(ras_history.size), ras_history],
     )
     return EXIT_NONFINITE if gmres_flag or ras_flag else EXIT_OK
 
@@ -665,7 +628,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)
-        for key in _ALL_KEYS
+        for key in _KEY_TYPES
         if hasattr(args, key) and getattr(args, key) is not None
     }
     try:

@@ -12,6 +12,7 @@ with a unit diagonal.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ __all__ = [
     "interface_mode_amplitudes",
     "dominant_mode",
     "atomic_write",
+    "write_table",
     "export_solution_csv",
     "export_solution_binary",
     "read_solution_binary",
@@ -254,18 +256,33 @@ def factorize(system: AssembledSystem):
     return system._lu
 
 
+def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
+    """sqrt(weight * sum v^2) of a real vector (``np.linalg.norm`` for unit
+    weight), finite whenever that value is: only when the squares
+    overflow is it recomputed from v / max|v|, so finite sums keep their
+    bits."""
+    norm = math.sqrt(weight * float(np.dot(v, v)))
+    if math.isinf(norm):
+        peak = float(np.max(np.abs(v)))
+        if math.isfinite(peak):
+            scaled = v / peak
+            norm = peak * math.sqrt(weight * float(np.dot(scaled, scaled)))
+    return norm
+
+
 def direct_solve(system: AssembledSystem) -> np.ndarray:
     """Solve the assembled system for its stored load vector.
 
     The factorization is kept on the system object so repeated subdomain
-    solves reuse it; the relative residual is checked against 1e-10.
+    solves reuse it; the relative residual is checked against 1e-10 (a
+    residual that is not a number fails the check).
     """
     lu = factorize(system)
     x = lu.solve(system.rhs)
-    rhs_norm = float(np.linalg.norm(system.rhs))
+    rhs_norm = _l2_norm(system.rhs)
     if rhs_norm > 0.0:
-        rel = float(np.linalg.norm(system.matrix @ x - system.rhs)) / rhs_norm
-        if rel > 1e-10:
+        rel = _l2_norm(system.matrix @ x - system.rhs) / rhs_norm
+        if not rel <= 1e-10:
             raise SingularSystemError(
                 f"direct solve residual {rel:.3e} exceeds 1e-10; "
                 "the system is numerically singular or badly scaled"
@@ -309,6 +326,22 @@ def atomic_write(path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def write_table(path, header_lines, names, columns) -> None:
+    """Write equal-length columns as a CSV table under ``# `` header lines:
+    float columns with 17 significant digits (they read back to the same
+    doubles), any other column with ``str``."""
+    columns = [np.asarray(column) for column in columns]
+    if len(names) != len(columns) or len({c.shape for c in columns}) > 1:
+        raise ValueError(
+            f"{len(names)} names for columns of shapes {[c.shape for c in columns]}"
+        )
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns)
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join(names))
+    lines.extend(row % values for values in zip(*(c.tolist() for c in columns)))
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
+
+
 def export_solution_csv(
     mesh: StructuredMesh, u: np.ndarray, path, header_lines=()
 ) -> None:
@@ -316,14 +349,10 @@ def export_solution_csv(
     u = np.asarray(u, dtype=float)
     if u.shape != (2 * mesh.n_nodes,):
         raise ValueError(f"expected {2 * mesh.n_nodes} dofs, got shape {u.shape}")
-    lines = [f"# {line}" for line in header_lines]
-    lines.append("node,x,y,u_x,u_y")
-    for n in range(mesh.n_nodes):
-        x, y = mesh.nodes[n]
-        lines.append(
-            f"{n},{x:.17g},{y:.17g},{u[2 * n]:.17g},{u[2 * n + 1]:.17g}"
-        )
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    write_table(
+        path, header_lines, ["node", "x", "y", "u_x", "u_y"],
+        [np.arange(mesh.n_nodes), mesh.nodes[:, 0], mesh.nodes[:, 1], u[0::2], u[1::2]],
+    )
 
 
 def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:

@@ -30,6 +30,7 @@ from scipy.sparse.linalg import gmres as scipy_gmres
 from .fem import (
     AssembledSystem,
     StructuredMesh,
+    _l2_norm,
     direct_solve,
     dominant_mode,
     interface_mode_amplitudes,
@@ -312,20 +313,6 @@ class ErrorHistory:
 
     def __len__(self) -> int:
         return self.err_max.size
-
-
-def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
-    """sqrt(weight * sum v^2) of a real vector (``np.linalg.norm`` for unit
-    weight), finite whenever that value is: only when the squares
-    overflow is it recomputed from v / max|v|, so finite sums keep their
-    bits."""
-    norm = math.sqrt(weight * float(np.dot(v, v)))
-    if math.isinf(norm):
-        peak = float(np.max(np.abs(v)))
-        if math.isfinite(peak):
-            scaled = v / peak
-            norm = peak * math.sqrt(weight * float(np.dot(scaled, scaled)))
-    return norm
 
 
 def _record(mesh: StructuredMesh, midline_col, e: np.ndarray):

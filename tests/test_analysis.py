@@ -324,29 +324,24 @@ class TestClassifyZone:
 
 class TestSweep:
     def test_reproduces_three_zones_omega1(self, medium):
-        rows = sweep(medium, 1.0, 0.1, np.arange(0.0, 6.0 + 1e-12, 0.05))
-        by_zone = {}
-        for row in rows:
-            by_zone.setdefault(row.zone, []).append(row)
-        assert max(abs(r.rho_cla - 1.0) for r in by_zone[Zone.STAGNANT]) < 1e-9
-        assert all(r.rho_cla > 1.0 for r in by_zone[Zone.DIVERGENT])
-        assert all(1.0 < r.k < 2.0 for r in by_zone[Zone.DIVERGENT])
-        assert all(r.rho_cla < 1.0 for r in by_zone[Zone.CONTRACTIVE])
-        assert {r.k for r in by_zone[Zone.BOUNDARY]} == {1.0, 2.0}
+        s = sweep(medium, 1.0, 0.1, np.arange(0.0, 6.0 + 1e-12, 0.05))
+        assert all((s.zone == zone).any() for zone in Zone)
+        assert np.max(np.abs(s.rho_cla[s.zone == Zone.STAGNANT] - 1.0)) < 1e-9
+        assert np.all(s.rho_cla[s.zone == Zone.DIVERGENT] > 1.0)
+        divergent_k = s.k[s.zone == Zone.DIVERGENT]
+        assert np.all((1.0 < divergent_k) & (divergent_k < 2.0))
+        assert np.all(s.rho_cla[s.zone == Zone.CONTRACTIVE] < 1.0)
+        assert set(s.k[s.zone == Zone.BOUNDARY].tolist()) == {1.0, 2.0}
 
     def test_divergent_band_omega5(self, medium):
-        rows = sweep(medium, 5.0, 0.1, np.linspace(0.25, 30.0, 120))
-        for row in rows:
-            if 5.0 < row.k < 10.0:
-                assert row.rho_cla > 1.0
-            elif row.k < 5.0:
-                assert abs(row.rho_cla - 1.0) < 1e-9
+        s = sweep(medium, 5.0, 0.1, np.linspace(0.25, 30.0, 120))
+        assert np.all(s.rho_cla[(5.0 < s.k) & (s.k < 10.0)] > 1.0)
+        assert np.all(np.abs(s.rho_cla[s.k < 5.0] - 1.0) < 1e-9)
 
     def test_zero_overlap_flat(self, medium):
-        rows = sweep(medium, 1.0, 0.0, np.linspace(0.0, 6.0, 40))
-        for row in rows:
-            assert abs(row.abs_r_plus - 1.0) <= 1e-12
-            assert abs(row.abs_r_minus - 1.0) <= 1e-12
+        s = sweep(medium, 1.0, 0.0, np.linspace(0.0, 6.0, 40))
+        assert np.all(np.abs(s.abs_r_plus - 1.0) <= 1e-12)
+        assert np.all(np.abs(s.abs_r_minus - 1.0) <= 1e-12)
 
     def test_grid_validation(self, medium):
         with pytest.raises(ValueError, match="nonempty"):

@@ -170,6 +170,45 @@ class TestDirectSolve:
         assert system.dirichlet_mask.all()
         np.testing.assert_array_equal(direct_solve(system), np.zeros(8))
 
+    def test_residual_check_survives_overflowing_norms(self):
+        # the squares of a load scaled by 1e200 overflow; a factor that
+        # returns half the answer must still fail the residual check
+        import scipy.sparse as sp
+
+        class HalfSolve:
+            def solve(self, b):
+                return 0.5 * b
+
+        mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
+        for scale in (1.0, 1e200):
+            system = fem.AssembledSystem(
+                matrix=sp.identity(2 * mesh.n_nodes, format="csr"),
+                rhs=scale * np.arange(1.0, 2.0 * mesh.n_nodes + 1.0),
+                dirichlet_mask=np.zeros(2 * mesh.n_nodes, dtype=bool),
+                mesh=mesh,
+                _lu=HalfSolve(),
+            )
+            with pytest.raises(fem.SingularSystemError, match="residual"):
+                direct_solve(system)
+
+    def test_nan_residual_fails_the_check(self):
+        import scipy.sparse as sp
+
+        class NanSolve:
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
+        system = fem.AssembledSystem(
+            matrix=sp.identity(2 * mesh.n_nodes, format="csr"),
+            rhs=np.ones(2 * mesh.n_nodes),
+            dirichlet_mask=np.zeros(2 * mesh.n_nodes, dtype=bool),
+            mesh=mesh,
+            _lu=NanSolve(),
+        )
+        with pytest.raises(fem.SingularSystemError, match="residual"):
+            direct_solve(system)
+
     def test_factorization_is_cached(self, medium):
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 6, 6)
         system = assemble(mesh, medium, 1.0, manufactured_force(medium, 1.0))
@@ -242,6 +281,43 @@ class TestExports:
         parsed = [line.split(",") for line in lines[2:]]
         ux = np.array([float(p[3]) for p in parsed])
         np.testing.assert_array_equal(ux, u[0::2])  # 17 digits round-trip
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_write_table_matches_per_value_format(self, tmp_path_factory, data):
+        kinds = data.draw(
+            st.lists(st.sampled_from(["int", "float", "str"]), min_size=1, max_size=5)
+        )
+        n_rows = data.draw(st.integers(0, 12))
+        values = {
+            "int": st.integers(-(2**63), 2**63 - 1)
+            | st.sampled_from([2**53 + 1, 2**63 - 1, -(2**63)]),
+            "float": st.floats(allow_subnormal=True)
+            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310]),
+            "str": st.text("abcxyz_-.", max_size=6),
+        }
+        dtypes = {"int": np.int64, "float": np.float64, "str": str}
+        lists = [
+            data.draw(st.lists(values[kind], min_size=n_rows, max_size=n_rows))
+            for kind in kinds
+        ]
+        columns = [np.array(col, dtype=dtypes[kind]) for kind, col in zip(kinds, lists)]
+        names = [f"c{i}" for i in range(len(kinds))]
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        fem.write_table(path, ["a=1", "b=x"], names, columns)
+
+        def fmt(v):
+            return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+        expected = ["# a=1", "# b=x", ",".join(names)]
+        expected += [",".join(fmt(v) for v in row) for row in zip(*lists)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_write_table_rejects_unequal_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="names"):
+            fem.write_table(tmp_path / "t.csv", [], ["a", "b"], [np.zeros(3), np.zeros(2)])
+        with pytest.raises(ValueError, match="names"):
+            fem.write_table(tmp_path / "t.csv", [], ["a"], [np.zeros(3), np.zeros(3)])
 
     def test_rejects_wrong_length(self, tmp_path):
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)

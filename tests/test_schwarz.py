@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastic_schwarz import fem
-from elastic_schwarz.fem import assemble, build_mesh
+from elastic_schwarz.fem import _l2_norm, assemble, build_mesh
 from elastic_schwarz.schwarz import (
     BudgetExceededError,
     RestrictedSolve,
-    _l2_norm,
     decompose,
     gmres,
     interface_unknowns,
