@@ -261,7 +261,8 @@ def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
     weight), finite whenever that value is: only when the squares
     overflow is it recomputed from v / max|v|, so finite sums keep their
     bits."""
-    norm = math.sqrt(weight * float(np.dot(v, v)))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(weight * float(np.dot(v, v)))
     if math.isinf(norm):
         peak = float(np.max(np.abs(v)))
         if math.isfinite(peak):

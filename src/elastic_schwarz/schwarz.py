@@ -20,6 +20,7 @@ interface iteration the mode analysis solves per Fourier mode.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,16 +226,38 @@ def interface_unknowns(
     return np.flatnonzero((read | ~owned)[~system.dirichlet_mask])
 
 
+def _mirror_order(mesh: StructuredMesh, subdomains: list) -> np.ndarray | None:
+    """Order of the second subdomain's interior that the point reflection
+    of the rectangle maps entry by entry onto the first one's, or None.
+    The reflection reverses node ids and keeps the two components of a
+    node in order, so it reverses the node pairs of the sorted interior."""
+    if len(subdomains) != 2:
+        return None
+    left, right = (sub.interior_free for sub in subdomains)
+    order = np.arange(right.size).reshape(-1, 2)[::-1].ravel()
+    mirrored = right[order]
+    reflected = 2 * (mesh.n_nodes - 1 - mirrored // 2) + mirrored % 2
+    return order if np.array_equal(reflected, left) else None
+
+
 class RestrictedSolve:
     """The RAS subdomain solves of one system on one decomposition.
 
-    Each subdomain is factored once, here.  Calling the object on a
+    The subdomains are factored once, here.  Calling the object on a
     vector, or a block of columns, over the free (non-Dirichlet) unknowns
     solves every subdomain on its interior and keeps the part it owns;
     that is the RAS preconditioner.  Given ``previous`` (a free-unknown
     vector), each subdomain also takes Dirichlet data from it on its
     interface line, and dofs that no subdomain owns keep its value: that
     is one parallel Schwarz sweep.  Without it they come back zero.
+
+    When the point reflection of the rectangle maps the right interior
+    onto the left one (`_mirror_order`) and the two subdomain matrices
+    agree under that map to a relative 1e-12, only the left one is
+    factored: the right subdomain solves with the same factor in mirrored
+    order, and a vector solves both subdomains as one two-column solve.
+    Otherwise (an x range not symmetric about the midline, one subdomain,
+    a matrix that is not mirror-invariant) each subdomain has its factor.
     """
 
     def __init__(self, system: AssembledSystem, decomposition: Decomposition):
@@ -243,33 +266,55 @@ class RestrictedSolve:
         pos = np.full(system.n_dofs, -1, dtype=np.int64)
         pos[self.free] = np.arange(self.free.size)
         matrix = system.matrix.tocsr()
-        self._parts = []
-        for sub in decomposition.subdomains:
-            rows = matrix[sub.interior_free]
-            # the subdomain matrices are symmetric: order on A^T + A
-            lu = splu(
-                rows[:, sub.interior_free].tocsc(), permc_spec="MMD_AT_PLUS_A"
-            )
-            self._parts.append((
-                pos[sub.interior_free],
+        mirror = _mirror_order(decomposition.mesh, decomposition.subdomains)
+        parts, matrices = [], []
+        for i, sub in enumerate(decomposition.subdomains):
+            order = np.arange(sub.interior_free.size) if mirror is None or not i else mirror
+            interior = sub.interior_free[order]
+            rows = matrix[interior]
+            matrices.append(rows[:, interior].tocsc())
+            parts.append((
+                pos[interior],
                 pos[sub.owned_free],
-                sub.owned_in_interior,
+                np.argsort(order)[sub.owned_in_interior],
                 pos[sub.interface_free],
-                lu,
                 rows[:, sub.interface_free].tocsr(),
             ))
+        self._shared = mirror is not None and (
+            abs(matrices[1] - matrices[0]).max() <= 1e-12 * abs(matrices[0]).max()
+        )
+        if self._shared:
+            del matrices[1:]
+        # the subdomain matrices are symmetric: order on A^T + A
+        factors = [splu(a, permc_spec="MMD_AT_PLUS_A") for a in matrices]
+        self._parts = [
+            (*part, lu) for part, lu in zip(parts, itertools.cycle(factors))
+        ]
 
     def __call__(
         self, v: np.ndarray, previous: np.ndarray | None = None
     ) -> np.ndarray:
         z = np.zeros_like(v) if previous is None else previous.copy()
-        for interior, owned, keep, interface, lu, coupling in self._parts:
-            # the right-hand side stays unnamed so it is freed before the
-            # owned rows are copied out of the solution
-            z[owned] = lu.solve(
+
+        def rhs(interior, interface, coupling):
+            return (
                 v[interior] if previous is None
                 else v[interior] - coupling @ previous[interface]
-            )[keep]
+            )
+
+        if self._shared and v.ndim == 1:
+            # both right-hand sides as the columns of one solve
+            both = self._parts[0][-1].solve(np.array([
+                rhs(interior, interface, coupling)
+                for interior, _, _, interface, coupling, _ in self._parts
+            ]).T)
+            for (_, owned, keep, *_), x in zip(self._parts, both.T):
+                z[owned] = x[keep]
+            return z
+        for interior, owned, keep, interface, coupling, lu in self._parts:
+            # the right-hand side stays unnamed so it is freed before the
+            # owned rows are copied out of the solution
+            z[owned] = lu.solve(rhs(interior, interface, coupling))[keep]
         return z
 
 
@@ -513,6 +558,11 @@ def gmres(
     x = np.zeros(n)
     b_pre = solve(b)
     b_norm = _l2_norm(b_pre)
+    # SciPy takes the norm of b_pre itself, whose squares may overflow
+    # though b_norm is finite: iterate on the problem scaled by a power of
+    # two that brings b_norm into [0.5, 1) (exact), and scale x back
+    exponent = math.frexp(b_norm)[1]
+    b, b_pre = np.ldexp(b, -exponent), np.ldexp(b_pre, -exponent)
     nonfinite = not math.isfinite(b_norm)
     if nonfinite:
         history, converged = [], False
@@ -532,7 +582,7 @@ def gmres(
             callback=history.append, callback_type="pr_norm",
         )
         estimates = history[start:]
-        relres = _l2_norm(solve(b - a @ candidate)) / b_norm
+        relres = _l2_norm(solve(b - a @ candidate)) / math.ldexp(b_norm, -exponent)
         finite = np.isfinite(estimates + [relres])
         if not finite.all():
             del history[start + int(np.argmin(finite)):]
@@ -544,7 +594,7 @@ def gmres(
         stagnated = not converged and history[-1] >= history[start - 1] * (1.0 - 1e-12)
 
     out = np.zeros(system.n_dofs)
-    out[free] = x
+    out[free] = np.ldexp(x, exponent)
     return GmresResult(
         x=out,
         history=np.asarray(history, dtype=float),

@@ -322,15 +322,33 @@ class TestGmresCommand:
         flag, body = flagged_history(tmp_path / "ras_history.csv")
         assert not flag and len(body) == 51
 
-    def test_nonfinite_gmres_exits_6(self, tmp_path, capsys):
+    def test_nonfinite_gmres_exits_6(self, tmp_path, capsys, monkeypatch, poisoned_solve):
+        # the subdomain solves break down after the load and three Krylov steps
+        from elastic_schwarz import schwarz
+
+        monkeypatch.setattr(schwarz, "RestrictedSolve", poisoned_solve(4))
         start = time.perf_counter()
         assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
-                     "--omega", "5", "--initial-error", "1e300"]) == 6
+                     "--omega", "5"]) == 6
         assert time.perf_counter() - start < 10.0
         assert "gmres_history: non-finite" in capsys.readouterr().err
         flag, body = flagged_history(tmp_path / "gmres_history.csv")
         assert len(flag) == 1 and 0 < len(body) == int(flag[0].split("=")[1])
         assert "# converged=false" in read(tmp_path / "gmres_history.csv").decode()
+
+    def test_huge_finite_load_is_not_flagged(self, tmp_path):
+        # the preconditioned load norm, about 4e301, is finite but its
+        # squares are not; the stationary RAS residual may still overflow
+        runs, codes = {}, {}
+        for scale in ("1", "1e300"):
+            out = tmp_path / scale
+            codes[scale] = main(["gmres", "--out", str(out), "--nx", "40", "--ny", "20",
+                                 "--omega", "5", "--initial-error", scale])
+            runs[scale] = flagged_history(out / "gmres_history.csv")
+        assert codes["1"] == 0
+        flag, body = runs["1e300"]
+        assert not flag and len(body) == len(runs["1"][1])
+        assert "# converged=true" in read(tmp_path / "1e300" / "gmres_history.csv").decode()
 
     def test_nonfinite_initial_residual_flags_row_0(self, tmp_path):
         assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",

@@ -1,13 +1,16 @@
+import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
-from elastic_schwarz import fem
+from elastic_schwarz import fem, schwarz
 from elastic_schwarz.fem import _l2_norm, assemble, build_mesh
 from elastic_schwarz.schwarz import (
     BudgetExceededError,
@@ -208,10 +211,105 @@ class TestL2Norm:
         assert _l2_norm(v) == pytest.approx(1e201, rel=1e-15)
         assert _l2_norm(v, 0.01) == pytest.approx(1e200, rel=1e-15)
 
+    def test_rescaling_raises_no_overflow_warning(self, medium):
+        # the preconditioned load of `gmres --nx 40 --ny 20 --omega 5
+        # --initial-error 1e300`: its squares overflow, its norm does not
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 5.0)
+        solve = RestrictedSolve(system, decompose(mesh, 4))
+        target = seeded_initial_guess(system, seed=1870, max_modulus=1e300)
+        b_pre = solve((system.matrix @ target)[solve.free])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = _l2_norm(b_pre)
+        assert 1e300 < norm < math.inf
+
     def test_infinite_only_when_the_norm_is(self):
         assert _l2_norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2.0) * 1e308)
         assert _l2_norm(np.array([1.5e308, 1.5e308])) == math.inf
         assert _l2_norm(np.array([1.0, np.inf])) == math.inf
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Counts the subdomain factorizations `schwarz` makes."""
+    calls = []
+    original = schwarz.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schwarz, "splu", counting)
+    return calls
+
+
+def reference_solve(system, dec, v, previous=None):
+    """`RestrictedSolve` rebuilt from one `spsolve` per subdomain."""
+    free = np.flatnonzero(~system.dirichlet_mask)
+    pos = np.full(system.n_dofs, -1)
+    pos[free] = np.arange(free.size)
+    matrix = system.matrix.tocsr()
+    z = np.zeros_like(v) if previous is None else previous.copy()
+    for sub in dec.subdomains:
+        rows = matrix[sub.interior_free]
+        rhs = v[pos[sub.interior_free]]
+        if previous is not None:
+            rhs = rhs - rows[:, sub.interface_free] @ previous[pos[sub.interface_free]]
+        x = spsolve(rows[:, sub.interior_free].tocsc(), rhs)
+        z[pos[sub.owned_free]] = x[sub.owned_in_interior]
+    return z
+
+
+class TestSharedFactor:
+    def test_mirrored_strip_factors_once(self, small_setup, factor_calls):
+        RestrictedSolve(*small_setup)
+        assert len(factor_calls) == 1
+
+    @pytest.mark.parametrize("case", ["asymmetric", "single_domain", "perturbed"])
+    def test_fallback_factors_every_subdomain(self, medium, factor_calls, case):
+        if case == "asymmetric":
+            mesh = build_mesh((-1.0, 1.5), (0.0, 1.0), 50, 20)
+        else:
+            mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 1.0)
+        dec = single_domain(mesh) if case == "single_domain" else decompose(mesh, 4)
+        if case == "perturbed":
+            # a diagonal entry that only the right subdomain holds
+            dof = dec.subdomains[1].interior_free[-1]
+            matrix = system.matrix.tocsr(copy=True)
+            matrix[dof, dof] *= 1.0 + 1e-9
+            system = dataclasses.replace(system, matrix=matrix)
+        solve = RestrictedSolve(system, dec)
+        assert len(factor_calls) == len(dec.subdomains)
+        v = np.random.default_rng(3).standard_normal(solve.free.size)
+        want = reference_solve(system, dec, v)
+        assert np.abs(solve(v) - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
+    def test_mirror_path_matches_subdomain_spsolve(self, medium, factor_calls, omega):
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, omega)
+        dec = decompose(mesh, 4)
+        solve = RestrictedSolve(system, dec)
+        assert len(factor_calls) == 1
+        rng = np.random.default_rng(4)
+        n = solve.free.size
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+        v = rng.standard_normal(n)
+        assert close(solve(v), reference_solve(system, dec, v))
+        block = rng.standard_normal((n, 3))
+        assert close(solve(block), reference_solve(system, dec, block))
+        start = seeded_initial_guess(system, seed=5)
+        x, _ = schwarz_iterate(system, dec, start, 1)
+        want = start.copy()
+        want[solve.free] = reference_solve(
+            system, dec, system.rhs[solve.free], previous=start[solve.free]
+        )
+        assert close(x, want)
 
 
 class TestRasApply:
@@ -403,16 +501,32 @@ class TestGmres:
         assert result.converged and result.iterations == 0
         assert not result.x.any()
 
-    def test_stops_before_nonfinite_residual(self, medium):
-        # the load's norm is finite (about 4e301), the Krylov residual
-        # estimates of SciPy's GMRES overflow at once
+    def test_stops_before_nonfinite_residual(self, medium, poisoned_solve):
+        # the preconditioner breaks down after the load and three Krylov
+        # steps: the fourth residual estimate is not finite
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
         system = assemble(mesh, medium, 5.0)
-        rhs = system.matrix @ seeded_initial_guess(system, seed=1, max_modulus=1e300)
-        result = gmres(RestrictedSolve(system, decompose(mesh, 4)), rhs)
+        rhs = system.matrix @ seeded_initial_guess(system, seed=1)
+        result = gmres(poisoned_solve(4)(system, decompose(mesh, 4)), rhs)
         assert result.nonfinite and not (result.converged or result.stagnated)
         assert result.history.size >= 1 and np.isfinite(result.history).all()
         assert np.isfinite(result.x).all()
+
+    def test_huge_finite_load_runs_like_a_unit_load(self, medium):
+        # the preconditioned load norm is about 4e301: finite, but its
+        # squares overflow, so GMRES must run on a scaled copy of it
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 5.0)
+        solve = RestrictedSolve(system, decompose(mesh, 4))
+        target = seeded_initial_guess(system, seed=1)
+        unit = gmres(solve, system.matrix @ target)
+        huge = gmres(solve, system.matrix @ (2.0**997 * target))
+        assert huge.converged and not huge.nonfinite
+        assert huge.iterations == unit.iterations
+        # only the norm of the load differs in its last bits: it is
+        # recomputed from the rescaled vector when its squares overflow
+        np.testing.assert_allclose(huge.history, unit.history, rtol=1e-14)
+        np.testing.assert_array_equal(huge.x, 2.0**997 * unit.x)
 
     def test_nonfinite_initial_residual_gives_empty_history(self, small_setup):
         system, dec = small_setup
