@@ -108,6 +108,11 @@ def build_mesh(
         raise ValueError(f"degenerate ranges x={x_range}, y={y_range}")
     if nx < 1 or ny < 1:
         raise ValueError(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
+    if 2 * (nx + 1) * (ny + 1) > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"nx={nx}, ny={ny} give {2 * (nx + 1) * (ny + 1)} dofs, "
+            "more than int32 indices hold"
+        )
     xs = np.linspace(x_min, x_max, nx + 1)
     ys = np.linspace(y_min, y_max, ny + 1)
     gx, gy = np.meshgrid(xs, ys)  # row-major: y slow, x fast
@@ -148,6 +153,18 @@ class AssembledSystem:
         return self.matrix.shape[0]
 
 
+def _element_geometry(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Areas (nt,) and P1 basis gradients (nt, 3, 2) of the triangles with
+    vertices ``pts`` (nt, 3, 2)."""
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    # P1 gradients: phi_i = (a_i + b_i x + c_i y) / (2 area)
+    b = pts[:, [1, 2, 0], 1] - pts[:, [2, 0, 1], 1]
+    c = pts[:, [2, 0, 1], 0] - pts[:, [1, 2, 0], 0]
+    return area, np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
+
+
 def assemble_raw(
     mesh: StructuredMesh,
     medium: ElasticMedium,
@@ -156,34 +173,14 @@ def assemble_raw(
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Assemble stiffness minus frequency-shifted mass, no boundary handling.
 
+    Every lower (upper) triangle of the uniform mesh is a translate of the
+    first (second) one, so their two element matrices are tiled over the cells.
+
     ``body_force``, if given, is a vectorized callable (x, y) -> (fx, fy);
     the load is integrated with the three-point edge-midpoint rule (exact
     for quadratics, leaving the P1 convergence order untouched).
     """
-    pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
-    nt = pts.shape[0]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    # P1 gradients: phi_i = (a_i + b_i x + c_i y) / (2 area)
-    b = np.stack(
-        [
-            pts[:, 1, 1] - pts[:, 2, 1],
-            pts[:, 2, 1] - pts[:, 0, 1],
-            pts[:, 0, 1] - pts[:, 1, 1],
-        ],
-        axis=1,
-    )
-    c = np.stack(
-        [
-            pts[:, 2, 0] - pts[:, 1, 0],
-            pts[:, 0, 0] - pts[:, 2, 0],
-            pts[:, 1, 0] - pts[:, 0, 0],
-        ],
-        axis=1,
-    )
-    grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]  # (nt, 3, 2)
-
+    area, grads = _element_geometry(mesh.nodes[mesh.triangles[:2]])
     mu, lam, rho = medium.lame_mu, medium.lame_lambda, medium.rho
     eye2 = np.eye(2)
     gg = np.einsum("tid,tjd->tij", grads, grads)
@@ -198,16 +195,18 @@ def assemble_raw(
         mass3[None, :, None, :, None] * eye2[None, None, :, None, :]
     )
 
-    dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(nt, 6)
-    rows = np.broadcast_to(dofs[:, :, None], (nt, 6, 6)).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], (nt, 6, 6)).ravel()
+    nt = mesh.n_triangles
+    corners = mesh.triangles.astype(np.int32)
+    dofs = (2 * corners[:, :, None] + np.arange(2, dtype=np.int32)).reshape(nt, 6)
     n = 2 * mesh.n_nodes
-    matrix = sp.coo_matrix(
-        (ke.reshape(-1), (rows, cols)), shape=(n, n)
-    ).tocsr()
+    data = np.tile(ke.ravel(), nt // 2)  # triangles alternate lower, upper
+    rows, cols = np.repeat(dofs.ravel(), 6), np.tile(dofs, 6).ravel()
+    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     rhs = np.zeros(n)
     if body_force is not None:
+        pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
+        area = _element_geometry(pts)[0]
         mids = 0.5 * (pts + np.roll(pts, -1, axis=1))  # edge midpoints 01, 12, 20
         fx, fy = body_force(mids[..., 0], mids[..., 1])
         fx = np.broadcast_to(np.asarray(fx, dtype=float), (nt, 3))
@@ -232,15 +231,15 @@ def assemble(
     """Assemble and apply the homogeneous Dirichlet condition on the whole
     outer boundary by row/column elimination with a unit diagonal."""
     matrix, rhs = assemble_raw(mesh, medium, omega, body_force)
-    node_mask = mesh.boundary_node_mask()
-    mask = np.repeat(node_mask, 2)
-    keep = sp.diags((~mask).astype(float))
-    pin = sp.diags(mask.astype(float))
-    eliminated = (keep @ matrix @ keep + pin).tocsr()
-    eliminated.sum_duplicates()
+    mask = np.repeat(mesh.boundary_node_mask(), 2)
+    # every raw row stores its diagonal, so pinning it adds no entry
+    matrix.data[np.repeat(mask, np.diff(matrix.indptr)) | mask[matrix.indices]] = 0.0
+    pinned = np.flatnonzero(mask)
+    matrix[pinned, pinned] = 1.0
+    matrix.eliminate_zeros()
     rhs = np.where(mask, 0.0, rhs)
     return AssembledSystem(
-        matrix=eliminated, rhs=rhs, dirichlet_mask=mask, mesh=mesh
+        matrix=matrix, rhs=rhs, dirichlet_mask=mask, mesh=mesh
     )
 
 
@@ -271,24 +270,29 @@ def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
     return norm
 
 
-def direct_solve(system: AssembledSystem) -> np.ndarray:
-    """Solve the assembled system for its stored load vector.
-
-    The factorization is kept on the system object so repeated subdomain
-    solves reuse it; the relative residual is checked against 1e-10 (a
-    residual that is not a number fails the check).
-    """
-    lu = factorize(system)
-    x = lu.solve(system.rhs)
-    rhs_norm = _l2_norm(system.rhs)
+def _checked_solve(lu, matrix, rhs: np.ndarray) -> np.ndarray:
+    """``lu.solve(rhs)`` with the relative residual against ``matrix``
+    checked against 1e-10 (a residual that is not a number fails the
+    check); raises `SingularSystemError` on failure."""
+    x = lu.solve(rhs)
+    rhs_norm = _l2_norm(rhs)
     if rhs_norm > 0.0:
-        rel = _l2_norm(system.matrix @ x - system.rhs) / rhs_norm
+        rel = _l2_norm(matrix @ x - rhs) / rhs_norm
         if not rel <= 1e-10:
             raise SingularSystemError(
                 f"direct solve residual {rel:.3e} exceeds 1e-10; "
                 "the system is numerically singular or badly scaled"
             )
     return x
+
+
+def direct_solve(system: AssembledSystem) -> np.ndarray:
+    """Solve the assembled system for its stored load vector.
+
+    The factorization is kept on the system object so repeated subdomain
+    solves reuse it; the solve is a `_checked_solve`.
+    """
+    return _checked_solve(factorize(system), system.matrix, system.rhs)
 
 
 def interface_mode_amplitudes(trace: np.ndarray, ny: int) -> np.ndarray:

@@ -30,8 +30,10 @@ from scipy.sparse.linalg import gmres as scipy_gmres
 
 from .fem import (
     AssembledSystem,
+    SingularSystemError,
     StructuredMesh,
     _l2_norm,
+    _checked_solve,
     direct_solve,
     dominant_mode,
     interface_mode_amplitudes,
@@ -243,10 +245,13 @@ def _mirror_order(mesh: StructuredMesh, subdomains: list) -> np.ndarray | None:
 class RestrictedSolve:
     """The RAS subdomain solves of one system on one decomposition.
 
-    The subdomains are factored once, here.  Calling the object on a
-    vector, or a block of columns, over the free (non-Dirichlet) unknowns
-    solves every subdomain on its interior and keeps the part it owns;
-    that is the RAS preconditioner.  Given ``previous`` (a free-unknown
+    The subdomains are factored once, here, and each factor must solve
+    for ``A_i @ ones`` within the residual bound of `direct_solve`; a
+    factor that fails this, or a singular subdomain matrix, raises
+    `SingularSystemError`.  Calling the object on a vector, or a block
+    of columns, over the free (non-Dirichlet) unknowns solves every
+    subdomain on its interior and keeps the part it owns; that is the
+    RAS preconditioner.  Given ``previous`` (a free-unknown
     vector), each subdomain also takes Dirichlet data from it on its
     interface line, and dofs that no subdomain owns keep its value: that
     is one parallel Schwarz sweep.  Without it they come back zero.
@@ -286,7 +291,12 @@ class RestrictedSolve:
         if self._shared:
             del matrices[1:]
         # the subdomain matrices are symmetric: order on A^T + A
-        factors = [splu(a, permc_spec="MMD_AT_PLUS_A") for a in matrices]
+        try:
+            factors = [splu(a, permc_spec="MMD_AT_PLUS_A") for a in matrices]
+        except RuntimeError as exc:
+            raise SingularSystemError(f"subdomain factorization failed: {exc}") from exc
+        for a, lu in zip(matrices, factors):
+            _checked_solve(lu, a, a @ np.ones(a.shape[0]))
         self._parts = [
             (*part, lu) for part, lu in zip(parts, itertools.cycle(factors))
         ]

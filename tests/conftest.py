@@ -30,3 +30,23 @@ def poisoned_solve():
         return Poisoned
 
     return make
+
+
+@pytest.fixture(scope="session")
+def wrong_factor():
+    """Factory of `splu` stand-ins whose factors' `solve` is off by a
+    relative ``error``: a subdomain factorization gone bad without
+    raising, which only the factor check of `RestrictedSolve` sees."""
+    from scipy.sparse.linalg import splu
+
+    def make(error: float):
+        class Wrong:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return (1.0 + error) * self.lu.solve(rhs)
+
+        return lambda matrix, **kwargs: Wrong(splu(matrix, **kwargs))
+
+    return make

@@ -193,6 +193,15 @@ class TestErrorMapping:
         assert main(["modesim", "--out", str(tmp_path), "--k-count", "5"]) == 3
         assert "numerically singular" in capsys.readouterr().err
 
+    def test_wrong_subdomain_factor_exits_3(
+        self, tmp_path, monkeypatch, capsys, wrong_factor
+    ):
+        from elastic_schwarz import schwarz
+
+        monkeypatch.setattr(schwarz, "splu", wrong_factor(1e-6))
+        assert main(["schwarz", "--out", str(tmp_path), "--nx", "40", "--ny", "20"]) == 3
+        assert "solver error: direct solve residual" in capsys.readouterr().err
+
     def test_other_errors_are_not_solver_errors(self, tmp_path, monkeypatch):
         from elastic_schwarz import analysis
 

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -39,6 +41,74 @@ def manufactured_error(medium, omega, nx):
     return math.sqrt(mesh.hx * mesh.hy * float(np.sum(ex**2 + ey**2)))
 
 
+def reference_assemble(mesh, medium, omega, body_force=None):
+    """Per-triangle P1 assembly and Dirichlet elimination through two
+    sparse products: the oracle of `assemble`, which tiles the two
+    element matrices of the uniform mesh instead."""
+    pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
+    nt = pts.shape[0]
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    b = np.stack(
+        [
+            pts[:, 1, 1] - pts[:, 2, 1],
+            pts[:, 2, 1] - pts[:, 0, 1],
+            pts[:, 0, 1] - pts[:, 1, 1],
+        ],
+        axis=1,
+    )
+    c = np.stack(
+        [
+            pts[:, 2, 0] - pts[:, 1, 0],
+            pts[:, 0, 0] - pts[:, 2, 0],
+            pts[:, 1, 0] - pts[:, 0, 0],
+        ],
+        axis=1,
+    )
+    grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]  # (nt, 3, 2)
+
+    mu, lam, rho = medium.lame_mu, medium.lame_lambda, medium.rho
+    eye2 = np.eye(2)
+    gg = np.einsum("tid,tjd->tij", grads, grads)
+    gout = np.einsum("tia,tjb->tiajb", grads, grads)
+    mass3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    ke = mu * area[:, None, None, None, None] * (
+        gg[:, :, None, :, None] * eye2[None, None, :, None, :]
+    )
+    ke = ke + (lam + mu) * area[:, None, None, None, None] * gout
+    ke = ke - (rho * omega * omega) * area[:, None, None, None, None] * (
+        mass3[None, :, None, :, None] * eye2[None, None, :, None, :]
+    )
+
+    dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(nt, 6)
+    rows = np.broadcast_to(dofs[:, :, None], (nt, 6, 6)).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], (nt, 6, 6)).ravel()
+    n = 2 * mesh.n_nodes
+    matrix = sp.coo_matrix((ke.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+
+    rhs = np.zeros(n)
+    if body_force is not None:
+        mids = 0.5 * (pts + np.roll(pts, -1, axis=1))
+        fx, fy = body_force(mids[..., 0], mids[..., 1])
+        fx = np.broadcast_to(np.asarray(fx, dtype=float), (nt, 3))
+        fy = np.broadcast_to(np.asarray(fy, dtype=float), (nt, 3))
+        load = np.zeros((nt, 3, 2))
+        for comp, f in enumerate((fx, fy)):
+            load[:, 0, comp] = 0.5 * (f[:, 0] + f[:, 2])
+            load[:, 1, comp] = 0.5 * (f[:, 0] + f[:, 1])
+            load[:, 2, comp] = 0.5 * (f[:, 1] + f[:, 2])
+        load *= (area / 3.0)[:, None, None]
+        np.add.at(rhs, dofs.reshape(-1), load.reshape(-1))
+
+    mask = np.repeat(mesh.boundary_node_mask(), 2)
+    keep = sp.diags((~mask).astype(float))
+    pin = sp.diags(mask.astype(float))
+    eliminated = (keep @ matrix @ keep + pin).tocsr()
+    eliminated.sum_duplicates()
+    return eliminated, np.where(mask, 0.0, rhs)
+
+
 class TestBuildMesh:
     def test_reference_mesh_counts(self):
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 80, 40)
@@ -62,6 +132,17 @@ class TestBuildMesh:
         with pytest.raises(ValueError, match="nx"):
             build_mesh((0.0, 1.0), (0.0, 1.0), 0, 4)
 
+    def test_rejects_dofs_past_int32_before_allocating(self):
+        # 2 * 50001**2 dofs: the node array alone would take 40 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="nx=50000, ny=50000"):
+                build_mesh((0.0, 1.0), (0.0, 1.0), 50_000, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     @given(
         nx=st.integers(1, 8),
         ny=st.integers(1, 8),
@@ -81,6 +162,38 @@ class TestBuildMesh:
 
 
 class TestAssemble:
+    @given(
+        nx=st.integers(1, 12),
+        ny=st.integers(1, 12),
+        x0=st.floats(-2.0, 0.0),
+        width=st.floats(0.5, 3.0),
+        omega=st.sampled_from([0.0, 1.0, 5.0]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_per_triangle_oracle(self, medium, nx, ny, x0, width, omega):
+        mesh = build_mesh((x0, x0 + width), (0.0, 1.0), nx, ny)
+        force = manufactured_force(medium, omega)
+        want, want_rhs = reference_assemble(mesh, medium, omega, force)
+        system = assemble(mesh, medium, omega, force)
+        got = system.matrix
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+        np.testing.assert_array_equal(system.rhs, want_rhs)
+
+    def test_peak_memory_is_a_few_matrices(self, medium):
+        # the per-triangle assembly peaked at 14.0 times the returned CSR
+        # arrays at this size, the tiled one at 7.2
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 160, 80)
+        tracemalloc.start()
+        try:
+            matrix = assemble(mesh, medium, 5.0).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak <= 9.0 * size
+
     def test_symmetry_before_elimination(self, medium):
         matrix, _ = assemble_raw(build_mesh((0.0, 1.0), (0.0, 1.0), 8, 8), medium, 1.0)
         dev = np.abs((matrix - matrix.T).toarray()).max()

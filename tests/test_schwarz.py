@@ -312,6 +312,31 @@ class TestSharedFactor:
         assert close(x, want)
 
 
+class TestFactorCheck:
+    @pytest.mark.parametrize("case", ["shared", "asymmetric"])
+    def test_wrong_factor_is_singular(self, medium, monkeypatch, wrong_factor, case):
+        x_max = 1.5 if case == "asymmetric" else 1.0
+        mesh = build_mesh((-1.0, x_max), (0.0, 1.0), 40, 20)
+        setup = (assemble(mesh, medium, 1.0), decompose(mesh, 4))
+        monkeypatch.setattr(schwarz, "splu", wrong_factor(1e-6))
+        with pytest.raises(fem.SingularSystemError, match="residual"):
+            RestrictedSolve(*setup)
+
+    def test_exactly_singular_subdomain(self, small_setup):
+        system, dec = small_setup
+        matrix = system.matrix.tolil()
+        dof = dec.subdomains[0].interior_free[0]
+        matrix[dof, :] = 0.0
+        matrix[:, dof] = 0.0
+        system = dataclasses.replace(system, matrix=matrix.tocsr())
+        with pytest.raises(fem.SingularSystemError, match="exactly singular"):
+            RestrictedSolve(system, dec)
+
+    def test_roundoff_passes(self, small_setup, monkeypatch, wrong_factor):
+        monkeypatch.setattr(schwarz, "splu", wrong_factor(1e-13))
+        RestrictedSolve(*small_setup)
+
+
 class TestRasApply:
     def test_zero_residual(self, small_setup):
         system, dec = small_setup
