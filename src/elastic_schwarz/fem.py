@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,6 @@ __all__ = [
     "build_mesh",
     "assemble_raw",
     "assemble",
-    "factorize",
     "direct_solve",
     "interface_mode_amplitudes",
     "dominant_mode",
@@ -82,10 +81,6 @@ class StructuredMesh:
     @property
     def n_triangles(self) -> int:
         return 2 * self.nx * self.ny
-
-    def node_index(self, i: int, j: int) -> int:
-        """Node id of grid position (column i, row j)."""
-        return j * (self.nx + 1) + i
 
     def node_columns(self) -> np.ndarray:
         """Column index i of every node, in node order."""
@@ -146,7 +141,6 @@ class AssembledSystem:
     rhs: np.ndarray
     dirichlet_mask: np.ndarray
     mesh: StructuredMesh
-    _lu: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -243,18 +237,6 @@ def assemble(
     )
 
 
-def factorize(system: AssembledSystem):
-    """Sparse LU of the system matrix, cached on the system for reuse.
-
-    Uses SuperLU with its column approximate-minimum-degree ordering."""
-    if system._lu is None:
-        try:
-            system._lu = splu(system.matrix.tocsc())
-        except RuntimeError as exc:
-            raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-    return system._lu
-
-
 def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
     """sqrt(weight * sum v^2) of a real vector (``np.linalg.norm`` for unit
     weight), finite whenever that value is: only when the squares
@@ -287,12 +269,14 @@ def _checked_solve(lu, matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def direct_solve(system: AssembledSystem) -> np.ndarray:
-    """Solve the assembled system for its stored load vector.
-
-    The factorization is kept on the system object so repeated subdomain
-    solves reuse it; the solve is a `_checked_solve`.
-    """
-    return _checked_solve(factorize(system), system.matrix, system.rhs)
+    """Solve the assembled system for its stored load vector: a SuperLU
+    factorization (column approximate-minimum-degree ordering) and a
+    `_checked_solve`."""
+    try:
+        lu = splu(system.matrix.tocsc())
+    except RuntimeError as exc:
+        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+    return _checked_solve(lu, system.matrix, system.rhs)
 
 
 def interface_mode_amplitudes(trace: np.ndarray, ny: int) -> np.ndarray:

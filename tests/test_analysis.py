@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastic_schwarz import modesim
+from elastic_schwarz import analysis, modesim
 from elastic_schwarz.analysis import (
     DegenerateModeError,
     ElasticMedium,
@@ -352,6 +352,17 @@ class TestSweep:
             sweep(medium, 1.0, 0.1, [0.0, 0.0, 1.0])
 
 
+def assert_band_maximum(medium, omega, delta, k, rho):
+    """``rho`` is the factor at ``k`` and at least its value on the
+    2001-point band grid and at k (1 +- 1e-6)."""
+    assert convergence_factor(medium, omega, k, delta) == rho
+    lo, hi = omega / medium.cp, omega / medium.cs
+    grid = np.linspace(lo, hi, 2003)[1:-1]
+    assert rho >= convergence_factor(medium, omega, grid, delta).max()
+    near = k * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+    assert rho >= convergence_factor(medium, omega, near, delta).max()
+
+
 class TestMaxRho:
     def test_matches_asymptotic_slope(self, medium):
         slope = asymptotic_slope(1.0, 0.5, 1.0)
@@ -363,9 +374,34 @@ class TestMaxRho:
         assert 1.0 < k1 < 2.0 and rho1 > 1.0
         k5, rho5 = max_rho(medium, 5.0, 0.1)
         assert 5.0 < k5 < 10.0 and rho5 > 1.0
-        # frozen values from this implementation, regression guard
-        assert k1 == pytest.approx(1.0765075159118331, rel=1e-9)
+        # frozen value, regression guard; the maximizer itself is not
+        # frozen: rho is flat to double precision over about 1e-8..1e-7
+        # relative in k around it, so k records only the search path
         assert rho1 == pytest.approx(1.134133619821779, rel=1e-12)
+        assert_band_maximum(medium, 1.0, 0.1, k1, rho1)
+
+    @given(medium=media, omega=st.floats(0.1, 10.0), log_delta=st.floats(-4.0, 0.0))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_band_maximum_properties(self, medium, omega, log_delta):
+        delta = 10.0**log_delta
+        k, rho = max_rho(medium, omega, delta)
+        assert omega / medium.cp < k < omega / medium.cs
+        assert_band_maximum(medium, omega, delta, k, rho)
+
+    def test_few_array_evaluations(self, medium, monkeypatch):
+        calls = []
+        original = analysis.convergence_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "convergence_factor", counting)
+        for omega in (1.0, 5.0):
+            for delta in (1e-1, 1e-2, 1e-3, 1e-4):
+                calls.clear()
+                max_rho(medium, omega, delta)
+                assert 1 <= len(calls) <= 8
 
     def test_rejects_zero_overlap(self, medium):
         with pytest.raises(ValueError, match="delta"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -283,15 +284,14 @@ class TestDirectSolve:
         assert system.dirichlet_mask.all()
         np.testing.assert_array_equal(direct_solve(system), np.zeros(8))
 
-    def test_residual_check_survives_overflowing_norms(self):
+    def test_residual_check_survives_overflowing_norms(self, monkeypatch):
         # the squares of a load scaled by 1e200 overflow; a factor that
         # returns half the answer must still fail the residual check
-        import scipy.sparse as sp
-
         class HalfSolve:
             def solve(self, b):
                 return 0.5 * b
 
+        monkeypatch.setattr(fem, "splu", lambda matrix: HalfSolve())
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
         for scale in (1.0, 1e200):
             system = fem.AssembledSystem(
@@ -299,35 +299,34 @@ class TestDirectSolve:
                 rhs=scale * np.arange(1.0, 2.0 * mesh.n_nodes + 1.0),
                 dirichlet_mask=np.zeros(2 * mesh.n_nodes, dtype=bool),
                 mesh=mesh,
-                _lu=HalfSolve(),
             )
             with pytest.raises(fem.SingularSystemError, match="residual"):
                 direct_solve(system)
 
-    def test_nan_residual_fails_the_check(self):
-        import scipy.sparse as sp
-
+    def test_nan_residual_fails_the_check(self, monkeypatch):
         class NanSolve:
             def solve(self, b):
                 return np.full_like(b, np.nan)
 
+        monkeypatch.setattr(fem, "splu", lambda matrix: NanSolve())
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
         system = fem.AssembledSystem(
             matrix=sp.identity(2 * mesh.n_nodes, format="csr"),
             rhs=np.ones(2 * mesh.n_nodes),
             dirichlet_mask=np.zeros(2 * mesh.n_nodes, dtype=bool),
             mesh=mesh,
-            _lu=NanSolve(),
         )
         with pytest.raises(fem.SingularSystemError, match="residual"):
             direct_solve(system)
 
-    def test_factorization_is_cached(self, medium):
+    def test_replaced_matrix_solves_its_own_system(self, medium):
+        # a system copied with another matrix must not solve with the
+        # factor of the original one
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 6, 6)
         system = assemble(mesh, medium, 1.0, manufactured_force(medium, 1.0))
-        lu_first = fem.factorize(system)
-        direct_solve(system)
-        assert fem.factorize(system) is lu_first
+        u = direct_solve(system)
+        doubled = dataclasses.replace(system, matrix=2.0 * system.matrix)
+        np.testing.assert_allclose(direct_solve(doubled), 0.5 * u, rtol=1e-12, atol=0.0)
 
 
 class TestInterfaceModeAmplitudes:
