@@ -112,6 +112,14 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"field {key}: cannot parse value {raw!r}") from exc
 
 
+# configuration keys with a command-line flag (--overlap-cells for
+# overlap_cells), in --help order
+_FLAG_KEYS = (
+    "seed", "omega", "overlap_cells", "nx", "ny", "tol", "delta", "k_min",
+    "k_max", "k_count", "n_iter", "max_iter", "restart", "initial_error",
+    "noise", "single_domain", "identity_system",
+)
+
 _RESERVED_KEYS = {"command", "converged", "stagnated", "nonfinite_at"}
 
 
@@ -200,6 +208,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.omega > 0, "omega", f"must be > 0, got {cfg.omega}")
     need(cfg.delta >= 0, "delta", f"must be >= 0, got {cfg.delta}")
     need(cfg.nx >= 1 and cfg.ny >= 1, "nx/ny", "must be >= 1")
+    try:
+        fem.check_dof_count(cfg.nx, cfg.ny)
+    except ValueError as exc:
+        raise ConfigError(f"field nx/ny: {exc}") from exc
     need(cfg.x_max > cfg.x_min, "x_min/x_max", "range is degenerate")
     need(cfg.y_max > cfg.y_min, "y_min/y_max", "range is degenerate")
     need(cfg.k_min >= 0, "k_min", f"must be >= 0, got {cfg.k_min}")
@@ -590,27 +602,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="key=value configuration file")
         p.add_argument("--out", metavar="DIR", default="out", help="output directory")
-        p.add_argument("--seed", type=int, metavar="N")
-        p.add_argument("--omega", type=float, metavar="F")
-        p.add_argument("--overlap-cells", dest="overlap_cells", type=int, metavar="N")
-        p.add_argument("--nx", type=int, metavar="N")
-        p.add_argument("--ny", type=int, metavar="N")
-        p.add_argument("--tol", type=float, metavar="F")
-        p.add_argument("--delta", type=float, metavar="F")
-        p.add_argument("--k-min", dest="k_min", type=float, metavar="F")
-        p.add_argument("--k-max", dest="k_max", type=float, metavar="F")
-        p.add_argument("--k-count", dest="k_count", type=int, metavar="N")
-        p.add_argument("--n-iter", dest="n_iter", type=int, metavar="N")
-        p.add_argument("--max-iter", dest="max_iter", type=int, metavar="N")
-        p.add_argument("--restart", type=int, metavar="N")
-        p.add_argument("--initial-error", dest="initial_error", type=float, metavar="F")
-        p.add_argument("--noise", type=float, metavar="F")
-        p.add_argument(
-            "--single-domain", dest="single_domain", action="store_const", const=True
-        )
-        p.add_argument(
-            "--identity-system", dest="identity_system", action="store_const", const=True
-        )
+        for key in _FLAG_KEYS:
+            flag, kind = "--" + key.replace("_", "-"), _KEY_TYPES[key]
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=kind, metavar="N" if kind is int else "F")
     return parser
 
 
@@ -627,9 +624,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
-        key: getattr(args, key)
-        for key in _KEY_TYPES
-        if hasattr(args, key) and getattr(args, key) is not None
+        key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None
     }
     try:
         cfg = load_config(args.config, overrides)

@@ -27,6 +27,7 @@ __all__ = [
     "StructuredMesh",
     "AssembledSystem",
     "SingularSystemError",
+    "check_dof_count",
     "build_mesh",
     "assemble_raw",
     "assemble",
@@ -93,6 +94,16 @@ class StructuredMesh:
         return (i == 0) | (i == self.nx) | (j == 0) | (j == self.ny)
 
 
+def check_dof_count(nx: int, ny: int) -> None:
+    """Raise ValueError if int32 indices cannot hold the dofs of an
+    ``nx`` x ``ny`` mesh (assembly indexes them as int32)."""
+    n_dofs = 2 * (nx + 1) * (ny + 1)
+    if n_dofs > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"nx={nx}, ny={ny} give {n_dofs} dofs, more than int32 indices hold"
+        )
+
+
 def build_mesh(
     x_range: tuple[float, float], y_range: tuple[float, float], nx: int, ny: int
 ) -> StructuredMesh:
@@ -103,11 +114,7 @@ def build_mesh(
         raise ValueError(f"degenerate ranges x={x_range}, y={y_range}")
     if nx < 1 or ny < 1:
         raise ValueError(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
-    if 2 * (nx + 1) * (ny + 1) > np.iinfo(np.int32).max:
-        raise ValueError(
-            f"nx={nx}, ny={ny} give {2 * (nx + 1) * (ny + 1)} dofs, "
-            "more than int32 indices hold"
-        )
+    check_dof_count(nx, ny)
     xs = np.linspace(x_min, x_max, nx + 1)
     ys = np.linspace(y_min, y_max, ny + 1)
     gx, gy = np.meshgrid(xs, ys)  # row-major: y slow, x fast

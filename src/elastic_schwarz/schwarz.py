@@ -3,14 +3,16 @@ discretization, the restricted additive Schwarz (RAS) preconditioner, the
 spectrum of the preconditioned operator, and preconditioned GMRES.
 
 The parallel Schwarz sweep and the stationary RAS iteration are the same
-algorithm: subdomain ownership is a disjoint {0,1} partition of unity
-split at the overlap midline, each subdomain solves with Dirichlet data
-injected from the previous glued iterate at its interface mesh line, and
-the owned values are written back.  All Krylov and spectrum work happens
-on the non-Dirichlet unknowns (the eliminated dofs carry a pinned unit
-diagonal and would only pad the spectrum with ones).  All four run
-through one operator, `RestrictedSolve`: each subdomain solves on its
-interior and keeps the part it owns.
+algorithm (Efstathiou and Gander, BIT 2003): subdomain ownership is a
+disjoint {0,1} partition of unity split at the overlap midline, and
+solving each subdomain with Dirichlet data from the previous glued
+iterate, then writing back the owned values, is the residual step
+x + M^-1 (b - A x) of the RAS preconditioner M^-1.  So the sweep runs as
+that step.  All Krylov and spectrum work happens on the non-Dirichlet
+unknowns (the eliminated dofs carry a pinned unit diagonal and would
+only pad the spectrum with ones).  Everything runs through one operator,
+`RestrictedSolve`, which is M^-1: each subdomain solves on its interior
+and keeps the part it owns.
 
 The RAS error propagator T = I - M^-1 A reads its argument only on the
 interface unknowns (`interface_unknowns`), so the spectrum of M^-1 A is
@@ -91,16 +93,11 @@ class Decomposition:
     mesh: StructuredMesh
     overlap_cells: int
     subdomains: list
-    owner: np.ndarray
     midline_col: int | None
 
     @property
     def overlap_width(self) -> float:
         return self.overlap_cells * self.mesh.hx
-
-
-def _free_dof_mask(mesh: StructuredMesh) -> np.ndarray:
-    return ~np.repeat(mesh.boundary_node_mask(), 2)
 
 
 def subdomain_columns(
@@ -172,21 +169,15 @@ def decompose(mesh: StructuredMesh, overlap_cells: int) -> Decomposition:
             )
         )
 
-    owner = np.where(np.repeat(cols, 2) < mid_col, 0, 1)
     return Decomposition(
-        mesh=mesh,
-        overlap_cells=overlap_cells,
-        subdomains=subs,
-        owner=owner,
-        midline_col=mid_col,
+        mesh=mesh, overlap_cells=overlap_cells, subdomains=subs, midline_col=mid_col
     )
 
 
 def single_domain(mesh: StructuredMesh) -> Decomposition:
     """Degenerate decomposition with one subdomain covering everything;
     RAS then reduces to the exact solve."""
-    free = _free_dof_mask(mesh)
-    all_free = np.flatnonzero(free)
+    all_free = np.flatnonzero(~np.repeat(mesh.boundary_node_mask(), 2))
     sub = Subdomain(
         interior_free=all_free,
         interface_free=np.array([], dtype=np.int64),
@@ -197,7 +188,6 @@ def single_domain(mesh: StructuredMesh) -> Decomposition:
         mesh=mesh,
         overlap_cells=0,
         subdomains=[sub],
-        owner=np.zeros(2 * mesh.n_nodes, dtype=np.int64),
         midline_col=None,
     )
 
@@ -210,9 +200,10 @@ def interface_unknowns(
     (boundary dofs left free by a system without Dirichlet rows).
 
     The RAS error propagator T = I - M^-1 A reads its argument only there:
-    an owned dof gets -(subdomain solve of the interface coupling), an
-    unowned one keeps its value.  So T = T[:, S] R_S, and the eigenvalues
-    of M^-1 A are those of its S x S block plus n - |S| exact ones.
+    an owned dof gets minus its subdomain's solve of A[interior, interface]
+    applied to the interface values, an unowned one keeps its value.  So
+    T = T[:, S] R_S, and the eigenvalues of M^-1 A are those of its S x S
+    block plus n - |S| exact ones.
     """
     read = np.zeros(system.n_dofs, dtype=bool)
     owned = np.zeros(system.n_dofs, dtype=bool)
@@ -245,10 +236,7 @@ class RestrictedSolve:
     `SingularSystemError`.  Calling the object on a vector, or a block
     of columns, over the free (non-Dirichlet) unknowns solves every
     subdomain on its interior and keeps the part it owns; that is the
-    RAS preconditioner.  Given ``previous`` (a free-unknown
-    vector), each subdomain also takes Dirichlet data from it on its
-    interface line, and dofs that no subdomain owns keep its value: that
-    is one parallel Schwarz sweep.  Without it they come back zero.
+    RAS preconditioner M^-1.  Dofs that no subdomain owns come back zero.
 
     When the point reflection of the rectangle maps the right interior
     onto the left one (`_mirror_order`) and the two subdomain matrices
@@ -270,14 +258,11 @@ class RestrictedSolve:
         for i, sub in enumerate(decomposition.subdomains):
             order = np.arange(sub.interior_free.size) if mirror is None or not i else mirror
             interior = sub.interior_free[order]
-            rows = matrix[interior]
-            matrices.append(rows[:, interior].tocsc())
+            matrices.append(matrix[interior][:, interior].tocsc())
             parts.append((
                 pos[interior],
                 pos[sub.owned_free],
                 np.argsort(order)[sub.owned_in_interior],
-                pos[sub.interface_free],
-                rows[:, sub.interface_free].tocsr(),
             ))
         self._shared = mirror is not None and (
             abs(matrices[1] - matrices[0]).max() <= 1e-12 * abs(matrices[0]).max()
@@ -295,30 +280,18 @@ class RestrictedSolve:
             (*part, lu) for part, lu in zip(parts, itertools.cycle(factors))
         ]
 
-    def __call__(
-        self, v: np.ndarray, previous: np.ndarray | None = None
-    ) -> np.ndarray:
-        z = np.zeros_like(v) if previous is None else previous.copy()
-
-        def rhs(interior, interface, coupling):
-            return (
-                v[interior] if previous is None
-                else v[interior] - coupling @ previous[interface]
-            )
-
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        z = np.zeros_like(v)
         if self._shared and v.ndim == 1:
             # both right-hand sides as the columns of one solve
-            both = self._parts[0][-1].solve(np.array([
-                rhs(interior, interface, coupling)
-                for interior, _, _, interface, coupling, _ in self._parts
-            ]).T)
-            for (_, owned, keep, *_), x in zip(self._parts, both.T):
+            both = self._parts[0][-1].solve(
+                np.array([v[interior] for interior, *_ in self._parts]).T
+            )
+            for (_, owned, keep, _), x in zip(self._parts, both.T):
                 z[owned] = x[keep]
             return z
-        for interior, owned, keep, interface, coupling, lu in self._parts:
-            # the right-hand side stays unnamed so it is freed before the
-            # owned rows are copied out of the solution
-            z[owned] = lu.solve(rhs(interior, interface, coupling))[keep]
+        for interior, owned, keep, lu in self._parts:
+            z[owned] = lu.solve(v[interior])[keep]
         return z
 
 
@@ -386,7 +359,8 @@ def schwarz_iterate(
     n_iter: int,
 ) -> tuple[np.ndarray, ErrorHistory]:
     """Parallel Schwarz sweep: both subdomains solve simultaneously with
-    interface data from the previous glued iterate.
+    interface data from the previous glued iterate, run as the RAS step
+    x + M^-1 (b - A x); dofs that no subdomain owns keep their value.
 
     The error is measured against the exact discrete solution (zero for a
     zero load, a direct solve otherwise); divergence is a valid outcome.
@@ -401,15 +375,12 @@ def schwarz_iterate(
         np.zeros_like(x) if not np.any(b) else direct_solve(system)
     )
     solve = RestrictedSolve(system, decomposition)
-    free = solve.free
-    b_free = b[free]
 
     records = []
     iterate = x
     for n in range(n_iter + 1):
         if n:
-            iterate = x.copy()
-            iterate[free] = solve(b_free, previous=x[free])
+            iterate = x + ras_apply(solve, b - system.matrix @ x)
         record = _record(system.mesh, decomposition.midline_col, iterate - reference)
         if not all(math.isfinite(value) for value in record):
             break
@@ -582,11 +553,14 @@ def gmres(
 
     while len(history) <= max_iter and not (converged or stagnated or nonfinite):
         start = len(history)
-        candidate, _ = scipy_gmres(
-            operator, b_pre, x0=x, rtol=tol, atol=0.0,
-            restart=min(cycle_len, max_iter + 1 - start), maxiter=1,
-            callback=history.append, callback_type="pr_norm",
-        )
+        # a non-finite solve makes SciPy's own dot products warn; the
+        # check below stops the run
+        with np.errstate(invalid="ignore"):
+            candidate, _ = scipy_gmres(
+                operator, b_pre, x0=x, rtol=tol, atol=0.0,
+                restart=min(cycle_len, max_iter + 1 - start), maxiter=1,
+                callback=history.append, callback_type="pr_norm",
+            )
         estimates = history[start:]
         relres = _l2_norm(solve(b - a @ candidate)) / math.ldexp(b_norm, -exponent)
         finite = np.isfinite(estimates + [relres])

@@ -22,9 +22,9 @@ def poisoned_solve():
         class Poisoned(RestrictedSolve):
             calls = 0
 
-            def __call__(self, v, previous=None):
+            def __call__(self, v):
                 self.calls += 1
-                z = super().__call__(v, previous)
+                z = super().__call__(v)
                 return z if self.calls <= clean else np.full_like(z, np.inf)
 
         return Poisoned

@@ -250,9 +250,9 @@ def leading_propagator_mode(omega: float) -> tuple[float, int]:
     unknowns of the reference setup, and the dominant midline u_x sine mode
     of its leading eigenvector.
 
-    The propagator goes through `RestrictedSolve` without ``previous=``
-    (the RAS path), not through the sweep, so it is an independent
-    prediction of the sweep's rate: r per sweep, r^2 per double sweep.
+    The propagator is the operator v -> v - M^-1 A v handed to ARPACK,
+    not a run of sweeps, so it is an independent prediction of the
+    sweep's rate: r per sweep, r^2 per double sweep.
     k = 4 resolves the +-r pair the two-subdomain propagator carries.
     """
     key = ("propagator", omega)

@@ -236,6 +236,14 @@ class TestSchwarzCommand:
         assert code == 2
         assert "midline" in capsys.readouterr().err
 
+    def test_mesh_past_int32_dofs_exits_2(self, tmp_path, capsys):
+        # 2.4e9 dofs: the configuration check refuses them before any work
+        out = tmp_path / "big"
+        code = main(["schwarz", "--out", str(out), "--nx", "40000", "--ny", "30000"])
+        assert code == 2
+        assert "field nx/ny: nx=40000, ny=30000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_iterate_exits_6(self, tmp_path, capsys):
         # at omega=5 the iterate grows ~7.7x per double sweep: from 1e300 it
         # overflows within the 25 sweeps
@@ -331,6 +339,7 @@ class TestGmresCommand:
         flag, body = flagged_history(tmp_path / "ras_history.csv")
         assert not flag and len(body) == 51
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_gmres_exits_6(self, tmp_path, capsys, monkeypatch, poisoned_solve):
         # the subdomain solves break down after the load and three Krylov steps
         from elastic_schwarz import schwarz
