@@ -10,7 +10,6 @@ from .analysis import (
     classify_zone,
     convergence_factor,
     eigenvalues_closed_form,
-    first_order_rho,
     iteration_matrix,
     max_rho,
     sweep,
@@ -25,7 +24,6 @@ __all__ = [
     "classify_zone",
     "convergence_factor",
     "eigenvalues_closed_form",
-    "first_order_rho",
     "iteration_matrix",
     "max_rho",
     "sweep",

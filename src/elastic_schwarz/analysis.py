@@ -44,7 +44,6 @@ __all__ = [
     "max_rho",
     "asymptotic_slope",
     "first_order_coefficient",
-    "first_order_rho",
 ]
 
 # |k^2 - lambda1*lambda2| can be shown to stay strictly positive for real k,
@@ -217,6 +216,20 @@ class ModeSymbol:
     zone: Zone | np.ndarray
 
 
+def _root_gap(ks, prod, omega: float, cp: float, cs: float) -> np.ndarray:
+    # k^2 - lambda1*lambda2 cancels to nothing at large k.  Beyond omega/cs,
+    # where both roots are real and positive, it equals
+    # (k^2 (a + b) - a b) / (k^2 + lambda1*lambda2) with a = (omega/cs)^2
+    # and b = (omega/cp)^2, taken here divided through by k^2 so that no
+    # product of squares overflows.  Not below omega/cs: that denominator
+    # vanishes at k^2 = a b / (a + b)
+    a, b, k2 = (omega / cs) ** 2, (omega / cp) ** 2, ks * ks
+    gap = k2 - prod
+    far = k2 > a
+    gap[far] = (a + b - a * (b / k2[far])) / (1.0 + prod[far] / k2[far])
+    return gap
+
+
 def characteristic_roots(medium: ElasticMedium, omega: float, k) -> ModeSymbol:
     """Decay roots and auxiliary ratios for one Fourier mode, or for each
     of an array of wavenumbers.
@@ -234,7 +247,7 @@ def characteristic_roots(medium: ElasticMedium, omega: float, k) -> ModeSymbol:
     lam1 = principal_sqrt(rad_s)
     lam2 = principal_sqrt(rad_p)
     prod = lam1 * lam2
-    den = ks * ks - prod
+    den = _root_gap(ks, prod, omega, cp, cs)
     degenerate = np.abs(den) < _ROOT_PRODUCT_GUARD
     if np.any(degenerate):
         i = int(np.argmax(degenerate))
@@ -306,7 +319,7 @@ def iteration_matrix(
         raise ValueError(f"delta must be >= 0, got {delta}")
     sym = characteristic_roots(medium, omega, _vector(k))
     l1, l2, k_ = sym.lambda1, sym.lambda2, sym.k
-    den = k_ * k_ - l1 * l2
+    den = _root_gap(k_, l1 * l2, omega, medium.cp, medium.cs)
     x1, x2 = sym.x1, sym.x2
     # x1*x2 * (l1/l2) with the l2 factor cancelled, finite at the cut-offs
     z = x1 * (-2j * k_ * l1) / den
@@ -466,8 +479,3 @@ def first_order_coefficient(medium: ElasticMedium, omega: float, k):
         2.0 * omega * omega * lam2 * shear_sq
         / (cp * cp * (ks**4 + shear_sq * rad_p)),
     )
-
-
-def first_order_rho(medium: ElasticMedium, omega: float, k, delta: float):
-    """First-order-in-overlap value of the convergence factor at fixed k."""
-    return 1.0 + first_order_coefficient(medium, omega, k) * delta

@@ -9,7 +9,7 @@ starts with comment lines serializing the resolved configuration, so any
 file can be reproduced by feeding its own header back in (the output
 directory itself is deliberately not part of the header).
 
-Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 operator
+Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 spectrum
 memory budget exceeded, 5 verification failure, 6 non-finite iterate (the
 history stops before it and carries a ``nonfinite_at=`` header line).
 """
@@ -122,6 +122,10 @@ _FLAG_KEYS = (
 
 _RESERVED_KEYS = {"command", "converged", "stagnated", "nonfinite_at"}
 
+# bound of omega/cs and k_max: the closed form squares both and adds the
+# squares, which must stay below overflow
+_ROOT_MAX = math.sqrt(sys.float_info.max) / 2
+
 
 def parse_kv_lines(lines) -> dict:
     """Parse flat key=value lines.  Blank lines are skipped; '#' lines are
@@ -180,6 +184,7 @@ def _resolve(given: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for key, value in given.items():
         setattr(cfg, key, value)
+    _check_finite(cfg, given)
 
     try:
         if lame_given:
@@ -200,12 +205,22 @@ def _resolve(given: dict) -> ExperimentConfig:
     return cfg
 
 
+def _check_finite(cfg: ExperimentConfig, keys) -> None:
+    for key in keys:
+        value = getattr(cfg, key)
+        if _KEY_TYPES[key] is float and not math.isfinite(value):
+            raise ConfigError(f"field {key}: must be finite, got {value}")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     def need(cond: bool, field: str, msg: str):
         if not cond:
             raise ConfigError(f"field {field}: {msg}")
 
+    _check_finite(cfg, _KEY_TYPES)  # also the material keys derived from the given ones
     need(cfg.omega > 0, "omega", f"must be > 0, got {cfg.omega}")
+    need(cfg.omega / cfg.cs <= _ROOT_MAX, "omega",
+         f"omega/cs = {cfg.omega / cfg.cs:.3g} must be <= {_ROOT_MAX:.3g}")
     need(cfg.delta >= 0, "delta", f"must be >= 0, got {cfg.delta}")
     need(cfg.nx >= 1 and cfg.ny >= 1, "nx/ny", "must be >= 1")
     try:
@@ -216,6 +231,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.y_max > cfg.y_min, "y_min/y_max", "range is degenerate")
     need(cfg.k_min >= 0, "k_min", f"must be >= 0, got {cfg.k_min}")
     need(cfg.k_max > cfg.k_min, "k_max", "must exceed k_min")
+    need(cfg.k_max <= _ROOT_MAX, "k_max",
+         f"must be <= {_ROOT_MAX:.3g}, got {cfg.k_max}")
     need(cfg.k_count >= 2, "k_count", "must be >= 2")
     need(cfg.tol > 0, "tol", f"must be > 0, got {cfg.tol}")
     need(cfg.max_iter >= 1, "max_iter", "must be >= 1")

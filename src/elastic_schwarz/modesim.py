@@ -10,18 +10,15 @@ estimates the spectral radius directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import ModeSymbol, _shaped, _stack_2x2, basis_matrices
 
 __all__ = [
-    "CoefficientState",
     "SingularBasisError",
     "numeric_iteration_matrix",
     "numeric_iteration_matrix_inverse",
-    "interface_step",
     "power_growth",
 ]
 
@@ -34,13 +31,16 @@ class SingularBasisError(ValueError):
 
 def _invert_2x2(m: np.ndarray, what: str) -> np.ndarray:
     # Explicit adjugate: deterministic, no pivoting ambiguity at this size.
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    singular = np.abs(det) < _DET_GUARD
+    # An overflowed basis (a huge overlap or wavenumber) has a determinant
+    # that is not finite, and counts as singular.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    singular = ~np.isfinite(det) | (np.abs(det) < _DET_GUARD)
     if np.any(singular):
         i = int(np.argmax(singular))
-        size = abs(np.ravel(det)[i])
+        size = float(abs(np.ravel(det)[i]))
         largest = float(np.abs(m.reshape(-1, 2, 2)[i]).max())
-        cond = largest * largest / size if size != 0 else math.inf
+        cond = largest * largest / size if 0 < size < math.inf else math.inf
         raise SingularBasisError(
             f"{what} is numerically singular (matrix {i} of the stack): "
             f"|det| = {size:.3e}, condition estimate ~ {cond:.3e}"
@@ -53,7 +53,8 @@ def _bases(sym: ModeSymbol, delta: float) -> list[np.ndarray]:
     # m_x, n_x at the overlap plane, then at the zero plane, as stacks with
     # a leading mode axis (one mode for a scalar k)
     shape = np.shape(np.atleast_1d(sym.k)) + (2, 2)
-    pairs = (basis_matrices(sym, x) for x in (delta, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # `_invert_2x2` rejects it
+        pairs = [basis_matrices(sym, x) for x in (delta, 0.0)]
     return [m.reshape(shape) for pair in pairs for m in (pair.m_x, pair.n_x)]
 
 
@@ -89,27 +90,6 @@ def numeric_iteration_matrix_inverse(sym: ModeSymbol, delta: float) -> np.ndarra
         @ n_zero
         @ _invert_2x2(n_overlap, "right basis at the overlap plane")
         @ m_overlap,
-    )
-
-
-@dataclass(frozen=True)
-class CoefficientState:
-    """Coefficient pairs of both subdomains at one sweep index (shape
-    (..., 2) for a stack of modes)."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    iteration: int
-
-
-def interface_step(state: CoefficientState, sym: ModeSymbol, delta: float) -> CoefficientState:
-    """One parallel sweep: each side refits its coefficients to the other
-    side's previous interface trace."""
-    to_alpha, to_beta = (_shaped(sym.k, h) for h in _half_sweeps(sym, delta))
-    return CoefficientState(
-        alpha=(to_alpha @ state.beta[..., None])[..., 0],
-        beta=(to_beta @ state.alpha[..., None])[..., 0],
-        iteration=state.iteration + 1,
     )
 
 

@@ -15,9 +15,13 @@ only pad the spectrum with ones).  Everything runs through one operator,
 and keeps the part it owns.
 
 The RAS error propagator T = I - M^-1 A reads its argument only on the
-interface unknowns (`interface_unknowns`), so the spectrum of M^-1 A is
-that of its small interface block plus ones: the discrete form of the
-interface iteration the mode analysis solves per Fourier mode.
+interface unknowns S (`interface_unknowns`), so the spectrum of M^-1 A is
+that of the |S| x |S| block T_SS = [[0, -B0], [-B1, 0]] plus ones, where
+B_i maps the data on subdomain i's interface line through its solve to
+the other interface line, which it owns.  That is the substructured
+Schwarz iteration (Dolean, Jolivet and Nataf, SIAM 2015, ch. 2), the
+discrete form of the interface iteration the mode analysis solves per
+Fourier mode; each subdomain builds its half from |S|/2 solves.
 """
 
 from __future__ import annotations
@@ -62,11 +66,12 @@ __all__ = [
 ]
 
 SPECTRUM_BUDGET_BYTES = 2 * 1024**3
+SPECTRUM_CHUNK = 64  # interface columns per subdomain solve
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a dense operator block and its eigenproblem would
-    exceed the memory budget."""
+    """Raised when a dense operator or interface block and its
+    eigenproblem would exceed the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -294,6 +299,27 @@ class RestrictedSolve:
             z[owned] = lu.solve(v[interior])[keep]
         return z
 
+    def interface_block(self, columns: np.ndarray) -> np.ndarray:
+        """(M^-1 A)[S, S] at the free-unknown positions S = ``columns``.
+        A subdomain solves an S column of its own matrix to the unit
+        vector, so only its other S columns (its interface line, unowned
+        dofs) are solved, `SPECTRUM_CHUNK` at a time, and only the S rows
+        it owns are kept."""
+        a = self.system.matrix.tocsr()[:, self.free[columns]][self.free]
+        at = np.full(self.free.size, -1, dtype=np.int64)
+        at[columns] = np.arange(columns.size)
+        block = np.zeros((columns.size, columns.size))
+        for interior, owned, keep, lu in self._parts:
+            rows = at[owned]
+            keep, rows = keep[rows >= 0], rows[rows >= 0]
+            block[rows, rows] = 1.0
+            outside = np.flatnonzero(np.isin(columns, interior, invert=True))
+            rhs = a[interior]
+            for start in range(0, outside.size, SPECTRUM_CHUNK):
+                cols = outside[start:start + SPECTRUM_CHUNK]
+                block[np.ix_(rows, cols)] = lu.solve(rhs[:, cols].toarray())[keep]
+        return block
+
 
 def seeded_initial_guess(
     system: AssembledSystem, seed: int, max_modulus: float = 0.789, noise: float = 0.2
@@ -438,34 +464,25 @@ def stationary_ras(
     return x, history
 
 
-def preconditioned_operator(
-    system: AssembledSystem,
-    decomposition: Decomposition,
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dense columns of the RAS-preconditioned operator M^-1 A on the
-    non-Dirichlet unknowns, built by applying the preconditioner to the
-    matrix columns: all n of them (the n x n operator) or the n x m block
-    of the given free-unknown positions.
-
-    The estimated memory of the block, its solve and an m x m
-    eigenproblem is checked against `SPECTRUM_BUDGET_BYTES` before any
-    factorization.
-    """
-    free = np.flatnonzero(~system.dirichlet_mask)
-    n = free.size
-    m = n if columns is None else len(columns)
-    # block, solution, subdomain right-hand side and solve, m x m eigenproblem
-    needed = 8 * (4 * n * m + 2 * m * m)
+def _check_budget(what: str, needed: int) -> None:
     if needed > SPECTRUM_BUDGET_BYTES:
         raise BudgetExceededError(
-            f"a {n} x {m} operator block and its eigenproblem need about "
-            f"{needed / 1024**3:.1f} GiB, over the budget of "
-            f"{SPECTRUM_BUDGET_BYTES / 1024**3:.1f} GiB; use a coarser mesh"
+            f"{what} need about {needed / 1024**3:.1f} GiB, over the budget "
+            f"of {SPECTRUM_BUDGET_BYTES / 1024**3:.1f} GiB; use a coarser mesh"
         )
+
+
+def preconditioned_operator(
+    system: AssembledSystem, decomposition: Decomposition
+) -> np.ndarray:
+    """The dense n x n RAS-preconditioned operator M^-1 A on the free
+    unknowns, the reference `spectrum` is tested against; its memory is
+    checked against `SPECTRUM_BUDGET_BYTES` before any factorization."""
+    free = np.flatnonzero(~system.dirichlet_mask)
+    n = free.size
+    _check_budget(f"a dense {n} x {n} operator and its eigenproblem", 48 * n * n)
     a = system.matrix[free][:, free]
-    block = a.toarray() if columns is None else a[:, columns].toarray()
-    return RestrictedSolve(system, decomposition)(block)
+    return RestrictedSolve(system, decomposition)(a.toarray())
 
 
 def spectrum(
@@ -474,17 +491,20 @@ def spectrum(
     """All eigenvalues of the preconditioned operator on the free unknowns,
     sorted by (re, im) so repeated runs emit identical tables.
 
-    Only the interface block is diagonalized (`interface_unknowns`); the
-    remaining n - |S| eigenvalues are exactly one.  The dense
-    ``eigvals(preconditioned_operator(system, decomposition))`` is the
-    reference it agrees with.
+    Only the interface block (M^-1 A)[S, S] is built and diagonalized
+    (`RestrictedSolve.interface_block`); the other n - |S| eigenvalues are
+    exactly one.  The dense ``eigvals(preconditioned_operator(system,
+    decomposition))`` is the reference it agrees with.
     """
     columns = interface_unknowns(system, decomposition)
-    block = preconditioned_operator(system, decomposition, columns)
-    n = block.shape[0]
-    eigs = np.concatenate(
-        [np.linalg.eigvals(block[columns]), np.ones(n - columns.size)]
+    n, m = int(np.count_nonzero(~system.dirichlet_mask)), columns.size
+    # the block, LAPACK's copy, one chunk of right-hand sides and solutions
+    _check_budget(
+        f"a {m} x {m} interface block of {n} unknowns and its eigenproblem",
+        8 * (2 * m * m + 2 * SPECTRUM_CHUNK * n),
     )
+    block = RestrictedSolve(system, decomposition).interface_block(columns)
+    eigs = np.concatenate([np.linalg.eigvals(block), np.ones(n - m)])
     order = np.lexsort((eigs.imag, eigs.real))
     return eigs[order]
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from elastic_schwarz.analysis import (
     convergence_factor,
     eigenvalues_closed_form,
     first_order_coefficient,
-    first_order_rho,
     iteration_matrix,
     max_rho,
     principal_sqrt,
@@ -136,6 +136,25 @@ class TestWaveSpeeds:
             ElasticMedium.from_speeds(1.0, 0.5, 1.0)
 
 
+def exact_ratios(medium: ElasticMedium, omega: float, k: float):
+    """x1 = (k^2 + l1 l2) / (k^2 - l1 l2) and x2 = -2i k l2 / (k^2 - l1 l2)
+    in 700-digit decimal arithmetic (k^2 and l1 l2 of k = 1e150 agree to
+    300 digits) from the floats k^2 and (omega/c)^2 the code forms: the
+    principal roots l = sqrt(r) of r >= 0 and i sqrt(-r) of r < 0, where
+    r_s <= r_p."""
+    with localcontext() as ctx:
+        ctx.prec = 700
+        k2 = Decimal(k * k)
+        rad = [k2 - Decimal((omega / c) ** 2) for c in (medium.cs, medium.cp)]
+        (m1, m2), (imag1, imag2) = (abs(r).sqrt() for r in rad), (r < 0 for r in rad)
+        # l1 l2 is real (+-m1 m2) or, when only l1 is imaginary, i m1 m2
+        re = Decimal(0) if imag1 and not imag2 else (-1 if imag2 else 1) * m1 * m2
+        im = m1 * m2 if imag1 and not imag2 else Decimal(0)
+        num, den = complex(k2 + re, im), complex(k2 - re, -im)
+    lam2 = 1j * float(m2) if imag2 else float(m2)
+    return num / den, -2j * k * lam2 / den
+
+
 class TestCharacteristicRoots:
     def test_evanescent_mode(self, medium):
         sym = characteristic_roots(medium, 1.0, 3.0)
@@ -177,10 +196,22 @@ class TestCharacteristicRoots:
     @given(medium=media, omega=omegas, k=wavenumbers)
     def test_auxiliary_ratios_definition(self, medium, omega, k):
         sym = characteristic_roots(medium, omega, k)
-        prod = sym.lambda1 * sym.lambda2
-        den = k * k - prod
-        assert cmath.isclose(sym.x1, (k * k + prod) / den, rel_tol=1e-12)
-        assert cmath.isclose(sym.x2, -2j * k * sym.lambda2 / den, abs_tol=1e-12)
+        x1, x2 = exact_ratios(medium, omega, k)
+        # x1 passes through zero at k^2 = a b / (a + b) inside the
+        # propagative band, where only an absolute bound holds
+        assert cmath.isclose(sym.x1, x1, rel_tol=1e-12, abs_tol=1e-12)
+        assert cmath.isclose(sym.x2, x2, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
+    @pytest.mark.parametrize("ratio", [1.5, 10.0, 1e4, 1e8, 6.75e7, 1e150])
+    def test_ratios_keep_their_digits_at_large_k(self, medium, omega, ratio):
+        # k^2 - lambda1*lambda2 by subtraction lost every digit here:
+        # 6.75e7 omega/cs = 1.35e8 at omega = 1 gave a false degenerate mode
+        k = ratio * omega / medium.cs
+        sym = characteristic_roots(medium, omega, k)
+        x1, x2 = exact_ratios(medium, omega, k)
+        assert cmath.isclose(sym.x1, x1, rel_tol=1e-14)
+        assert cmath.isclose(sym.x2, x2, rel_tol=1e-14)
 
 
 class TestPrincipalSqrt:
@@ -427,6 +458,11 @@ class TestAsymptoticSlope:
             asymptotic_slope(0.5, 1.0, 1.0)
         with pytest.raises(ValueError, match="omega"):
             asymptotic_slope(1.0, 0.5, 0.0)
+
+
+def first_order_rho(medium: ElasticMedium, omega: float, k, delta: float):
+    """First-order-in-overlap value of the convergence factor at fixed k."""
+    return 1.0 + first_order_coefficient(medium, omega, k) * delta
 
 
 class TestFirstOrderRho:

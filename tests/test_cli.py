@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastic_schwarz.cli import (
+    _KEY_TYPES,
     ConfigError,
     config_header,
     load_config,
@@ -109,6 +112,52 @@ class TestConfig:
             parsed = parse_kv_lines(f"# {line}" for line in config_header(cfg, command))
             assert load_config(None, parsed) == cfg
 
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--omega", "inf"], "omega"),
+        (["sweep", "--k-max", "inf"], "k_max"),
+        (["sweep", "--omega", "1e300"], "omega"),
+        (["sweep", "--k-max", "1e300"], "k_max"),
+        (["verify", "--omega", "inf"], "omega"),
+        (["modesim", "--omega", "inf"], "omega"),
+    ])
+    def test_nonfinite_or_overflowing_value_exits_2(
+        self, tmp_path, capsys, argv, field
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"field {field}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["cp", "cs", "rho"])
+    def test_nonfinite_config_file_value_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "cfg"
+        path.write_text(f"{key} = inf\n")
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", str(path), "--out", out]) == 2
+        assert f"field {key}: must be finite, got inf" in capsys.readouterr().err
+
+    @given(
+        key=st.sampled_from([key for key, kind in _KEY_TYPES.items() if kind is float]),
+        value=st.sampled_from(["inf", "-inf", "nan", "1e300", "-1e300"]),
+        command=st.sampled_from(["sweep", "verify", "modesim"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_extreme_float_value_fails_loudly_property(self, key, value, command):
+        # an extreme value in one float key either runs, or exits 2 or 3
+        # with a message; it never writes a non-finite value it does not flag
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "cfg"), os.path.join(tmp, "out")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"{key} = {value}\n")
+            assert main([command, "--config", path, "--out", out]) in (0, 2, 3)
+            for name in os.listdir(out) if os.path.isdir(out) else []:
+                text = read(os.path.join(out, name)).decode()
+                if "nonfinite_at=" in text:
+                    continue
+                assert "NaN" not in text and "Infinity" not in text
+                for line in text.splitlines():
+                    if not line.startswith("#"):
+                        assert not {"nan", "inf", "-inf"} & set(line.split(","))
+
     def test_comment_lines_ignored(self):
         parsed = parse_kv_lines(["# just a note", "", "omega = 2.0"])
         assert parsed == {"omega": 2.0}
@@ -139,6 +188,16 @@ class TestSweepCommand:
         for row in rows:
             assert abs(float(row[1]) - 1.0) <= 1e-12
             assert abs(float(row[2]) - 1.0) <= 1e-12
+
+    def test_huge_wavenumbers_are_not_degenerate(self, tmp_path):
+        # k^2 - lambda1*lambda2 by subtraction gave exactly 0 at k = 1.35e8
+        assert main(["sweep", "--out", str(tmp_path), "--delta", "0",
+                     "--k-max", "1e9"]) == 0
+        rows = [line.split(",") for line in
+                read(tmp_path / "sweep.csv").decode().splitlines()
+                if not (line.startswith("#") or line.startswith("k,"))]
+        assert len(rows) == 601
+        assert all(float(row[3]) == 1.0 for row in rows)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), "--omega", "-1"]) == 2
@@ -295,7 +354,8 @@ class TestSpectrumCommand:
         assert np.abs(eigs[:, 1]).max() < 1e-8
 
     def test_budget_exceeded_exits_4(self, tmp_path, capsys):
-        # 15,996 interface unknowns: the operator block needs about 30 GiB
+        # 15,996 interface unknowns: the interface eigenproblem alone needs
+        # about 3.8 GiB
         assert main(["spectrum", "--out", str(tmp_path),
                      "--nx", "8", "--ny", "4000"]) == 4
         assert "coarser" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,10 +9,33 @@ from hypothesis import strategies as st
 from elastic_schwarz import modesim
 from elastic_schwarz.analysis import (
     ElasticMedium,
+    ModeSymbol,
+    _shaped,
     characteristic_roots,
     convergence_factor,
     eigenvalues_closed_form,
 )
+
+
+@dataclass(frozen=True)
+class CoefficientState:
+    """Coefficient pairs of both subdomains at one sweep index (shape
+    (..., 2) for a stack of modes)."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    iteration: int
+
+
+def interface_step(state: CoefficientState, sym: ModeSymbol, delta: float) -> CoefficientState:
+    """One parallel sweep: each side refits its coefficients to the other
+    side's previous interface trace, through the oracle's half sweeps."""
+    to_alpha, to_beta = (_shaped(sym.k, h) for h in modesim._half_sweeps(sym, delta))
+    return CoefficientState(
+        alpha=(to_alpha @ state.beta[..., None])[..., 0],
+        beta=(to_beta @ state.alpha[..., None])[..., 0],
+        iteration=state.iteration + 1,
+    )
 
 
 def eig_sorted(matrix):
@@ -40,6 +64,21 @@ class TestNumericIterationMatrix:
                 scale = max(1.0, abs(r_plus), abs(r_minus))
                 for a, b in zip(eigs, closed):
                     assert abs(a - b) < 1e-10 * scale
+
+    def test_eigenvalues_match_closed_form_far_beyond_shear_cutoff(self, medium):
+        # the closed form divides by k^2 - l1 l2 in its rationalized form
+        # there; overlap 1/k keeps the eigenvalues near 0.42 instead of
+        # letting them underflow.  The oracle's own bases lose the digits
+        # of 1 - l1 l2 / k^2, about 2e-10 at 10 omega/cs, so it cannot
+        # judge further out
+        for omega in (1.0, 5.0):
+            for k in np.geomspace(1.01, 10.0, 30) * omega / medium.cs:
+                sym = characteristic_roots(medium, omega, float(k))
+                eigs = eig_sorted(modesim.numeric_iteration_matrix(sym, 1.0 / k))
+                closed = eig_sorted(
+                    np.diag(eigenvalues_closed_form(medium, omega, float(k), 1.0 / k))
+                )
+                assert np.abs(eigs - closed).max() < 1e-9
 
     def test_divergent_mode_spectral_radius(self, medium):
         sym = characteristic_roots(medium, 5.0, 7.0)
@@ -90,13 +129,13 @@ class TestNumericIterationMatrix:
 class TestInterfaceStep:
     def test_double_step_equals_matrix_action(self, medium):
         sym = characteristic_roots(medium, 5.0, 7.0)
-        state = modesim.CoefficientState(
+        state = CoefficientState(
             alpha=np.array([1.0 + 0.5j, -0.25j]),
             beta=np.array([0.3 + 0.0j, 1.0 - 1.0j]),
             iteration=0,
         )
-        stepped = modesim.interface_step(
-            modesim.interface_step(state, sym, 0.1), sym, 0.1
+        stepped = interface_step(
+            interface_step(state, sym, 0.1), sym, 0.1
         )
         assert stepped.iteration == 2
         expected = modesim.numeric_iteration_matrix(sym, 0.1) @ state.alpha
@@ -171,15 +210,15 @@ class TestStacks:
     def test_interface_step_on_a_stack(self, medium):
         ks = np.array([2.0, 7.0])
         sym = characteristic_roots(medium, 5.0, ks)
-        state = modesim.CoefficientState(
+        state = CoefficientState(
             alpha=np.array([[1.0 + 0.5j, -0.25j], [0.5, 1.0j]]),
             beta=np.array([[0.3 + 0.0j, 1.0 - 1.0j], [1.0, 0.0]]),
             iteration=0,
         )
-        stepped = modesim.interface_step(state, sym, 0.1)
+        stepped = interface_step(state, sym, 0.1)
         for i, k in enumerate(ks):
-            one = modesim.interface_step(
-                modesim.CoefficientState(state.alpha[i], state.beta[i], 0),
+            one = interface_step(
+                CoefficientState(state.alpha[i], state.beta[i], 0),
                 characteristic_roots(medium, 5.0, float(k)), 0.1,
             )
             np.testing.assert_array_equal(one.alpha, stepped.alpha[i])
