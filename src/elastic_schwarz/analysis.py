@@ -325,17 +325,18 @@ def iteration_matrix(
     z = x1 * (-2j * k_ * l1) / den
     ea = np.exp(-delta * (l1 + l2))
     e1 = np.exp(-2.0 * delta * l1)
-    e2 = np.exp(-2.0 * delta * l2)
+    g = _exp_gap(sym, medium, delta)
     # diagonal uses x2^2 l1/l2 = 1 - x1^2 exactly, isolating the large-x1
-    # cancellation inside the exponential differences (zero overlap is then
-    # the identity matrix exactly)
+    # cancellation inside the exponential differences e1 - ea = -e1 g and
+    # ea - e^(-2 delta l2) = -ea g (zero overlap is then the identity
+    # matrix exactly)
     r = _stack_2x2(
-        ea + x1 * x1 * (e1 - ea),
-        x1 * x2 * (e1 - ea),
-        z * (ea - e2),
-        ea + x1 * x1 * (e2 - ea),
+        ea - x1 * x1 * (e1 * g),
+        -x1 * x2 * (e1 * g),
+        -z * (ea * g),
+        ea + x1 * x1 * (ea * g),
     )
-    r_plus, r_minus = _eigenpair(sym, delta)
+    r_plus, r_minus = _eigenpair(sym, g, delta)
     rho_cla = np.maximum(_modulus(r_plus), _modulus(r_minus))
     fields = (r, r_plus, r_minus, rho_cla, sym.zone)
     return IterationMatrix2(*(_shaped(k, f) for f in fields))
@@ -350,13 +351,29 @@ def eigenvalues_closed_form(medium: ElasticMedium, omega: float, k, delta: float
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    r_plus, r_minus = _eigenpair(characteristic_roots(medium, omega, _vector(k)), delta)
+    sym = characteristic_roots(medium, omega, _vector(k))
+    r_plus, r_minus = _eigenpair(sym, _exp_gap(sym, medium, delta), delta)
     return _shaped(k, r_plus), _shaped(k, r_minus)
 
 
-def _eigenpair(sym: ModeSymbol, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _exp_gap(sym: ModeSymbol, medium: ElasticMedium, delta: float) -> np.ndarray:
+    """g = e^((lambda1 - lambda2) delta) - 1, by expm1 of (lambda1 - lambda2)
+    delta = -(a - b) delta / (lambda1 + lambda2), a = (omega/cs)^2 and
+    b = (omega/cp)^2.  Every difference of two exponentials of the closed
+    form is minus the larger one times g; Re(lambda2 - lambda1) >= 0 in
+    every zone, so |g| <= 2 and nothing overflows, and beyond omega/cs,
+    where the two agree to about (a - b) delta / 2k, g keeps the digits a
+    subtraction would lose."""
+    a, b = (sym.omega / medium.cs) ** 2, (sym.omega / medium.cp) ** 2
+    return np.expm1(-(a - b) * delta / (sym.lambda1 + sym.lambda2))
+
+
+def _eigenpair(
+    sym: ModeSymbol, g: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
     l1, l2 = sym.lambda1, sym.lambda2
-    x = sym.x1 * (np.exp(-l1 * delta) - np.exp(-l2 * delta))
+    # e^(-l1 delta) - e^(-l2 delta)
+    x = -sym.x1 * (np.exp(-l1 * delta) * g)
     ea = np.exp(-delta * (l1 + l2))
     xsq = x * x
     s = np.sqrt(xsq * (xsq + 4.0 * ea))
@@ -441,18 +458,15 @@ def asymptotic_slope(cp: float, cs: float, omega: float) -> float:
         raise ValueError(f"need cp > cs > 0, got cp={cp}, cs={cs}")
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    s = math.sqrt(cp**4 + 8.0 * cs**4)
-    rad = cp * cp * s - cp**4 - 2.0 * cs**4
-    if rad <= 0.0:
-        # positive for cp > cs > 0; numeric cancellation guard only
-        raise ValueError(f"degenerate speeds cp={cp}, cs={cs}: radicand {rad:.3e}")
+    # in the speed ratio r = cs/cp < 1, where q = sqrt(1 + 8 r^4) < 3: no
+    # power of a speed overflows and no difference cancels at small r
+    r = cs / cp
+    q = math.sqrt(1.0 + 8.0 * r**4)
     return (
-        math.sqrt(2.0)
-        * cs
-        * omega
-        * (3.0 * cp * cp - s)
-        * math.sqrt(rad)
-        / (cp * (cp * cp + cs * cs) ** 1.5 * (s - cp * cp))
+        (omega / cp)
+        * (3.0 - q) ** 1.5
+        * math.sqrt(q + 1.0)
+        / (4.0 * r * (1.0 + r * r) ** 1.5)
     )
 
 

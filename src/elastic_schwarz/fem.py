@@ -209,15 +209,13 @@ def assemble_raw(
         pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
         area = _element_geometry(pts)[0]
         mids = 0.5 * (pts + np.roll(pts, -1, axis=1))  # edge midpoints 01, 12, 20
-        fx, fy = body_force(mids[..., 0], mids[..., 1])
-        fx = np.broadcast_to(np.asarray(fx, dtype=float), (nt, 3))
-        fy = np.broadcast_to(np.asarray(fy, dtype=float), (nt, 3))
-        load = np.zeros((nt, 3, 2))
-        for comp, f in enumerate((fx, fy)):
-            # each vertex carries weight 1/2 on its two incident edges
-            load[:, 0, comp] = 0.5 * (f[:, 0] + f[:, 2])
-            load[:, 1, comp] = 0.5 * (f[:, 0] + f[:, 1])
-            load[:, 2, comp] = 0.5 * (f[:, 1] + f[:, 2])
+        force = np.stack(
+            [np.broadcast_to(np.asarray(f, dtype=float), (nt, 3))
+             for f in body_force(mids[..., 0], mids[..., 1])],
+            axis=-1,
+        )  # (nt, 3 edges, 2 components)
+        # vertex i carries weight 1/2 on its incident edges i and i - 1
+        load = 0.5 * (force + np.roll(force, 1, axis=1))
         load *= (area / 3.0)[:, None, None]
         np.add.at(rhs, dofs.reshape(-1), load.reshape(-1))
     return matrix, rhs

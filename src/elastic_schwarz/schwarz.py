@@ -26,7 +26,6 @@ Fourier mode; each subdomain builds its half from |S|/2 solves.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,7 +87,6 @@ class Subdomain:
     interior_free: np.ndarray
     interface_free: np.ndarray
     owned_free: np.ndarray
-    owned_in_interior: np.ndarray
 
 
 @dataclass
@@ -163,14 +161,11 @@ def decompose(mesh: StructuredMesh, overlap_cells: int) -> Decomposition:
             interior = (cols > col_left) & free_node
             interface = (cols == col_left) & free_node
             owned_nodes = (cols >= mid_col) & free_node
-        interior_free = dofs_of(interior)
-        owned_free = dofs_of(owned_nodes)
         subs.append(
             Subdomain(
-                interior_free=interior_free,
+                interior_free=dofs_of(interior),
                 interface_free=dofs_of(interface),
-                owned_free=owned_free,
-                owned_in_interior=np.searchsorted(interior_free, owned_free),
+                owned_free=dofs_of(owned_nodes),
             )
         )
 
@@ -187,7 +182,6 @@ def single_domain(mesh: StructuredMesh) -> Decomposition:
         interior_free=all_free,
         interface_free=np.array([], dtype=np.int64),
         owned_free=all_free,
-        owned_in_interior=np.arange(all_free.size),
     )
     return Decomposition(
         mesh=mesh,
@@ -218,20 +212,6 @@ def interface_unknowns(
     return np.flatnonzero((read | ~owned)[~system.dirichlet_mask])
 
 
-def _mirror_order(mesh: StructuredMesh, subdomains: list) -> np.ndarray | None:
-    """Order of the second subdomain's interior that the point reflection
-    of the rectangle maps entry by entry onto the first one's, or None.
-    The reflection reverses node ids and keeps the two components of a
-    node in order, so it reverses the node pairs of the sorted interior."""
-    if len(subdomains) != 2:
-        return None
-    left, right = (sub.interior_free for sub in subdomains)
-    order = np.arange(right.size).reshape(-1, 2)[::-1].ravel()
-    mirrored = right[order]
-    reflected = 2 * (mesh.n_nodes - 1 - mirrored // 2) + mirrored % 2
-    return order if np.array_equal(reflected, left) else None
-
-
 class RestrictedSolve:
     """The RAS subdomain solves of one system on one decomposition.
 
@@ -243,13 +223,14 @@ class RestrictedSolve:
     subdomain on its interior and keeps the part it owns; that is the
     RAS preconditioner M^-1.  Dofs that no subdomain owns come back zero.
 
-    When the point reflection of the rectangle maps the right interior
-    onto the left one (`_mirror_order`) and the two subdomain matrices
-    agree under that map to a relative 1e-12, only the left one is
-    factored: the right subdomain solves with the same factor in mirrored
-    order, and a vector solves both subdomains as one two-column solve.
-    Otherwise (an x range not symmetric about the midline, one subdomain,
-    a matrix that is not mirror-invariant) each subdomain has its factor.
+    A factor serves every subdomain whose matrix equals the factored one
+    to a relative 1e-12, and the right-hand sides of the subdomains it
+    serves are the columns of one solve.  The second subdomain is taken
+    in node-pair-reversed order when its interior has the first one's
+    size, so on a strip symmetric about the midline its matrix is the
+    first one's and one factor serves both.  Otherwise (an x range not
+    symmetric about the midline, a matrix that is not mirror-invariant)
+    each subdomain has its own factor.
     """
 
     def __init__(self, system: AssembledSystem, decomposition: Decomposition):
@@ -257,46 +238,41 @@ class RestrictedSolve:
         self.free = np.flatnonzero(~system.dirichlet_mask)
         pos = np.full(system.n_dofs, -1, dtype=np.int64)
         pos[self.free] = np.arange(self.free.size)
+        local = np.full(system.n_dofs, -1, dtype=np.int64)
         matrix = system.matrix.tocsr()
-        mirror = _mirror_order(decomposition.mesh, decomposition.subdomains)
-        parts, matrices = [], []
-        for i, sub in enumerate(decomposition.subdomains):
-            order = np.arange(sub.interior_free.size) if mirror is None or not i else mirror
-            interior = sub.interior_free[order]
-            matrices.append(matrix[interior][:, interior].tocsc())
-            parts.append((
-                pos[interior],
-                pos[sub.owned_free],
-                np.argsort(order)[sub.owned_in_interior],
-            ))
-        self._shared = mirror is not None and (
-            abs(matrices[1] - matrices[0]).max() <= 1e-12 * abs(matrices[0]).max()
-        )
-        if self._shared:
-            del matrices[1:]
-        # the subdomain matrices are symmetric: order on A^T + A
-        try:
-            factors = [splu(a, permc_spec="MMD_AT_PLUS_A") for a in matrices]
-        except RuntimeError as exc:
-            raise SingularSystemError(f"subdomain factorization failed: {exc}") from exc
-        for a, lu in zip(matrices, factors):
+        self._groups = []  # (factor, [(interior, owned, owned within interior)])
+        first = None  # the first subdomain matrix, which the others are compared with
+        for sub in decomposition.subdomains:
+            interior = sub.interior_free
+            mirrored = first is not None and interior.size == first.shape[0]
+            if mirrored:
+                # the point reflection of the strip reverses node ids
+                interior = interior.reshape(-1, 2)[::-1].ravel()
+            local[interior] = np.arange(interior.size)
+            part = (pos[interior], pos[sub.owned_free], local[sub.owned_free])
+            a = matrix[interior][:, interior].tocsc()
+            if mirrored and abs(a - first).max() <= 1e-12 * abs(first).max():
+                self._groups[0][1].append(part)
+                continue
+            # the subdomain matrices are symmetric: order on A^T + A
+            try:
+                lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise SingularSystemError(f"subdomain factorization failed: {exc}") from exc
             _checked_solve(lu, a, a @ np.ones(a.shape[0]))
-        self._parts = [
-            (*part, lu) for part, lu in zip(parts, itertools.cycle(factors))
-        ]
+            self._groups.append((lu, [part]))
+            if first is None:
+                first = a
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         z = np.zeros_like(v)
-        if self._shared and v.ndim == 1:
-            # both right-hand sides as the columns of one solve
-            both = self._parts[0][-1].solve(
-                np.array([v[interior] for interior, *_ in self._parts]).T
-            )
-            for (_, owned, keep, _), x in zip(self._parts, both.T):
-                z[owned] = x[keep]
-            return z
-        for interior, owned, keep, lu in self._parts:
-            z[owned] = lu.solve(v[interior])[keep]
+        columns, out = v.reshape(v.shape[0], -1), z.reshape(z.shape[0], -1)
+        width = columns.shape[1]
+        for lu, parts in self._groups:
+            # every part's right-hand sides as the columns of one solve
+            x = lu.solve(np.hstack([columns[interior] for interior, _, _ in parts]))
+            for i, (_, owned, keep) in enumerate(parts):
+                out[owned] = x[keep, i * width:(i + 1) * width]
         return z
 
     def interface_block(self, columns: np.ndarray) -> np.ndarray:
@@ -309,15 +285,16 @@ class RestrictedSolve:
         at = np.full(self.free.size, -1, dtype=np.int64)
         at[columns] = np.arange(columns.size)
         block = np.zeros((columns.size, columns.size))
-        for interior, owned, keep, lu in self._parts:
-            rows = at[owned]
-            keep, rows = keep[rows >= 0], rows[rows >= 0]
-            block[rows, rows] = 1.0
-            outside = np.flatnonzero(np.isin(columns, interior, invert=True))
-            rhs = a[interior]
-            for start in range(0, outside.size, SPECTRUM_CHUNK):
-                cols = outside[start:start + SPECTRUM_CHUNK]
-                block[np.ix_(rows, cols)] = lu.solve(rhs[:, cols].toarray())[keep]
+        for lu, parts in self._groups:
+            for interior, owned, keep in parts:
+                rows = at[owned]
+                keep, rows = keep[rows >= 0], rows[rows >= 0]
+                block[rows, rows] = 1.0
+                outside = np.flatnonzero(np.isin(columns, interior, invert=True))
+                rhs = a[interior]
+                for start in range(0, outside.size, SPECTRUM_CHUNK):
+                    cols = outside[start:start + SPECTRUM_CHUNK]
+                    block[np.ix_(rows, cols)] = lu.solve(rhs[:, cols].toarray())[keep]
         return block
 
 

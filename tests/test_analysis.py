@@ -321,6 +321,45 @@ class TestEigenvaluesClosedForm:
         assert plus == minus
 
     @pytest.mark.parametrize("omega", [1.0, 5.0])
+    @pytest.mark.parametrize("ratio", [1e6, 1e7, 1e8])
+    def test_overlap_one_over_k_keeps_its_limit(self, medium, omega, ratio):
+        # with delta = 1/k, x1 (e^(-l1 delta) - e^(-l2 delta)) tends to
+        # x = 2 (a - b) / ((a + b) e) and e^(-(l1 + l2) delta) to e^-2, up
+        # to O(a / k^2); the subtracted exponentials gave |r_plus| 0.416
+        # for 0.422 at k = 1e7, omega = 1
+        k = ratio * omega / medium.cs
+        a, b = (omega / medium.cs) ** 2, (omega / medium.cp) ** 2
+        x, ea = 2.0 * (a - b) / ((a + b) * math.e), math.exp(-2.0)
+        limit = 0.5 * x * x + ea + 0.5 * math.sqrt(x * x * (x * x + 4.0 * ea))
+        r_plus, _ = eigenvalues_closed_form(medium, omega, k, 1.0 / k)
+        assert abs(r_plus) == pytest.approx(limit, rel=1e-10)
+        assert iteration_matrix(medium, omega, k, 1.0 / k).r_plus == r_plus
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_overlap_matches_subtracted_exponentials(self, medium):
+        # (omega/cs) delta = 1000: e^((l2 - l1) delta) overflows past the
+        # shear cut-off, so the gap must factor out the larger exponential
+        k = np.linspace(1.5, 3.0, 301)
+        delta = 500.0
+        sym = characteristic_roots(medium, 1.0, k)
+        l1, l2, x1, x2 = sym.lambda1, sym.lambda2, sym.x1, sym.x2
+        e1, e2 = np.exp(-2.0 * delta * l1), np.exp(-2.0 * delta * l2)
+        ea = np.exp(-delta * (l1 + l2))
+        x = x1 * (np.exp(-l1 * delta) - np.exp(-l2 * delta))
+        s = np.sqrt(x * x * (x * x + 4.0 * ea))
+        r_plus, r_minus = eigenvalues_closed_form(medium, 1.0, k, delta)
+        assert np.all(np.isfinite(r_plus)) and np.all(np.isfinite(r_minus))
+        np.testing.assert_allclose(r_plus, 0.5 * x * x + ea + 0.5 * s, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r_minus, 0.5 * x * x + ea - 0.5 * s, rtol=0, atol=1e-14)
+        r = iteration_matrix(medium, 1.0, k, delta).r
+        subtracted = np.stack(
+            [ea + x1 * x1 * (e1 - ea), x1 * x2 * (e1 - ea),
+             x1 * x2 * (l1 / l2) * (ea - e2), ea + x1 * x1 * (e2 - ea)], axis=-1,
+        ).reshape(-1, 2, 2)
+        assert np.all(np.isfinite(r))
+        np.testing.assert_allclose(r, subtracted, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
     def test_high_frequency_decay_envelope(self, medium, omega):
         # evanescent contraction: rho is dominated by the pressure-root decay
         delta = 0.1
@@ -439,7 +478,44 @@ class TestMaxRho:
             max_rho(medium, 1.0, 0.0)
 
 
+def exact_slope(cp: float, cs: float, omega: float) -> float:
+    """The slope in its speed form, sqrt(2) cs omega (3 cp^2 - s)
+    sqrt(cp^2 s - cp^4 - 2 cs^4) / (cp (cp^2 + cs^2)^(3/2) (s - cp^2)) with
+    s = sqrt(cp^4 + 8 cs^4), in 60-digit decimal arithmetic from the float
+    speeds: no power overflows there and the differences keep their digits
+    down to cs/cp = 1e-3."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        cp, cs, omega = Decimal(cp), Decimal(cs), Decimal(omega)
+        s = (cp**4 + 8 * cs**4).sqrt()
+        rad = cp * cp * s - cp**4 - 2 * cs**4
+        return float(
+            Decimal(2).sqrt() * cs * omega * (3 * cp * cp - s) * rad.sqrt()
+            / (cp * (cp * cp + cs * cs) * (cp * cp + cs * cs).sqrt() * (s - cp * cp))
+        )
+
+
 class TestAsymptoticSlope:
+    @pytest.mark.parametrize(
+        "cp,cs,omega",
+        [(1.0, 0.5, 1.0), (1.0, 1e-3, 1.0), (3.7, 2.6, 0.3), (1e150, 5e149, 1.0),
+         (1e150, 1e147, 5.0), (1e-100, 3e-101, 2.0)],
+    )
+    def test_matches_exact_slope(self, cp, cs, omega):
+        # the speed form overflowed on cp**4 at cp = 1e150 and lost 5e-5
+        # of the slope at cs/cp = 1e-3 to cancellation
+        assert asymptotic_slope(cp, cs, omega) == pytest.approx(
+            exact_slope(cp, cs, omega), rel=1e-14
+        )
+
+    @given(ratio=st.floats(1e-3, 0.707), cp=st.floats(0.1, 10.0), omega=st.floats(0.1, 20.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_exact_slope_property(self, ratio, cp, omega):
+        cs = ratio * cp
+        assert asymptotic_slope(cp, cs, omega) == pytest.approx(
+            exact_slope(cp, cs, omega), rel=1e-14
+        )
+
     def test_reference_value(self):
         slope = asymptotic_slope(1.0, 0.5, 1.0)
         # frozen from the finite-difference cross-check of max_rho

@@ -216,6 +216,23 @@ class TestVerifyCommand:
         for check in report["checks"]:
             assert check["max_deviation"] <= check["tolerance"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_pressure_speed_fails_only_the_finite_differences(self, tmp_path):
+        # cp**4 overflowed in asymptotic_slope (exit 1); now the battery
+        # runs, and only the two finite-difference checks fail: rho - 1 is
+        # linear in delta only at k ~ omega/cp = 1e-150, so on the band
+        # grids the first-order term reads about 1e-300
+        path = tmp_path / "cfg"
+        path.write_text("cp = 1e150\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 5
+        report = json.loads(read(out / "verify_report.json"))
+        failed = {check["name"] for check in report["checks"] if not check["passed"]}
+        assert failed == {
+            "asymptotic_slope_vs_finite_difference",
+            "first_order_rho_vs_finite_difference",
+        }
+
     def test_zero_overlap_config_passes(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path), "--delta", "0"]) == 0
         report = json.loads(read(tmp_path / "verify_report.json"))

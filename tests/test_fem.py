@@ -182,6 +182,18 @@ class TestAssemble:
         assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
         np.testing.assert_array_equal(system.rhs, want_rhs)
 
+    @pytest.mark.parametrize("omega", [0.0, 5.0])
+    def test_broadcast_load_matches_per_triangle_oracle(self, medium, omega):
+        # a force returning scalars or one component per triangle is
+        # broadcast over the edge midpoints before the vertex weights
+        mesh = build_mesh((-1.0, 0.5), (0.0, 1.0), 7, 5)
+
+        def force(x, y):
+            return 2.5, np.cos(x[:, :1] + y[:, :1])
+
+        _, want_rhs = reference_assemble(mesh, medium, omega, force)
+        np.testing.assert_array_equal(assemble(mesh, medium, omega, force).rhs, want_rhs)
+
     def test_peak_memory_is_a_few_matrices(self, medium):
         # the per-triangle assembly peaked at 14.0 times the returned CSR
         # arrays at this size, the tiled one at 7.2

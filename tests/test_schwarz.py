@@ -289,7 +289,7 @@ def reference_solve(system, dec, v, previous=None):
         if previous is not None:
             rhs = rhs - rows[:, sub.interface_free] @ previous[pos[sub.interface_free]]
         x = spsolve(rows[:, sub.interior_free].tocsc(), rhs)
-        z[pos[sub.owned_free]] = x[sub.owned_in_interior]
+        z[pos[sub.owned_free]] = x[np.searchsorted(sub.interior_free, sub.owned_free)]
     return z
 
 
@@ -342,6 +342,18 @@ class TestSharedFactor:
             system, dec, system.rhs[solve.free], previous=start[solve.free]
         )
         assert close(x, want)
+
+    @pytest.mark.parametrize("x_max", [1.0, 1.5])
+    def test_vector_is_a_column_of_the_block(self, medium, factor_calls, x_max):
+        # one shared factor on the mirrored strip, two on the asymmetric one
+        mesh = build_mesh((-1.0, x_max), (0.0, 1.0), 40, 20)
+        solve = RestrictedSolve(assemble(mesh, medium, 5.0), decompose(mesh, 4))
+        assert len(factor_calls) == (1 if x_max == 1.0 else 2)
+        block = np.random.default_rng(6).standard_normal((solve.free.size, 4))
+        got = solve(block)
+        for j in range(block.shape[1]):
+            want = got[:, j]
+            assert np.abs(solve(block[:, j]) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestFactorCheck:
