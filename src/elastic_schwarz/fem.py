@@ -27,7 +27,7 @@ __all__ = [
     "StructuredMesh",
     "AssembledSystem",
     "SingularSystemError",
-    "check_dof_count",
+    "check_mesh",
     "build_mesh",
     "assemble_raw",
     "assemble",
@@ -94,27 +94,32 @@ class StructuredMesh:
         return (i == 0) | (i == self.nx) | (j == 0) | (j == self.ny)
 
 
-def check_dof_count(nx: int, ny: int) -> None:
-    """Raise ValueError if int32 indices cannot hold the dofs of an
-    ``nx`` x ``ny`` mesh (assembly indexes them as int32)."""
+def check_mesh(
+    x_range: tuple[float, float], y_range: tuple[float, float], nx: int, ny: int
+) -> None:
+    """Raise ValueError if `build_mesh` cannot build the mesh: a degenerate
+    range, fewer than one cell a side, or more dofs than the int32 indices
+    of assembly hold.  The message starts with the offending names (the
+    config keys ``x_min/x_max`` for ``x_range``) and a colon."""
+    for names, (lo, hi) in (("x_min/x_max", x_range), ("y_min/y_max", y_range)):
+        if not hi > lo:
+            raise ValueError(f"{names}: range ({lo}, {hi}) is degenerate")
+    if nx < 1 or ny < 1:
+        raise ValueError(f"nx/ny: must be >= 1, got nx={nx}, ny={ny}")
     n_dofs = 2 * (nx + 1) * (ny + 1)
     if n_dofs > np.iinfo(np.int32).max:
         raise ValueError(
-            f"nx={nx}, ny={ny} give {n_dofs} dofs, more than int32 indices hold"
+            f"nx/ny: nx={nx}, ny={ny} give {n_dofs} dofs, more than int32 indices hold"
         )
 
 
 def build_mesh(
     x_range: tuple[float, float], y_range: tuple[float, float], nx: int, ny: int
 ) -> StructuredMesh:
-    """Build the structured triangulated rectangle."""
+    """Build the structured triangulated rectangle (see `check_mesh`)."""
+    check_mesh(x_range, y_range, nx, ny)
     x_min, x_max = float(x_range[0]), float(x_range[1])
     y_min, y_max = float(y_range[0]), float(y_range[1])
-    if not (x_max > x_min and y_max > y_min):
-        raise ValueError(f"degenerate ranges x={x_range}, y={y_range}")
-    if nx < 1 or ny < 1:
-        raise ValueError(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
-    check_dof_count(nx, ny)
     xs = np.linspace(x_min, x_max, nx + 1)
     ys = np.linspace(y_min, y_max, ny + 1)
     gx, gy = np.meshgrid(xs, ys)  # row-major: y slow, x fast
@@ -290,17 +295,17 @@ def interface_mode_amplitudes(trace: np.ndarray, ny: int) -> np.ndarray:
     Returns the coefficients a_j of sin(j*pi*y), j = 1..ny-1, so that a
     trace equal to sin(j*pi*y) at the nodes comes back as a unit a_j.
     The end values of the trace do not enter (the sine basis vanishes
-    there).
+    there), and for ny < 2 there is no mode.
     """
     trace = np.asarray(trace, dtype=float)
     if trace.shape != (ny + 1,):
         raise ValueError(
             f"trace must have ny+1 = {ny + 1} samples, got shape {trace.shape}"
         )
-    m = np.arange(1, ny)
-    j = np.arange(1, ny)
-    sines = np.sin(np.pi * np.outer(j, m) / ny)
-    return (2.0 / ny) * (sines @ trace[1:ny])
+    # DST-I, 2 sum_m trace_m sin(j m pi/ny): -Im of the FFT of the odd extension
+    inner = trace[1:ny]
+    odd = np.concatenate([[0.0], inner, [0.0], -inner[::-1]])
+    return -np.fft.rfft(odd)[1:ny].imag / ny
 
 
 def dominant_mode(amplitudes: np.ndarray) -> int:

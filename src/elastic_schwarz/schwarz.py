@@ -8,11 +8,11 @@ disjoint {0,1} partition of unity split at the overlap midline, and
 solving each subdomain with Dirichlet data from the previous glued
 iterate, then writing back the owned values, is the residual step
 x + M^-1 (b - A x) of the RAS preconditioner M^-1.  So the sweep runs as
-that step.  All Krylov and spectrum work happens on the non-Dirichlet
-unknowns (the eliminated dofs carry a pinned unit diagonal and would
-only pad the spectrum with ones).  Everything runs through one operator,
-`RestrictedSolve`, which is M^-1: each subdomain solves on its interior
-and keeps the part it owns.
+that step on the error equation (b = 0), e - M^-1 A e.  All Krylov and
+spectrum work happens on the non-Dirichlet unknowns (the eliminated dofs
+carry a pinned unit diagonal and would only pad the spectrum with ones).
+Everything runs through one operator, `RestrictedSolve`, which is M^-1:
+each subdomain solves on its interior and keeps the part it owns.
 
 The RAS error propagator T = I - M^-1 A reads its argument only on the
 interface unknowns S (`interface_unknowns`), so the spectrum of M^-1 A is
@@ -39,7 +39,6 @@ from .fem import (
     StructuredMesh,
     _l2_norm,
     _checked_solve,
-    direct_solve,
     dominant_mode,
     interface_mode_amplitudes,
 )
@@ -361,36 +360,35 @@ def schwarz_iterate(
     initial: np.ndarray,
     n_iter: int,
 ) -> tuple[np.ndarray, ErrorHistory]:
-    """Parallel Schwarz sweep: both subdomains solve simultaneously with
-    interface data from the previous glued iterate, run as the RAS step
-    x + M^-1 (b - A x); dofs that no subdomain owns keep their value.
+    """Parallel Schwarz sweep on the error equation of a system with zero
+    load: both subdomains solve simultaneously with interface data from
+    the previous glued error, run as the RAS step e <- e - M^-1 A e; dofs
+    that no subdomain owns keep their value.
 
-    The error is measured against the exact discrete solution (zero for a
-    zero load, a direct solve otherwise); divergence is a valid outcome.
-    A run that overflows stops before the first iterate whose record is
-    not finite: the history is then shorter than ``n_iter + 1`` and the
-    returned iterate is the last finite one.
+    The exact discrete solution is zero, so the iterate is its own error;
+    divergence is a valid outcome.  A system with a nonzero load raises
+    ValueError.  A run that overflows stops before the first iterate whose
+    record is not finite: the history is then shorter than ``n_iter + 1``
+    and the returned iterate is the last finite one.
     """
-    x = np.asarray(initial, dtype=float).copy()
-    x[system.dirichlet_mask] = 0.0
-    b = system.rhs
-    reference = (
-        np.zeros_like(x) if not np.any(b) else direct_solve(system)
-    )
+    if np.any(system.rhs):
+        raise ValueError("schwarz_iterate runs the error equation: the load must be zero")
+    e = np.asarray(initial, dtype=float).copy()
+    e[system.dirichlet_mask] = 0.0
     solve = RestrictedSolve(system, decomposition)
 
     records = []
-    iterate = x
+    iterate = e
     for n in range(n_iter + 1):
         if n:
-            iterate = x + ras_apply(solve, b - system.matrix @ x)
-        record = _record(system.mesh, decomposition.midline_col, iterate - reference)
+            iterate = e - ras_apply(solve, system.matrix @ e)
+        record = _record(system.mesh, decomposition.midline_col, iterate)
         if not all(math.isfinite(value) for value in record):
             break
-        x = iterate
+        e = iterate
         records.append(record)
     err_max, err_l2, modes, amps = np.array(records, dtype=float).reshape(-1, 4).T
-    return x, ErrorHistory(
+    return e, ErrorHistory(
         err_max=err_max, err_l2=err_l2, dominant_mode=modes.astype(np.int64),
         mode_amplitude=amps,
     )

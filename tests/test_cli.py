@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastic_schwarz.cli import (
+    _COMMANDS,
     _KEY_TYPES,
     ConfigError,
     config_header,
@@ -25,6 +26,14 @@ def read(path):
 
 def header_only(path):
     return [line for line in read(path).decode().splitlines() if line.startswith("#")]
+
+
+def strict_json(payload):
+    """JSON that holds no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(payload, parse_constant=reject)
 
 
 def flagged_history(path):
@@ -163,6 +172,68 @@ class TestConfig:
         assert parsed == {"omega": 2.0}
 
 
+class TestParser:
+    def test_help_lists_every_command_with_its_help_line(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, (_, help_text) in _COMMANDS.items():
+            assert any(line.split() == [name] + help_text.split() for line in lines)
+        assert set(_COMMANDS) == {"sweep", "verify", "modesim", "schwarz", "spectrum", "gmres"}
+
+    def test_unknown_command_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bogus", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_flags_are_shared_by_every_command(self, tmp_path):
+        # one parser: a flag parses before the command as well as after it
+        before = main(["--k-count", "7", "sweep", "--out", str(tmp_path / "a")])
+        after = main(["sweep", "--k-count", "7", "--out", str(tmp_path / "b")])
+        assert before == after == 0
+        assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
+
+
+class TestGeometryValidation:
+    @pytest.mark.parametrize("argv, config, field", [
+        (["schwarz", "--nx", "0"], "", "nx/ny"),
+        (["schwarz", "--ny", "0"], "", "nx/ny"),
+        (["schwarz"], "x_min = 1.0\nx_max = 1.0\n", "x_min/x_max"),
+        (["schwarz"], "y_min = 0.5\ny_max = 0.5\n", "y_min/y_max"),
+        (["schwarz", "--nx", "40000", "--ny", "30000"], "", "nx/ny"),
+        (["schwarz", "--nx", "21"], "", "x_range/nx"),
+        (["schwarz", "--overlap-cells", "3"], "", "overlap_cells"),
+        (["schwarz", "--overlap-cells", "80"], "", "overlap_cells"),
+        (["schwarz", "--single-domain", "--overlap-cells", "3"], "", "overlap_cells"),
+        (["sweep", "--ny", "1"], "", "nx/ny"),
+        (["schwarz", "--nx", "8", "--ny", "1"], "", "nx/ny"),
+        (["spectrum", "--nx", "8", "--ny", "1"], "", "nx/ny"),
+        (["gmres", "--nx", "8", "--ny", "1"], "", "nx/ny"),
+        (["schwarz", "--nx", "8", "--ny", "1", "--single-domain"], "", "nx/ny"),
+        (["spectrum", "--nx", "8", "--ny", "1", "--single-domain"], "", "nx/ny"),
+        (["gmres", "--nx", "8", "--ny", "1", "--single-domain"], "", "nx/ny"),
+    ])
+    def test_bad_geometry_exits_2_naming_the_field(
+        self, tmp_path, capsys, argv, config, field
+    ):
+        path = tmp_path / "geometry.cfg"
+        path.write_text(config)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: field {field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["schwarz", "spectrum", "gmres"])
+    @pytest.mark.parametrize("geometry", [
+        ["--nx", "2", "--ny", "2", "--single-domain"],
+        ["--nx", "4", "--ny", "2", "--overlap-cells", "2"],
+    ])
+    def test_smallest_meshes_with_an_interior_node_run(self, tmp_path, command, geometry):
+        assert main([command, *geometry, "--n-iter", "2", "--out", str(tmp_path)]) == 0
+
+
 class TestSweepCommand:
     def test_deterministic_output(self, tmp_path):
         args = ["sweep", "--k-count", "50"]
@@ -226,12 +297,25 @@ class TestVerifyCommand:
         path.write_text("cp = 1e150\n")
         out = tmp_path / "out"
         assert main(["verify", "--config", str(path), "--out", str(out)]) == 5
-        report = json.loads(read(out / "verify_report.json"))
+        report = strict_json(read(out / "verify_report.json"))
         failed = {check["name"] for check in report["checks"] if not check["passed"]}
         assert failed == {
             "asymptotic_slope_vs_finite_difference",
             "first_order_rho_vs_finite_difference",
         }
+
+    def test_nonfinite_deviation_is_null_and_fails(self, tmp_path, monkeypatch, capsys):
+        from elastic_schwarz import analysis
+
+        monkeypatch.setattr(analysis, "first_order_coefficient",
+                            lambda medium, omega, ks: np.full(ks.shape, np.nan))
+        assert main(["verify", "--out", str(tmp_path)]) == 5
+        report = strict_json(read(tmp_path / "verify_report.json"))
+        check, = (c for c in report["checks"]
+                  if c["name"] == "first_order_rho_vs_finite_difference")
+        assert check["max_deviation"] is None and not check["passed"]
+        assert ("FAIL first_order_rho_vs_finite_difference: max deviation not finite"
+                in capsys.readouterr().out)
 
     def test_zero_overlap_config_passes(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path), "--delta", "0"]) == 0

@@ -133,6 +133,18 @@ class TestBuildMesh:
         with pytest.raises(ValueError, match="nx"):
             build_mesh((0.0, 1.0), (0.0, 1.0), 0, 4)
 
+    @pytest.mark.parametrize("args, field", [
+        (((0.0, 0.0), (0.0, 1.0), 4, 4), "x_min/x_max"),
+        (((0.0, 1.0), (1.0, 1.0), 4, 4), "y_min/y_max"),
+        (((0.0, 1.0), (0.0, 1.0), 0, 4), "nx/ny"),
+        (((0.0, 1.0), (0.0, 1.0), 4, -1), "nx/ny"),
+        (((0.0, 1.0), (0.0, 1.0), 40_000, 30_000), "nx/ny"),
+    ])
+    def test_check_mesh_names_the_field(self, args, field):
+        with pytest.raises(ValueError) as exc_info:
+            fem.check_mesh(*args)
+        assert str(exc_info.value).startswith(f"{field}: ")
+
     def test_rejects_dofs_past_int32_before_allocating(self):
         # 2 * 50001**2 dofs: the node array alone would take 40 GB
         tracemalloc.start()
@@ -380,6 +392,24 @@ class TestInterfaceModeAmplitudes:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="samples"):
             interface_mode_amplitudes(np.zeros(10), 10)
+
+    @pytest.mark.parametrize("ny", [2, 3, 40, 160])
+    def test_matches_dense_sine_sum(self, ny):
+        # the dense formula (2/ny) sum_m sin(j m pi/ny) trace_m; j m is
+        # reduced mod 2 ny first, so the oracle's own sines are exact to
+        # roundoff (unreduced, they lose about 1e-14 at ny = 160)
+        trace = np.random.default_rng(ny).standard_normal(ny + 1)
+        m = np.arange(1, ny)
+        sines = np.sin(PI * (np.outer(m, m) % (2 * ny)) / ny)
+        dense = (2.0 / ny) * (sines @ trace[1:ny])
+        amps = interface_mode_amplitudes(trace, ny)
+        assert np.abs(amps - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("ny", [0, 1])
+    def test_no_interior_node_gives_no_modes(self, ny):
+        amps = interface_mode_amplitudes(np.ones(ny + 1), ny)
+        assert amps.shape == (0,)
+        assert dominant_mode(amps) == 0
 
 
 class TestExports:

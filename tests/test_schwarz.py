@@ -114,6 +114,13 @@ class TestSchwarzIterate:
         mods = np.hypot(x[0::2], x[1::2])
         assert history.err_max[-1] == pytest.approx(mods.max(), rel=1e-10)
 
+    def test_rejects_a_loaded_system(self, small_setup):
+        # the sweep iterates the error equation, whose load is zero
+        system, dec = small_setup
+        loaded = dataclasses.replace(system, rhs=np.ones(system.n_dofs))
+        with pytest.raises(ValueError, match="load must be zero"):
+            schwarz_iterate(loaded, dec, np.zeros(system.n_dofs), 2)
+
     def test_unowned_dofs_keep_their_value(self, small_setup):
         # without Dirichlet rows the boundary dofs are free but no
         # subdomain owns them: M^-1 is zero there, so the sweep keeps them
