@@ -21,7 +21,10 @@ B_i maps the data on subdomain i's interface line through its solve to
 the other interface line, which it owns.  That is the substructured
 Schwarz iteration (Dolean, Jolivet and Nataf, SIAM 2015, ch. 2), the
 discrete form of the interface iteration the mode analysis solves per
-Fourier mode; each subdomain builds its half from |S|/2 solves.
+Fourier mode.  Each factor solves its first subdomain's interface line
+once, |S|/2 solves; on the symmetric strip the point reflection maps the
+second subdomain onto the first, so B1 is B0 read through the reflection
+and the second half of T_SS comes from the same solves.
 """
 
 from __future__ import annotations
@@ -222,36 +225,55 @@ class RestrictedSolve:
     subdomain on its interior and keeps the part it owns; that is the
     RAS preconditioner M^-1.  Dofs that no subdomain owns come back zero.
 
-    A factor serves every subdomain whose matrix equals the factored one
-    to a relative 1e-12, and the right-hand sides of the subdomains it
-    serves are the columns of one solve.  The second subdomain is taken
-    in node-pair-reversed order when its interior has the first one's
-    size, so on a strip symmetric about the midline its matrix is the
-    first one's and one factor serves both.  Otherwise (an x range not
-    symmetric about the midline, a matrix that is not mirror-invariant)
-    each subdomain has its own factor.
+    A subdomain whose interior is the point reflection of the first one's
+    (the reflection of the strip reverses node ids) is taken in reflected
+    order, and it shares the first one's factor when its rows of A equal
+    the first one's under the reflection to a relative 1e-12: its
+    interior block and its entries outside the interior, with a
+    reflection-invariant Dirichlet mask.  Its right-hand sides are then
+    the first one's read through the reflection, and the right-hand sides
+    of the subdomains a factor serves are the columns of one solve.
+    Otherwise (an x range not symmetric about the midline, a matrix that
+    is not reflection-invariant) each subdomain has its own factor.
     """
 
     def __init__(self, system: AssembledSystem, decomposition: Decomposition):
         self.system = system
-        self.free = np.flatnonzero(~system.dirichlet_mask)
+        mask = system.dirichlet_mask
+        self.free = np.flatnonzero(~mask)
         pos = np.full(system.n_dofs, -1, dtype=np.int64)
         pos[self.free] = np.arange(self.free.size)
         local = np.full(system.n_dofs, -1, dtype=np.int64)
         matrix = system.matrix.tocsr()
-        self._groups = []  # (factor, [(interior, owned, owned within interior)])
-        first = None  # the first subdomain matrix, which the others are compared with
+        # the point reflection of the strip reverses node ids
+        reflect = np.arange(system.n_dofs).reshape(-1, 2)[::-1].ravel()
+        # (factor, [(interior, owned, owned within interior, reflection)]):
+        # a reflected part maps each free position to its reflection's,
+        # the factor's first part has None
+        self._groups = []
+        first = first_interior = None  # the first subdomain's matrix and interior
+
+        def agree(x, y):
+            return abs(x - y).max() <= 1e-12 * abs(first).max()
+
         for sub in decomposition.subdomains:
-            interior = sub.interior_free
-            mirrored = first is not None and interior.size == first.shape[0]
-            if mirrored:
-                # the point reflection of the strip reverses node ids
-                interior = interior.reshape(-1, 2)[::-1].ravel()
+            interior, shared = sub.interior_free, False
+            if first is not None and np.array_equal(
+                np.sort(reflect[first_interior]), interior
+            ):
+                interior = reflect[first_interior]
+                outside = np.flatnonzero(
+                    np.isin(np.arange(system.n_dofs), first_interior, invert=True)
+                )
+                shared = np.array_equal(mask, mask[reflect]) and agree(
+                    matrix[interior][:, reflect[outside]],
+                    matrix[first_interior][:, outside],
+                )
+            a = matrix[interior][:, interior].tocsc()
             local[interior] = np.arange(interior.size)
             part = (pos[interior], pos[sub.owned_free], local[sub.owned_free])
-            a = matrix[interior][:, interior].tocsc()
-            if mirrored and abs(a - first).max() <= 1e-12 * abs(first).max():
-                self._groups[0][1].append(part)
+            if shared and agree(a, first):
+                self._groups[0][1].append(part + (pos[reflect[self.free]],))
                 continue
             # the subdomain matrices are symmetric: order on A^T + A
             try:
@@ -259,9 +281,9 @@ class RestrictedSolve:
             except RuntimeError as exc:
                 raise SingularSystemError(f"subdomain factorization failed: {exc}") from exc
             _checked_solve(lu, a, a @ np.ones(a.shape[0]))
-            self._groups.append((lu, [part]))
+            self._groups.append((lu, [part + (None,)]))
             if first is None:
-                first = a
+                first, first_interior = a, interior
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         z = np.zeros_like(v)
@@ -269,31 +291,44 @@ class RestrictedSolve:
         width = columns.shape[1]
         for lu, parts in self._groups:
             # every part's right-hand sides as the columns of one solve
-            x = lu.solve(np.hstack([columns[interior] for interior, _, _ in parts]))
-            for i, (_, owned, keep) in enumerate(parts):
+            x = lu.solve(np.hstack([columns[part[0]] for part in parts]))
+            for i, (_, owned, keep, _) in enumerate(parts):
                 out[owned] = x[keep, i * width:(i + 1) * width]
         return z
 
     def interface_block(self, columns: np.ndarray) -> np.ndarray:
         """(M^-1 A)[S, S] at the free-unknown positions S = ``columns``.
         A subdomain solves an S column of its own matrix to the unit
-        vector, so only its other S columns (its interface line, unowned
-        dofs) are solved, `SPECTRUM_CHUNK` at a time, and only the S rows
-        it owns are kept."""
+        vector, so only the other S columns (its interface line, unowned
+        dofs) are solved, and only the S rows it owns are kept.  Each
+        factor solves those columns of its group's first subdomain,
+        `SPECTRUM_CHUNK` at a time, once; a reflected subdomain writes its
+        rows of the solves at the reflected columns, so S must hold the
+        reflection of every column solved, or ValueError is raised."""
         a = self.system.matrix.tocsr()[:, self.free[columns]][self.free]
         at = np.full(self.free.size, -1, dtype=np.int64)
         at[columns] = np.arange(columns.size)
         block = np.zeros((columns.size, columns.size))
         for lu, parts in self._groups:
-            for interior, owned, keep in parts:
+            solved = np.flatnonzero(np.isin(columns, parts[0][0], invert=True))
+            targets = []
+            for _, owned, keep, reflection in parts:
                 rows = at[owned]
                 keep, rows = keep[rows >= 0], rows[rows >= 0]
                 block[rows, rows] = 1.0
-                outside = np.flatnonzero(np.isin(columns, interior, invert=True))
-                rhs = a[interior]
-                for start in range(0, outside.size, SPECTRUM_CHUNK):
-                    cols = outside[start:start + SPECTRUM_CHUNK]
-                    block[np.ix_(rows, cols)] = lu.solve(rhs[:, cols].toarray())[keep]
+                cols = solved if reflection is None else at[reflection[columns[solved]]]
+                if np.any(cols < 0):
+                    raise ValueError(
+                        "columns: the reflection of a solved column is not in S"
+                    )
+                targets.append((rows, keep, cols))
+            rhs = a[parts[0][0]]
+            for start in range(0, solved.size, SPECTRUM_CHUNK):
+                chunk = slice(start, start + SPECTRUM_CHUNK)
+                x = lu.solve(rhs[:, solved[chunk]].toarray())
+                for rows, keep, cols in targets:
+                    block[np.ix_(rows, cols[chunk])] = x[keep]
+                del x  # before the next chunk's right-hand sides are built
         return block
 
 
@@ -524,7 +559,13 @@ def gmres(
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     system, free = solve.system, solve.free
-    a = system.matrix[free][:, free].tocsr()
+    full = np.zeros(system.n_dofs)
+
+    def apply_a(v):
+        # zero on the Dirichlet dofs, so this is A[free, free] @ v
+        full[free] = v
+        return (system.matrix @ full)[free]
+
     b = np.asarray(rhs, dtype=float)[free]
     n = free.size
     x = np.zeros(n)
@@ -544,7 +585,7 @@ def gmres(
         history, converged = [1.0], 1.0 < tol
     stagnated = False
     cycle_len = restart if restart is not None else max_iter
-    operator = LinearOperator((n, n), matvec=lambda v: solve(a @ v), dtype=float)
+    operator = LinearOperator((n, n), matvec=lambda v: solve(apply_a(v)), dtype=float)
 
     while len(history) <= max_iter and not (converged or stagnated or nonfinite):
         start = len(history)
@@ -557,7 +598,7 @@ def gmres(
                 callback=history.append, callback_type="pr_norm",
             )
         estimates = history[start:]
-        relres = _l2_norm(solve(b - a @ candidate)) / math.ldexp(b_norm, -exponent)
+        relres = _l2_norm(solve(b - apply_a(candidate))) / math.ldexp(b_norm, -exponent)
         finite = np.isfinite(estimates + [relres])
         if not finite.all():
             del history[start + int(np.argmin(finite)):]

@@ -283,6 +283,42 @@ def factor_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solved_columns(monkeypatch):
+    """Counts the right-hand sides the subdomain factors of `schwarz` solve."""
+    counts = []
+    original = schwarz.splu
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            counts.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(
+        schwarz, "splu", lambda *args, **kwargs: Counting(original(*args, **kwargs))
+    )
+    return counts
+
+
+def raw_system(medium, scale=1.0):
+    """The 40x20 strip at omega 1 without Dirichlet rows, its boundary dofs
+    free and unowned; ``scale`` multiplies the coupling of one interior row
+    that only the right subdomain holds to a dof on the wall x = 1."""
+    mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+    matrix, _ = fem.assemble_raw(mesh, medium, 1.0)
+    node = 10 * (mesh.nx + 1) + mesh.nx - 1  # next to the wall, mid-height
+    assert matrix[2 * node, 2 * node + 2] != 0.0
+    matrix[2 * node, 2 * node + 2] *= scale
+    n = matrix.shape[0]
+    system = fem.AssembledSystem(
+        matrix=matrix, rhs=np.zeros(n), dirichlet_mask=np.zeros(n, dtype=bool), mesh=mesh
+    )
+    return system, decompose(mesh, 4)
+
+
 def reference_solve(system, dec, v, previous=None):
     """`RestrictedSolve` rebuilt from one `spsolve` per subdomain."""
     free = np.flatnonzero(~system.dirichlet_mask)
@@ -305,7 +341,9 @@ class TestSharedFactor:
         RestrictedSolve(*small_setup)
         assert len(factor_calls) == 1
 
-    @pytest.mark.parametrize("case", ["asymmetric", "single_domain", "perturbed"])
+    @pytest.mark.parametrize(
+        "case", ["asymmetric", "single_domain", "perturbed", "unreflected_mask"]
+    )
     def test_fallback_factors_every_subdomain(self, medium, factor_calls, case):
         if case == "asymmetric":
             mesh = build_mesh((-1.0, 1.5), (0.0, 1.0), 50, 20)
@@ -319,6 +357,11 @@ class TestSharedFactor:
             matrix = system.matrix.tocsr(copy=True)
             matrix[dof, dof] *= 1.0 + 1e-9
             system = dataclasses.replace(system, matrix=matrix)
+        if case == "unreflected_mask":
+            # a free dof on the wall x = -1 whose reflection stays pinned
+            mask = system.dirichlet_mask.copy()
+            mask[2 * 10 * (mesh.nx + 1)] = False
+            system = dataclasses.replace(system, dirichlet_mask=mask)
         solve = RestrictedSolve(system, dec)
         assert len(factor_calls) == len(dec.subdomains)
         v = np.random.default_rng(3).standard_normal(solve.free.size)
@@ -361,6 +404,48 @@ class TestSharedFactor:
         for j in range(block.shape[1]):
             want = got[:, j]
             assert np.abs(solve(block[:, j]) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_entries_outside_the_interior_decide_sharing(
+        self, medium, factor_calls, scale
+    ):
+        # equal interior blocks, but the perturbed right subdomain's
+        # right-hand sides are no longer the left one's reflected
+        system, dec = raw_system(medium, scale)
+        columns = interface_unknowns(system, dec)
+        block = RestrictedSolve(system, dec).interface_block(columns)
+        n_factors = len(factor_calls)
+        dense = preconditioned_operator(system, dec)[np.ix_(columns, columns)]
+        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)
+        assert n_factors == (1 if scale == 1.0 else 2)
+
+    @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "single_domain"])
+    def test_interface_block_solves_once_per_factor(self, medium, solved_columns, case):
+        # one shared factor solves the left interface line only, |S|/2
+        if case == "single_domain":
+            # without Dirichlet rows the unowned boundary dofs make up S
+            system, dec = raw_system(medium)
+            dec = single_domain(system.mesh)
+        else:
+            x_max = 1.5 if case == "asymmetric" else 1.0
+            mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
+            system, dec = assemble(mesh, medium, 1.0), decompose(mesh, 4)
+        solve = RestrictedSolve(system, dec)
+        columns = interface_unknowns(system, dec)
+        solved_columns.clear()
+        solve.interface_block(columns)
+        assert columns.size > 0
+        assert sum(solved_columns) == columns.size // (2 if case == "symmetric" else 1)
+
+    def test_unreflected_interface_column_raises(self, small_setup):
+        system, dec = small_setup
+        solve = RestrictedSolve(system, dec)
+        columns = interface_unknowns(system, dec)
+        # on the right interface line: the reflection of a column the
+        # shared factor solves for the left subdomain
+        dropped = np.searchsorted(solve.free, dec.subdomains[1].interface_free[0])
+        with pytest.raises(ValueError, match="reflection"):
+            solve.interface_block(columns[columns != dropped])
 
 
 class TestFactorCheck:
