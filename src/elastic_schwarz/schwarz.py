@@ -22,9 +22,11 @@ the other interface line, which it owns.  That is the substructured
 Schwarz iteration (Dolean, Jolivet and Nataf, SIAM 2015, ch. 2), the
 discrete form of the interface iteration the mode analysis solves per
 Fourier mode.  Each factor solves its first subdomain's interface line
-once, |S|/2 solves; on the symmetric strip the point reflection maps the
-second subdomain onto the first, so B1 is B0 read through the reflection
-and the second half of T_SS comes from the same solves.
+once, |S|/2 solves; on the symmetric strip the point reflection P maps the
+second subdomain onto the first, so B1 = P B0 P comes from the same
+solves.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu of
+the eigenvalues mu of B0 P, and `spectrum` diagonalizes only that
+|S|/2 x |S|/2 block; every other decomposition takes the whole block.
 """
 
 from __future__ import annotations
@@ -214,6 +216,26 @@ def interface_unknowns(
     return np.flatnonzero((read | ~owned)[~system.dirichlet_mask])
 
 
+def _rows_mirror(matrix, rows, first_rows, reflect, tol) -> bool:
+    """Whether ``matrix[rows]``, its columns reflected, equals
+    ``matrix[first_rows]`` to ``tol``: the interior block and the entries
+    outside the interior in one pass over the two row slices, without
+    building either subdomain matrix.  Where the sorted reflected pattern
+    is the first rows' pattern the values are compared in place."""
+    mirrored = matrix[rows]
+    mirrored.indices = reflect.astype(mirrored.indices.dtype)[mirrored.indices]
+    mirrored.has_sorted_indices = False
+    mirrored.sort_indices()
+    first = matrix[first_rows]
+    if np.array_equal(mirrored.indptr, first.indptr) and np.array_equal(
+        mirrored.indices, first.indices
+    ):
+        diff = np.subtract(mirrored.data, first.data, out=mirrored.data)
+    else:
+        diff = (mirrored - first).data
+    return diff.size == 0 or np.abs(diff, out=diff).max() <= tol
+
+
 class RestrictedSolve:
     """The RAS subdomain solves of one system on one decomposition.
 
@@ -228,9 +250,10 @@ class RestrictedSolve:
     A subdomain whose interior is the point reflection of the first one's
     (the reflection of the strip reverses node ids) is taken in reflected
     order, and it shares the first one's factor when its rows of A equal
-    the first one's under the reflection to a relative 1e-12: its
-    interior block and its entries outside the interior, with a
-    reflection-invariant Dirichlet mask.  Its right-hand sides are then
+    the first one's under the reflection to 1e-12 max|A_1|: its interior
+    block and its entries outside the interior, compared in one pass over
+    the two row slices, with a reflection-invariant Dirichlet mask; its
+    own matrix is never built.  Its right-hand sides are then
     the first one's read through the reflection, and the right-hand sides
     of the subdomains a factor serves are the columns of one solve.
     Otherwise (an x range not symmetric about the midline, a matrix that
@@ -251,30 +274,23 @@ class RestrictedSolve:
         # a reflected part maps each free position to its reflection's,
         # the factor's first part has None
         self._groups = []
-        first = first_interior = None  # the first subdomain's matrix and interior
-
-        def agree(x, y):
-            return abs(x - y).max() <= 1e-12 * abs(first).max()
+        first_interior = tol = None  # the first subdomain's interior and 1e-12 max|A_1|
 
         for sub in decomposition.subdomains:
             interior, shared = sub.interior_free, False
-            if first is not None and np.array_equal(
+            if first_interior is not None and np.array_equal(
                 np.sort(reflect[first_interior]), interior
             ):
                 interior = reflect[first_interior]
-                outside = np.flatnonzero(
-                    np.isin(np.arange(system.n_dofs), first_interior, invert=True)
+                shared = np.array_equal(mask, mask[reflect]) and _rows_mirror(
+                    matrix, interior, first_interior, reflect, tol
                 )
-                shared = np.array_equal(mask, mask[reflect]) and agree(
-                    matrix[interior][:, reflect[outside]],
-                    matrix[first_interior][:, outside],
-                )
-            a = matrix[interior][:, interior].tocsc()
             local[interior] = np.arange(interior.size)
             part = (pos[interior], pos[sub.owned_free], local[sub.owned_free])
-            if shared and agree(a, first):
+            if shared:
                 self._groups[0][1].append(part + (pos[reflect[self.free]],))
                 continue
+            a = matrix[interior][:, interior].tocsc()
             # the subdomain matrices are symmetric: order on A^T + A
             try:
                 lu = splu(a, permc_spec="MMD_AT_PLUS_A")
@@ -282,8 +298,8 @@ class RestrictedSolve:
                 raise SingularSystemError(f"subdomain factorization failed: {exc}") from exc
             _checked_solve(lu, a, a @ np.ones(a.shape[0]))
             self._groups.append((lu, [part + (None,)]))
-            if first is None:
-                first, first_interior = a, interior
+            if first_interior is None:
+                first_interior, tol = interior, 1e-12 * abs(a).max()
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         z = np.zeros_like(v)
@@ -330,6 +346,39 @@ class RestrictedSolve:
                     block[np.ix_(rows, cols[chunk])] = x[keep]
                 del x  # before the next chunk's right-hand sides are built
         return block
+
+    def mirrored_block(self, columns: np.ndarray) -> np.ndarray | None:
+        """B0 P, the |S|/2 x |S|/2 half of `interface_block`, or None when
+        the subdomains do not mirror each other.
+
+        It applies when one factor serves both subdomains through the
+        reflection P and every unknown of S = ``columns`` is owned: then
+        (M^-1 A)[S, S] = [[I, B0], [P B0 P, I]], the S rows the first
+        subdomain owns first, whose eigenvalues are 1 +- mu for the
+        eigenvalues mu of B0 P.  Row and column i belong to the i-th S
+        row the first subdomain owns; column i is its solve of the
+        reflection of that unknown, `SPECTRUM_CHUNK` at a time, the
+        right-hand sides taken from one row slice of A over its interior."""
+        lu, parts = self._groups[0]
+        if len(self._groups) != 1 or len(parts) != 2:
+            return None
+        (interior, owned, keep, _), (_, owned_right, _, reflection) = parts
+        at = np.full(self.free.size, -1, dtype=np.int64)
+        at[columns] = np.arange(columns.size)
+        rows, rows_right = at[owned], at[owned_right]
+        keep, rows = keep[rows >= 0], rows[rows >= 0]
+        rows_right = rows_right[rows_right >= 0]
+        mirror = reflection[columns[rows]]
+        if rows.size + rows_right.size != columns.size or not np.array_equal(
+            np.sort(at[mirror]), np.sort(rows_right)
+        ):
+            return None
+        rhs = self.system.matrix.tocsr()[self.free[interior]][:, self.free[mirror]]
+        half = np.empty((rows.size, rows.size))
+        for start in range(0, rows.size, SPECTRUM_CHUNK):
+            chunk = slice(start, start + SPECTRUM_CHUNK)
+            half[:, chunk] = lu.solve(rhs[:, chunk].toarray())[keep]
+        return half
 
 
 def seeded_initial_guess(
@@ -501,10 +550,15 @@ def spectrum(
     """All eigenvalues of the preconditioned operator on the free unknowns,
     sorted by (re, im) so repeated runs emit identical tables.
 
-    Only the interface block (M^-1 A)[S, S] is built and diagonalized
-    (`RestrictedSolve.interface_block`); the other n - |S| eigenvalues are
-    exactly one.  The dense ``eigvals(preconditioned_operator(system,
-    decomposition))`` is the reference it agrees with.
+    Only the interface block (M^-1 A)[S, S] is used; the other n - |S|
+    eigenvalues are exactly one.  On a mirrored strip, where its
+    eigenvalues are 1 +- mu for the eigenvalues mu of the half block B0 P
+    (`RestrictedSolve.mirrored_block`), only that half is built and
+    diagonalized; otherwise (an asymmetric strip, one subdomain, unowned
+    unknowns in S) the whole block (`RestrictedSolve.interface_block`).
+    The dense ``eigvals(preconditioned_operator(system, decomposition))``
+    is the reference it agrees with.  The memory budget is checked for
+    the whole block, before any factorization.
     """
     columns = interface_unknowns(system, decomposition)
     n, m = int(np.count_nonzero(~system.dirichlet_mask)), columns.size
@@ -513,8 +567,14 @@ def spectrum(
         f"a {m} x {m} interface block of {n} unknowns and its eigenproblem",
         8 * (2 * m * m + 2 * SPECTRUM_CHUNK * n),
     )
-    block = RestrictedSolve(system, decomposition).interface_block(columns)
-    eigs = np.concatenate([np.linalg.eigvals(block), np.ones(n - m)])
+    solve = RestrictedSolve(system, decomposition)
+    half = solve.mirrored_block(columns)
+    if half is None:
+        interface = np.linalg.eigvals(solve.interface_block(columns))
+    else:
+        mu = np.linalg.eigvals(half)
+        interface = np.concatenate([1.0 + mu, 1.0 - mu])
+    eigs = np.concatenate([interface, np.ones(n - m)])
     order = np.lexsort((eigs.imag, eigs.real))
     return eigs[order]
 

@@ -319,6 +319,21 @@ def raw_system(medium, scale=1.0):
     return system, decompose(mesh, 4)
 
 
+def matched_deviation(a, b):
+    """Largest |a_i - b_j| over the pairing of two multisets of
+    eigenvalues that minimizes the total deviation."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(a[:, None] - b[None, :])
+    return cost[linear_sum_assignment(cost)].max()
+
+
+def assert_pairs_about_one(eigs):
+    """The spectrum of [[I, B0], [P B0 P, I]]: its eigenvalues come in
+    pairs 1 +- mu."""
+    assert matched_deviation(eigs - 1.0, 1.0 - eigs) < 1e-13
+
+
 def reference_solve(system, dec, v, previous=None):
     """`RestrictedSolve` rebuilt from one `spsolve` per subdomain."""
     free = np.flatnonzero(~system.dirichlet_mask)
@@ -342,7 +357,11 @@ class TestSharedFactor:
         assert len(factor_calls) == 1
 
     @pytest.mark.parametrize(
-        "case", ["asymmetric", "single_domain", "perturbed", "unreflected_mask"]
+        "case",
+        [
+            "asymmetric", "single_domain", "perturbed", "perturbed_offdiagonal",
+            "perturbed_outside", "unreflected_mask",
+        ],
     )
     def test_fallback_factors_every_subdomain(self, medium, factor_calls, case):
         if case == "asymmetric":
@@ -351,12 +370,29 @@ class TestSharedFactor:
             mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
         system = assemble(mesh, medium, 1.0)
         dec = single_domain(mesh) if case == "single_domain" else decompose(mesh, 4)
-        if case == "perturbed":
-            # a diagonal entry that only the right subdomain holds
-            dof = dec.subdomains[1].interior_free[-1]
+        if case in ("perturbed", "perturbed_offdiagonal"):
+            # a diagonal entry that only the right subdomain holds, or the
+            # coupling of a right-interior dof to its left neighbour
+            if case == "perturbed":
+                row = col = dec.subdomains[1].interior_free[-1]
+            else:
+                col = 2 * (10 * (mesh.nx + 1) + 30)
+                row = col + 2
+                assert {row, col} <= set(dec.subdomains[1].interior_free)
             matrix = system.matrix.tocsr(copy=True)
-            matrix[dof, dof] *= 1.0 + 1e-9
+            assert abs(matrix[row, col]) > 1e-3 * abs(matrix).max()
+            matrix[row, col] *= 1.0 + 1e-9
             system = dataclasses.replace(system, matrix=matrix)
+        if case == "perturbed_outside":
+            # a coupling of a right-interior dof to a pinned dof on the wall
+            # x = 1: on the Dirichlet strip the one kind of entry outside
+            # the interior that no subdomain's interior block holds
+            wall = 2 * (10 * (mesh.nx + 1) + mesh.nx)
+            assert system.dirichlet_mask[wall]
+            assert wall - 2 in dec.subdomains[1].interior_free
+            matrix = system.matrix.tolil(copy=True)
+            matrix[wall - 2, wall] = 1e-9 * abs(system.matrix).max()
+            system = dataclasses.replace(system, matrix=matrix.tocsr())
         if case == "unreflected_mask":
             # a free dof on the wall x = -1 whose reflection stays pinned
             mask = system.dirichlet_mask.copy()
@@ -562,7 +598,71 @@ class TestSpectrum:
         assert np.abs(eigs - dense).max() < 1e-8
         n_interface = interface_unknowns(system, dec).size
         assert n_interface == 76  # 2 interface lines x 19 nodes x 2 dofs
-        assert np.count_nonzero(eigs == 1.0) == eigs.size - n_interface
+        # at least: 1 +- mu rounds to 1 where mu is below half an ulp of 1
+        assert np.count_nonzero(eigs == 1.0) >= eigs.size - n_interface
+        assert_pairs_about_one(eigs)
+
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
+    @pytest.mark.parametrize("nx", [40, 80])
+    def test_mirrored_spectrum_is_the_full_block(self, medium, nx, omega):
+        # the half block B0 P against the full interface block, and at
+        # 40x20 against the dense n x n operator
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), nx, nx // 2)
+        system = assemble(mesh, medium, omega)
+        dec = decompose(mesh, 4)
+        eigs = spectrum(system, dec)
+        columns = interface_unknowns(system, dec)
+        full = np.linalg.eigvals(RestrictedSolve(system, dec).interface_block(columns))
+        want = np.concatenate([full, np.ones(eigs.size - columns.size)])
+        assert matched_deviation(eigs, want) < 1e-13
+        if nx == 40:
+            # the dense eigensolve blurs the n - |S| defective ones into a
+            # ball of radius about 1e-8 around 1; outside it the two agree
+            dense = np.linalg.eigvals(preconditioned_operator(system, dec))
+
+            def far(x):
+                return x[np.abs(x - 1.0) > 1e-6]
+
+            assert far(eigs).size == far(dense).size > 0
+            assert matched_deviation(far(eigs), far(dense)) < 1e-13
+        assert_pairs_about_one(eigs)
+
+    @pytest.mark.parametrize(
+        "case", ["mirrored", "asymmetric", "single_domain", "identity", "raw"]
+    )
+    def test_eigensolve_size(self, medium, monkeypatch, case):
+        # the half block on the mirrored Dirichlet strip only; every other
+        # case diagonalizes the whole |S| x |S| block
+        import scipy.sparse as sp
+
+        x_max = 1.5 if case == "asymmetric" else 1.0
+        mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
+        if case in ("single_domain", "raw"):
+            system, dec = raw_system(medium)
+        else:
+            system, dec = assemble(mesh, medium, 5.0), decompose(mesh, 4)
+        if case == "single_domain":
+            dec = single_domain(mesh)
+        if case == "identity":
+            system = fem.AssembledSystem(
+                matrix=sp.identity(system.n_dofs, format="csr"),
+                rhs=np.zeros(system.n_dofs),
+                dirichlet_mask=np.zeros(system.n_dofs, dtype=bool),
+                mesh=mesh,
+            )
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        spectrum(system, dec)
+        n_interface = interface_unknowns(system, dec).size
+        assert n_interface > 0
+        want = (38, 38) if case == "mirrored" else (n_interface, n_interface)
+        assert shapes == [want]
 
     @pytest.mark.parametrize("x_max", [1.0, 1.5])
     def test_interface_block_is_the_operator_block(self, medium, x_max):
