@@ -26,7 +26,7 @@ once, |S|/2 solves; on the symmetric strip the point reflection P maps the
 second subdomain onto the first, so B1 = P B0 P comes from the same
 solves.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu of
 the eigenvalues mu of B0 P, and `spectrum` diagonalizes only that
-|S|/2 x |S|/2 block; every other decomposition takes the whole block.
+|S|/2 x |S|/2 half of the block; every other decomposition the whole.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ __all__ = [
 ]
 
 SPECTRUM_BUDGET_BYTES = 2 * 1024**3
-SPECTRUM_CHUNK = 64  # interface columns per subdomain solve
+# interface columns per subdomain solve; each is dense over the interior
+SPECTRUM_CHUNK = 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -97,14 +98,8 @@ class Subdomain:
 class Decomposition:
     """Overlapping decomposition with a disjoint ownership partition."""
 
-    mesh: StructuredMesh
-    overlap_cells: int
     subdomains: list
     midline_col: int | None
-
-    @property
-    def overlap_width(self) -> float:
-        return self.overlap_cells * self.mesh.hx
 
 
 def subdomain_columns(
@@ -173,9 +168,7 @@ def decompose(mesh: StructuredMesh, overlap_cells: int) -> Decomposition:
             )
         )
 
-    return Decomposition(
-        mesh=mesh, overlap_cells=overlap_cells, subdomains=subs, midline_col=mid_col
-    )
+    return Decomposition(subdomains=subs, midline_col=mid_col)
 
 
 def single_domain(mesh: StructuredMesh) -> Decomposition:
@@ -187,12 +180,7 @@ def single_domain(mesh: StructuredMesh) -> Decomposition:
         interface_free=np.array([], dtype=np.int64),
         owned_free=all_free,
     )
-    return Decomposition(
-        mesh=mesh,
-        overlap_cells=0,
-        subdomains=[sub],
-        midline_col=None,
-    )
+    return Decomposition(subdomains=[sub], midline_col=None)
 
 
 def interface_unknowns(
@@ -320,7 +308,8 @@ class RestrictedSolve:
         factor solves those columns of its group's first subdomain,
         `SPECTRUM_CHUNK` at a time, once; a reflected subdomain writes its
         rows of the solves at the reflected columns, so S must hold the
-        reflection of every column solved, or ValueError is raised."""
+        reflection of every column solved, or ValueError is raised.
+        `mirrored_half` indexes the half block B0 P of the result."""
         a = self.system.matrix.tocsr()[:, self.free[columns]][self.free]
         at = np.full(self.free.size, -1, dtype=np.int64)
         at[columns] = np.arange(columns.size)
@@ -347,38 +336,30 @@ class RestrictedSolve:
                 del x  # before the next chunk's right-hand sides are built
         return block
 
-    def mirrored_block(self, columns: np.ndarray) -> np.ndarray | None:
-        """B0 P, the |S|/2 x |S|/2 half of `interface_block`, or None when
-        the subdomains do not mirror each other.
-
-        It applies when one factor serves both subdomains through the
-        reflection P and every unknown of S = ``columns`` is owned: then
-        (M^-1 A)[S, S] = [[I, B0], [P B0 P, I]], the S rows the first
-        subdomain owns first, whose eigenvalues are 1 +- mu for the
-        eigenvalues mu of B0 P.  Row and column i belong to the i-th S
-        row the first subdomain owns; column i is its solve of the
-        reflection of that unknown, `SPECTRUM_CHUNK` at a time, the
-        right-hand sides taken from one row slice of A over its interior."""
-        lu, parts = self._groups[0]
-        if len(self._groups) != 1 or len(parts) != 2:
+    def mirrored_half(self, columns: np.ndarray) -> tuple | None:
+        """The `np.ix_` index of the half block B0 P in
+        ``interface_block(columns)``, or None when the subdomains do not
+        mirror each other; nothing is solved.  It applies when one factor
+        serves both subdomains through the reflection P and every unknown
+        of S = ``columns`` is owned: then, the S rows the first subdomain
+        owns taken first, (M^-1 A)[S, S] = [[I, B0], [P B0 P, I]], whose
+        eigenvalues are 1 +- mu for the eigenvalues mu of B0 P.  B0 P has
+        those rows, and as columns their reflections, which must be the S
+        rows the second subdomain owns."""
+        (_, parts), *others = self._groups
+        if others or len(parts) != 2:
             return None
-        (interior, owned, keep, _), (_, owned_right, _, reflection) = parts
+        (_, owned, _, _), (_, owned_right, _, reflection) = parts
         at = np.full(self.free.size, -1, dtype=np.int64)
         at[columns] = np.arange(columns.size)
         rows, rows_right = at[owned], at[owned_right]
-        keep, rows = keep[rows >= 0], rows[rows >= 0]
-        rows_right = rows_right[rows_right >= 0]
-        mirror = reflection[columns[rows]]
+        rows, rows_right = rows[rows >= 0], rows_right[rows_right >= 0]
+        mirror = at[reflection[columns[rows]]]
         if rows.size + rows_right.size != columns.size or not np.array_equal(
-            np.sort(at[mirror]), np.sort(rows_right)
+            np.sort(mirror), np.sort(rows_right)
         ):
             return None
-        rhs = self.system.matrix.tocsr()[self.free[interior]][:, self.free[mirror]]
-        half = np.empty((rows.size, rows.size))
-        for start in range(0, rows.size, SPECTRUM_CHUNK):
-            chunk = slice(start, start + SPECTRUM_CHUNK)
-            half[:, chunk] = lu.solve(rhs[:, chunk].toarray())[keep]
-        return half
+        return np.ix_(rows, mirror)
 
 
 def seeded_initial_guess(
@@ -550,15 +531,16 @@ def spectrum(
     """All eigenvalues of the preconditioned operator on the free unknowns,
     sorted by (re, im) so repeated runs emit identical tables.
 
-    Only the interface block (M^-1 A)[S, S] is used; the other n - |S|
+    Only the interface block (M^-1 A)[S, S]
+    (`RestrictedSolve.interface_block`) is built; the other n - |S|
     eigenvalues are exactly one.  On a mirrored strip, where its
     eigenvalues are 1 +- mu for the eigenvalues mu of the half block B0 P
-    (`RestrictedSolve.mirrored_block`), only that half is built and
+    (`RestrictedSolve.mirrored_half`), only that half of it is
     diagonalized; otherwise (an asymmetric strip, one subdomain, unowned
-    unknowns in S) the whole block (`RestrictedSolve.interface_block`).
-    The dense ``eigvals(preconditioned_operator(system, decomposition))``
-    is the reference it agrees with.  The memory budget is checked for
-    the whole block, before any factorization.
+    unknowns in S) the whole block.  The dense
+    ``eigvals(preconditioned_operator(system, decomposition))`` is the
+    reference it agrees with.  The memory budget is checked for the whole
+    block, before any factorization.
     """
     columns = interface_unknowns(system, decomposition)
     n, m = int(np.count_nonzero(~system.dirichlet_mask)), columns.size
@@ -568,11 +550,12 @@ def spectrum(
         8 * (2 * m * m + 2 * SPECTRUM_CHUNK * n),
     )
     solve = RestrictedSolve(system, decomposition)
-    half = solve.mirrored_block(columns)
+    block = solve.interface_block(columns)
+    half = solve.mirrored_half(columns)
     if half is None:
-        interface = np.linalg.eigvals(solve.interface_block(columns))
+        interface = np.linalg.eigvals(block)
     else:
-        mu = np.linalg.eigvals(half)
+        mu = np.linalg.eigvals(block[half])
         interface = np.concatenate([1.0 + mu, 1.0 - mu])
     eigs = np.concatenate([interface, np.ones(n - m)])
     order = np.lexsort((eigs.imag, eigs.real))
