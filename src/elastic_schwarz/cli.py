@@ -582,7 +582,7 @@ def cmd_verify(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     }
     fem.atomic_write(
         os.path.join(_outdir(out), "verify_report.json"),
-        (json.dumps(report, indent=2, allow_nan=False) + "\n").encode(),
+        [(json.dumps(report, indent=2, allow_nan=False) + "\n").encode()],
     )
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"

@@ -316,29 +316,49 @@ def dominant_mode(amplitudes: np.ndarray) -> int:
     return int(np.argmax(np.abs(amplitudes))) + 1
 
 
-def atomic_write(path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` through a temporary file and a rename,
-    so a reader never sees a partly written file."""
+def atomic_write(path, chunks) -> None:
+    """Stream the bytes-like ``chunks`` into a temporary file as they come
+    and rename it to ``path``, so a reader never sees a partly written
+    file.  If a chunk or the write fails, the temporary file is removed,
+    ``path`` keeps its old bytes and the error propagates."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+# rows formatted and written per block by `write_table`
+_TABLE_BLOCK_ROWS = 4096
 
 
 def write_table(path, header_lines, names, columns) -> None:
     """Write equal-length columns as a CSV table under ``# `` header lines:
     float columns with 17 significant digits (they read back to the same
-    doubles), any other column with ``str``."""
+    doubles), any other column with ``str``.  Rows are formatted and
+    written in blocks of `_TABLE_BLOCK_ROWS`, so the memory the text takes
+    does not grow with the row count."""
     columns = [np.asarray(column) for column in columns]
     if len(names) != len(columns) or len({c.shape for c in columns}) > 1:
         raise ValueError(
             f"{len(names)} names for columns of shapes {[c.shape for c in columns]}"
         )
-    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns)
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join(names))
-    lines.extend(row % values for values in zip(*(c.tolist() for c in columns)))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    n_rows = len(columns[0]) if columns else 0
+
+    def chunks():
+        yield ("".join(f"# {line}\n" for line in header_lines)
+               + ",".join(names) + "\n").encode()
+        for start in range(0, n_rows, _TABLE_BLOCK_ROWS):
+            block = (c[start:start + _TABLE_BLOCK_ROWS].tolist() for c in columns)
+            yield "".join(row % values for values in zip(*block)).encode()
+
+    atomic_write(path, chunks())
 
 
 def export_solution_csv(
@@ -364,18 +384,26 @@ def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:
         "<8sIIII", BINARY_MAGIC, BINARY_VERSION, mesh.nx, mesh.ny, mesh.n_nodes
     )
     table = np.column_stack([mesh.nodes, u[0::2], u[1::2]]).astype("<f8")
-    atomic_write(path, header + table.tobytes())
+    atomic_write(path, (header, table))
 
 
 def read_solution_binary(path) -> tuple[dict, np.ndarray]:
-    """Read a binary dump back; returns (metadata, (n_nodes, 4) table)."""
+    """Read a binary dump back; returns (metadata, (n_nodes, 4) table).
+    Raises ValueError on a bad magic or version, or on a file whose length
+    is not the header plus 32 bytes per node."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    head = struct.calcsize("<8sIIII")
+    if len(blob) < head:
+        raise ValueError(f"expected at least a {head}-byte header, got {len(blob)} bytes")
     magic, version, nx, ny, n_nodes = struct.unpack_from("<8sIIII", blob, 0)
     if magic != BINARY_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if version != BINARY_VERSION:
         raise ValueError(f"unsupported version {version}")
-    table = np.frombuffer(blob, dtype="<f8", offset=struct.calcsize("<8sIIII"))
-    table = table.reshape(n_nodes, 4)
+    if len(blob) != head + 32 * n_nodes:
+        raise ValueError(
+            f"expected {head + 32 * n_nodes} bytes for {n_nodes} nodes, got {len(blob)}"
+        )
+    table = np.frombuffer(blob, dtype="<f8", offset=head).reshape(n_nodes, 4)
     return {"version": version, "nx": nx, "ny": ny, "n_nodes": n_nodes}, table

@@ -442,7 +442,6 @@ class TestExports:
         kinds = data.draw(
             st.lists(st.sampled_from(["int", "float", "str"]), min_size=1, max_size=5)
         )
-        n_rows = data.draw(st.integers(0, 12))
         values = {
             "int": st.integers(-(2**63), 2**63 - 1)
             | st.sampled_from([2**53 + 1, 2**63 - 1, -(2**63)]),
@@ -451,27 +450,68 @@ class TestExports:
             "str": st.text("abcxyz_-.", max_size=6),
         }
         dtypes = {"int": np.int64, "float": np.float64, "str": str}
-        lists = [
-            data.draw(st.lists(values[kind], min_size=n_rows, max_size=n_rows))
-            for kind in kinds
-        ]
-        columns = [np.array(col, dtype=dtypes[kind]) for kind, col in zip(kinds, lists)]
+        lists = [data.draw(st.lists(values[kind], min_size=12, max_size=12)) for kind in kinds]
         names = [f"c{i}" for i in range(len(kinds))]
         path = tmp_path_factory.mktemp("table") / "table.csv"
-        fem.write_table(path, ["a=1", "b=x"], names, columns)
 
         def fmt(v):
             return f"{v:.17g}" if isinstance(v, float) else str(v)
 
-        expected = ["# a=1", "# b=x", ",".join(names)]
-        expected += [",".join(fmt(v) for v in row) for row in zip(*lists)]
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        # blocks of 3 rows, so these row counts end on and across block edges
+        for n_rows in (0, 1, 2, 3, 4, 5, 7, 12):
+            rows = [col[:n_rows] for col in lists]
+            columns = [np.array(col, dtype=dtypes[kind]) for kind, col in zip(kinds, rows)]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fem, "_TABLE_BLOCK_ROWS", 3)
+                fem.write_table(path, ["a=1", "b=x"], names, columns)
+            expected = ["# a=1", "# b=x", ",".join(names)]
+            expected += [",".join(fmt(v) for v in row) for row in zip(*rows)]
+            assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
-    def test_write_table_rejects_unequal_columns(self, tmp_path):
+    def test_write_table_without_rows_or_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fem.write_table(path, ["a=1"], ["x", "n"], [np.zeros(0), np.zeros(0, dtype=int)])
+        assert path.read_bytes() == b"# a=1\nx,n\n"
+        fem.write_table(path, ["a=1"], [], [])
+        assert path.read_bytes() == b"# a=1\n\n"
+
+    def test_write_table_rejects_unequal_columns(self, tmp_path, monkeypatch):
+        def no_write(path, chunks):
+            raise AssertionError("a file was opened before the columns were checked")
+
+        monkeypatch.setattr(fem, "atomic_write", no_write)
         with pytest.raises(ValueError, match="names"):
             fem.write_table(tmp_path / "t.csv", [], ["a", "b"], [np.zeros(3), np.zeros(2)])
         with pytest.raises(ValueError, match="names"):
             fem.write_table(tmp_path / "t.csv", [], ["a"], [np.zeros(3), np.zeros(3)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_stream_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+
+        def chunks():
+            yield b"new\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            fem.atomic_write(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "edit, size",
+        [(lambda blob: blob[:10], 10), (lambda blob: blob[:-5], 403),
+         (lambda blob: blob + bytes(8), 416)],
+        ids=["short", "truncated", "padded"],
+    )
+    def test_binary_rejects_wrong_length(self, tmp_path, edit, size):
+        mesh = build_mesh((0.0, 1.0), (0.0, 2.0), 3, 2)
+        path = tmp_path / "field.bin"
+        fem.export_solution_binary(mesh, np.zeros(2 * mesh.n_nodes), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"expected .*, got {size}"):
+            fem.read_solution_binary(path)
 
     def test_rejects_wrong_length(self, tmp_path):
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
