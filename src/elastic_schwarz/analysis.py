@@ -399,8 +399,18 @@ class Sweep:
     zone: np.ndarray
 
 
+# wavenumbers per block of `sweep`, the last block taking the remainder.
+# Not below 16,384: numpy evaluates a complex array expression of that many
+# entries or more in place, with other last-bit rounding, so a shorter
+# block would change the bits of a long grid.
+_SWEEP_BLOCK = 65536
+
+
 def sweep(medium: ElasticMedium, omega: float, delta: float, k_grid) -> Sweep:
-    """Evaluate eigenvalue moduli and zone over an increasing wavenumber grid."""
+    """Evaluate eigenvalue moduli and zone over an increasing wavenumber grid.
+
+    The columns are filled in blocks of `_SWEEP_BLOCK` wavenumbers, so the
+    temporaries of the closed form do not grow with the grid."""
     ks = np.array(k_grid, dtype=float)
     if ks.size == 0:
         raise ValueError("k_grid must be nonempty")
@@ -408,15 +418,16 @@ def sweep(medium: ElasticMedium, omega: float, delta: float, k_grid) -> Sweep:
         raise ValueError("k_grid must be nonnegative")
     if ks.size > 1 and np.any(np.diff(ks) <= 0):
         raise ValueError("k_grid must be strictly increasing")
-    r_plus, r_minus = eigenvalues_closed_form(medium, omega, ks, delta)
-    abs_r_plus, abs_r_minus = _modulus(r_plus), _modulus(r_minus)
-    return Sweep(
-        k=ks,
-        abs_r_plus=abs_r_plus,
-        abs_r_minus=abs_r_minus,
-        rho_cla=np.maximum(abs_r_plus, abs_r_minus),
-        zone=classify_zone(ks, omega, medium.cp, medium.cs),
-    )
+    s = Sweep(ks, np.empty(ks.size), np.empty(ks.size), np.empty(ks.size),
+              np.empty(ks.size, dtype=object))
+    n_blocks = max(1, ks.size // _SWEEP_BLOCK)
+    edges = [i * _SWEEP_BLOCK for i in range(n_blocks)] + [ks.size]
+    for block in map(slice, edges, edges[1:]):
+        r_plus, r_minus = eigenvalues_closed_form(medium, omega, ks[block], delta)
+        s.abs_r_plus[block], s.abs_r_minus[block] = _modulus(r_plus), _modulus(r_minus)
+        np.maximum(s.abs_r_plus[block], s.abs_r_minus[block], out=s.rho_cla[block])
+        s.zone[block] = classify_zone(ks[block], omega, medium.cp, medium.cs)
+    return s
 
 
 def max_rho(medium: ElasticMedium, omega: float, delta: float) -> tuple[float, float]:

@@ -9,9 +9,10 @@ starts with comment lines serializing the resolved configuration, so any
 file can be reproduced by feeding its own header back in (the output
 directory itself is deliberately not part of the header).
 
-Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 spectrum
-memory budget exceeded, 5 verification failure, 6 non-finite iterate (the
-history stops before it and carries a ``nonfinite_at=`` header line).
+Exit codes: 0 ok, 2 configuration error (an output directory that cannot
+be created too), 3 solver error, 4 spectrum memory budget exceeded, 5
+verification failure, 6 non-finite iterate (the history stops before it
+and carries a ``nonfinite_at=`` header line).
 """
 
 from __future__ import annotations
@@ -280,11 +281,6 @@ def _nonfinite_flag(name: str, rows: int, stopped: bool) -> list[str]:
     return [f"nonfinite_at={rows}"]
 
 
-def _outdir(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _mesh(cfg: ExperimentConfig) -> fem.StructuredMesh:
     return fem.build_mesh(
         (cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max), cfg.nx, cfg.ny
@@ -325,7 +321,7 @@ def cmd_sweep(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.k_count)
     s = analysis.sweep(cfg.medium(), cfg.omega, cfg.delta, ks)
     _write_table(
-        os.path.join(_outdir(out), "sweep.csv"),
+        os.path.join(out, "sweep.csv"),
         header,
         ["k", "abs_r_plus", "abs_r_minus", "rho", "zone"],
         [s.k, s.abs_r_plus, s.abs_r_minus, s.rho_cla, [z.value for z in s.zone]],
@@ -343,7 +339,7 @@ def cmd_modesim(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     deviation = _pairing(eigs, closed.r_plus, closed.r_minus)
     growth = modesim.power_growth(sym, cfg.delta, cfg.power_iters, cfg.seed)
     _write_table(
-        os.path.join(_outdir(out), "modesim.csv"),
+        os.path.join(out, "modesim.csv"),
         header,
         ["k", "rho_closed", "rho_numeric", "eig_deviation", "power_growth"],
         [ks, closed.rho_cla, np.abs(eigs).max(axis=1),
@@ -370,7 +366,6 @@ def cmd_schwarz(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     )
     final, history = schwarz.schwarz_iterate(system, decomposition, initial, cfg.n_iter)
     flag = _nonfinite_flag("schwarz_history", len(history), len(history) <= cfg.n_iter)
-    out = _outdir(out)
     _write_table(
         os.path.join(out, "schwarz_history.csv"),
         header + flag,
@@ -391,7 +386,7 @@ def cmd_spectrum(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     decomposition = _decomposition(cfg, system.mesh)
     eigs = schwarz.spectrum(system, decomposition)
     _write_table(
-        os.path.join(_outdir(out), "spectrum.csv"),
+        os.path.join(out, "spectrum.csv"),
         header,
         ["re", "im"],
         [eigs.real, eigs.imag],
@@ -411,7 +406,6 @@ def cmd_gmres(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     gmres_flag = _nonfinite_flag("gmres_history", result.history.size, result.nonfinite)
     rows = ras_history.size
     ras_flag = _nonfinite_flag("ras_history", rows, rows <= cfg.stationary_iters)
-    out = _outdir(out)
     _write_table(
         os.path.join(out, "gmres_history.csv"),
         header + [f"converged={_format_value(result.converged)}",
@@ -581,7 +575,7 @@ def cmd_verify(cfg: ExperimentConfig, header: list[str], out: str) -> int:
         "all_passed": all(c["passed"] for c in checks),
     }
     fem.atomic_write(
-        os.path.join(_outdir(out), "verify_report.json"),
+        os.path.join(out, "verify_report.json"),
         [(json.dumps(report, indent=2, allow_nan=False) + "\n").encode()],
     )
     for check in checks:
@@ -637,6 +631,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
+        os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

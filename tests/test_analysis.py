@@ -413,6 +413,15 @@ class TestSweep:
         assert np.all(np.abs(s.abs_r_plus - 1.0) <= 1e-12)
         assert np.all(np.abs(s.abs_r_minus - 1.0) <= 1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7])
+    def test_blocks_equal_one_block(self, medium, monkeypatch, n):
+        ks = np.linspace(0.0, 15.0, n)  # every zone when n = 7
+        whole = sweep(medium, 5.0, 0.1, ks)
+        monkeypatch.setattr(analysis, "_SWEEP_BLOCK", 3)
+        blocked = sweep(medium, 5.0, 0.1, ks)
+        for name in ("k", "abs_r_plus", "abs_r_minus", "rho_cla", "zone"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+
     def test_grid_validation(self, medium):
         with pytest.raises(ValueError, match="nonempty"):
             sweep(medium, 1.0, 0.1, [])

@@ -195,6 +195,22 @@ class TestParser:
         assert before == after == 0
         assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        # exit 2, not the 4 of this mesh's memory budget: --out comes first
+        ["spectrum", "--nx", "8", "--ny", "4000"],
+    ])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_out_exits_2_before_any_work(self, tmp_path, capsys, argv, below):
+        # --out names an existing file, or a directory below one
+        blocker = tmp_path / "afile"
+        blocker.write_bytes(b"kept\n")
+        out = blocker / below
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out) in err
+        assert read(blocker) == b"kept\n"
+
 
 class TestGeometryValidation:
     @pytest.mark.parametrize("argv, config, field", [
