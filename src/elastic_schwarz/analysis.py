@@ -10,10 +10,10 @@ provides wavenumber sweeps, the band maximum of the convergence factor,
 and its small-overlap asymptotics.
 
 Everything here is a pure function of its inputs (safe to call
-concurrently); all arithmetic is plain double precision.  The functions of
-a wavenumber k broadcast over an array of them, one array evaluation in
-place of a Python loop; a scalar k runs the same code on a length-1 array
-and gets Python scalars (complex, float, `Zone`) back.
+concurrently) in plain double precision.  A function of a wavenumber k
+broadcasts over an array of k; a scalar k runs the same code on a length-1
+array and gets Python scalars (complex, float, `Zone`), bit for bit those of
+an array call of fewer than 16,384 k (numpy evaluates longer ones in place).
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ class ElasticMedium:
 
 
 def _vector(x, dtype=float) -> np.ndarray:
-    # A scalar runs as a length-1 array: numpy evaluates 0-d operands with
-    # its scalar routines, whose complex products round differently from
-    # its array loops, and an array call must equal its element-wise calls.
+    # A scalar runs as a length-1 array: numpy's 0-d scalar routines round
+    # complex products differently from its array loops, and an array call
+    # under 16,384 entries (see `_SWEEP_BLOCK`) equals its element-wise calls.
     return np.atleast_1d(np.asarray(x, dtype=dtype))
 
 

@@ -25,8 +25,9 @@ Fourier mode.  Each factor solves its first subdomain's interface line
 once, |S|/2 solves; on the symmetric strip the point reflection P maps the
 second subdomain onto the first, so B1 = P B0 P comes from the same
 solves.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu of
-the eigenvalues mu of B0 P, and `spectrum` diagonalizes only that
-|S|/2 x |S|/2 half of the block; every other decomposition the whole.
+the eigenvalues mu of B0 P; `RestrictedSolve.interface_block` returns the
+block with the index of that |S|/2 x |S|/2 half, which `spectrum` then
+diagonalizes (None on every other decomposition: the whole block).
 """
 
 from __future__ import annotations
@@ -234,6 +235,8 @@ class RestrictedSolve:
     of columns, over the free (non-Dirichlet) unknowns solves every
     subdomain on its interior and keeps the part it owns; that is the
     RAS preconditioner M^-1.  Dofs that no subdomain owns come back zero.
+    ``interface`` holds the interface unknowns S of the decomposition
+    (`interface_unknowns`), on which `interface_block` builds M^-1 A.
 
     A subdomain whose interior is the point reflection of the first one's
     (the reflection of the strip reverses node ids) is taken in reflected
@@ -252,6 +255,7 @@ class RestrictedSolve:
         self.system = system
         mask = system.dirichlet_mask
         self.free = np.flatnonzero(~mask)
+        self.interface = interface_unknowns(system, decomposition)
         pos = np.full(system.n_dofs, -1, dtype=np.int64)
         pos[self.free] = np.arange(self.free.size)
         local = np.full(system.n_dofs, -1, dtype=np.int64)
@@ -300,16 +304,23 @@ class RestrictedSolve:
                 out[owned] = x[keep, i * width:(i + 1) * width]
         return z
 
-    def interface_block(self, columns: np.ndarray) -> np.ndarray:
-        """(M^-1 A)[S, S] at the free-unknown positions S = ``columns``.
-        A subdomain solves an S column of its own matrix to the unit
-        vector, so only the other S columns (its interface line, unowned
-        dofs) are solved, and only the S rows it owns are kept.  Each
-        factor solves those columns of its group's first subdomain,
-        `SPECTRUM_CHUNK` at a time, once; a reflected subdomain writes its
-        rows of the solves at the reflected columns, so S must hold the
-        reflection of every column solved, or ValueError is raised.
-        `mirrored_half` indexes the half block B0 P of the result."""
+    def interface_block(self) -> tuple[np.ndarray, tuple | None]:
+        """(M^-1 A)[S, S] at S = ``self.interface``, and the `np.ix_` index
+        of its half block B0 P or None.  A subdomain solves an S column of
+        its own matrix to the unit vector, so only the other S columns (its
+        interface line, unowned dofs) are solved, and only the S rows it
+        owns are kept.  Each factor solves those columns of its group's
+        first subdomain, `SPECTRUM_CHUNK` at a time, once; a reflected
+        subdomain writes its rows of the solves at the reflected columns,
+        which are in S, as sharing needs mirrored subdomains and ownership
+        is geometric.  The half applies when one factor serves both
+        subdomains through the reflection P and every unknown of S is
+        owned: then, the S rows the first subdomain owns taken first,
+        (M^-1 A)[S, S] = [[I, B0], [P B0 P, I]], whose eigenvalues are
+        1 +- mu for the eigenvalues mu of B0 P.  B0 P has those rows, and
+        as columns their reflections, which must be the S rows the second
+        subdomain owns."""
+        columns = self.interface
         a = self.system.matrix.tocsr()[:, self.free[columns]][self.free]
         at = np.full(self.free.size, -1, dtype=np.int64)
         at[columns] = np.arange(columns.size)
@@ -322,10 +333,6 @@ class RestrictedSolve:
                 keep, rows = keep[rows >= 0], rows[rows >= 0]
                 block[rows, rows] = 1.0
                 cols = solved if reflection is None else at[reflection[columns[solved]]]
-                if np.any(cols < 0):
-                    raise ValueError(
-                        "columns: the reflection of a solved column is not in S"
-                    )
                 targets.append((rows, keep, cols))
             rhs = a[parts[0][0]]
             for start in range(0, solved.size, SPECTRUM_CHUNK):
@@ -334,32 +341,15 @@ class RestrictedSolve:
                 for rows, keep, cols in targets:
                     block[np.ix_(rows, cols[chunk])] = x[keep]
                 del x  # before the next chunk's right-hand sides are built
-        return block
-
-    def mirrored_half(self, columns: np.ndarray) -> tuple | None:
-        """The `np.ix_` index of the half block B0 P in
-        ``interface_block(columns)``, or None when the subdomains do not
-        mirror each other; nothing is solved.  It applies when one factor
-        serves both subdomains through the reflection P and every unknown
-        of S = ``columns`` is owned: then, the S rows the first subdomain
-        owns taken first, (M^-1 A)[S, S] = [[I, B0], [P B0 P, I]], whose
-        eigenvalues are 1 +- mu for the eigenvalues mu of B0 P.  B0 P has
-        those rows, and as columns their reflections, which must be the S
-        rows the second subdomain owns."""
-        (_, parts), *others = self._groups
-        if others or len(parts) != 2:
-            return None
-        (_, owned, _, _), (_, owned_right, _, reflection) = parts
-        at = np.full(self.free.size, -1, dtype=np.int64)
-        at[columns] = np.arange(columns.size)
-        rows, rows_right = at[owned], at[owned_right]
-        rows, rows_right = rows[rows >= 0], rows_right[rows_right >= 0]
-        mirror = at[reflection[columns[rows]]]
+        if len(self._groups) > 1 or len(parts) != 2:
+            return block, None
+        (rows, _, _), (rows_right, _, _) = targets
+        mirror = at[parts[1][3][columns[rows]]]
         if rows.size + rows_right.size != columns.size or not np.array_equal(
             np.sort(mirror), np.sort(rows_right)
         ):
-            return None
-        return np.ix_(rows, mirror)
+            return block, None
+        return block, np.ix_(rows, mirror)
 
 
 def seeded_initial_guess(
@@ -472,18 +462,16 @@ def stationary_ras(
     solve: RestrictedSolve,
     rhs: np.ndarray,
     n_iter: int,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the RAS-preconditioned Richardson iteration, tracking the
-    preconditioned relative residual (same quantity GMRES reports).
+    """Run the RAS-preconditioned Richardson iteration from zero, tracking
+    the preconditioned relative residual (same quantity GMRES reports).
 
     A run that overflows stops before the first non-finite residual: the
     history is then shorter than ``n_iter + 1`` and ``x`` is the last
     iterate whose residual was finite; a non-finite initial residual gives
     an empty history."""
     system = solve.system
-    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x[system.dirichlet_mask] = 0.0
+    x = np.zeros(system.n_dofs)
     rhs = np.where(system.dirichlet_mask, 0.0, np.asarray(rhs, dtype=float))
     z = ras_apply(solve, rhs - system.matrix @ x)
     norm0 = _l2_norm(z)
@@ -534,24 +522,21 @@ def spectrum(
     Only the interface block (M^-1 A)[S, S]
     (`RestrictedSolve.interface_block`) is built; the other n - |S|
     eigenvalues are exactly one.  On a mirrored strip, where its
-    eigenvalues are 1 +- mu for the eigenvalues mu of the half block B0 P
-    (`RestrictedSolve.mirrored_half`), only that half of it is
-    diagonalized; otherwise (an asymmetric strip, one subdomain, unowned
-    unknowns in S) the whole block.  The dense
+    eigenvalues are 1 +- mu for the eigenvalues mu of the half block B0 P,
+    only that half of it is diagonalized; otherwise (an asymmetric strip,
+    one subdomain, unowned unknowns in S) the whole block.  The dense
     ``eigvals(preconditioned_operator(system, decomposition))`` is the
     reference it agrees with.  The memory budget is checked for the whole
     block, before any factorization.
     """
-    columns = interface_unknowns(system, decomposition)
-    n, m = int(np.count_nonzero(~system.dirichlet_mask)), columns.size
+    n = int(np.count_nonzero(~system.dirichlet_mask))
+    m = interface_unknowns(system, decomposition).size
     # the block, LAPACK's copy, one chunk of right-hand sides and solutions
     _check_budget(
         f"a {m} x {m} interface block of {n} unknowns and its eigenproblem",
         8 * (2 * m * m + 2 * SPECTRUM_CHUNK * n),
     )
-    solve = RestrictedSolve(system, decomposition)
-    block = solve.interface_block(columns)
-    half = solve.mirrored_half(columns)
+    block, half = RestrictedSolve(system, decomposition).interface_block()
     if half is None:
         interface = np.linalg.eigvals(block)
     else:

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elastic_schwarz import analysis, modesim
@@ -50,6 +50,12 @@ class TestArrayCalls:
         medium=media, omega=omegas, delta=overlaps,
         extra=st.lists(wavenumbers, max_size=12),
     )
+    # the longest array numpy still evaluates out of place: 16,383 entries
+    # (from 16,384 on, in place, the last bit may differ)
+    @example(
+        medium=ElasticMedium.from_speeds(rho=1.0, cp=1.0, cs=0.5), omega=5.0,
+        delta=0.1, extra=np.linspace(0.0, 30.0, 16380).tolist(),
+    )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_array_call_equals_scalar_calls(self, medium, omega, delta, extra):
         # k = 0 and both cut-offs exactly, plus random wavenumbers
@@ -58,7 +64,9 @@ class TestArrayCalls:
         zones = classify_zone(grid, omega, medium.cp, medium.cs)
         sym = characteristic_roots(medium, omega, grid)
         assert zones[1] is zones[2] is Zone.BOUNDARY
-        for i, k in enumerate(grid.tolist()):
+        # every entry of a short grid, 300 spread over a long one
+        for i in np.unique(np.linspace(0, grid.size - 1, 300).astype(int)).tolist():
+            k = grid[i].item()
             r_plus, r_minus = eigenvalues_closed_form(medium, omega, k, delta)
             assert type(r_plus) is complex and type(r_minus) is complex
             assert same_bits(r_plus, plus[i]) and same_bits(r_minus, minus[i])

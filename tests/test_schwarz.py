@@ -101,19 +101,21 @@ class TestSchwarzIterate:
         self, medium, half_nx, ny, half_overlap, omega, one_domain, seed
     ):
         # the glued parallel sweep and the preconditioned Richardson update
-        # are the same algorithm
+        # are the same algorithm: Richardson from zero towards x* runs the
+        # sweep's error from -x*
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 2 * half_nx, ny)
         system = assemble(mesh, medium, omega)
         dec = (
             single_domain(mesh) if one_domain
             else decompose(mesh, 2 * min(half_overlap, half_nx - 1))
         )
-        start = seeded_initial_guess(system, seed=seed)
-        iterate, history = schwarz_iterate(system, dec, start, 8)
-        x, _ = stationary_ras(RestrictedSolve(system, dec), system.rhs, 8, x0=start)
+        exact = seeded_initial_guess(system, seed=seed)
+        iterate, history = schwarz_iterate(system, dec, -exact, 8)
+        x, _ = stationary_ras(RestrictedSolve(system, dec), system.matrix @ exact, 8)
+        error = x - exact
         scale = max(1.0, float(np.abs(iterate).max()))
-        assert np.abs(x - iterate).max() < 1e-10 * scale
-        mods = np.hypot(x[0::2], x[1::2])
+        assert np.abs(error - iterate).max() < 1e-10 * scale
+        mods = np.hypot(error[0::2], error[1::2])
         assert history.err_max[-1] == pytest.approx(mods.max(), rel=1e-10)
 
     def test_rejects_a_loaded_system(self, small_setup):
@@ -452,7 +454,7 @@ class TestSharedFactor:
         # right-hand sides are no longer the left one's reflected
         system, dec = raw_system(medium, scale)
         columns = interface_unknowns(system, dec)
-        block = RestrictedSolve(system, dec).interface_block(columns)
+        block, _ = RestrictedSolve(system, dec).interface_block()
         n_factors = len(factor_calls)
         dense = preconditioned_operator(system, dec)[np.ix_(columns, columns)]
         np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)
@@ -470,21 +472,12 @@ class TestSharedFactor:
             mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
             system, dec = assemble(mesh, medium, 1.0), decompose(mesh, 4)
         solve = RestrictedSolve(system, dec)
-        columns = interface_unknowns(system, dec)
         solved_columns.clear()
-        solve.interface_block(columns)
-        assert columns.size > 0
-        assert sum(solved_columns) == columns.size // (2 if case == "symmetric" else 1)
-
-    def test_unreflected_interface_column_raises(self, small_setup):
-        system, dec = small_setup
-        solve = RestrictedSolve(system, dec)
-        columns = interface_unknowns(system, dec)
-        # on the right interface line: the reflection of a column the
-        # shared factor solves for the left subdomain
-        dropped = np.searchsorted(solve.free, dec.subdomains[1].interface_free[0])
-        with pytest.raises(ValueError, match="reflection"):
-            solve.interface_block(columns[columns != dropped])
+        solve.interface_block()
+        assert solve.interface.size > 0
+        assert sum(solved_columns) == solve.interface.size // (
+            2 if case == "symmetric" else 1
+        )
 
 
 class TestFactorCheck:
@@ -615,7 +608,7 @@ class TestSpectrum:
         dec = decompose(mesh, 4)
         eigs = spectrum(system, dec)
         columns = interface_unknowns(system, dec)
-        full = np.linalg.eigvals(RestrictedSolve(system, dec).interface_block(columns))
+        full = np.linalg.eigvals(RestrictedSolve(system, dec).interface_block()[0])
         want = np.concatenate([full, np.ones(eigs.size - columns.size)])
         assert matched_deviation(eigs, want) < 1e-13
         if nx == 40:
@@ -676,6 +669,11 @@ class TestSpectrum:
         assert n_interface > 0
         want = (38, 38) if case == "mirrored" else (n_interface, n_interface)
         assert shapes == [want]
+        block, half = RestrictedSolve(system, dec).interface_block()
+        if case == "mirrored":
+            assert block[half].shape == (38, 38)
+        else:
+            assert half is None
 
     @pytest.mark.parametrize("x_max", [1.0, 1.5])
     def test_interface_block_is_the_operator_block(self, medium, x_max):
@@ -684,7 +682,7 @@ class TestSpectrum:
         system = assemble(mesh, medium, 5.0)
         dec = decompose(mesh, 4)
         columns = interface_unknowns(system, dec)
-        block = RestrictedSolve(system, dec).interface_block(columns)
+        block, _ = RestrictedSolve(system, dec).interface_block()
         dense = preconditioned_operator(system, dec)[np.ix_(columns, columns)]
         assert block.shape == (76, 76)
         np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)

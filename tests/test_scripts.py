@@ -7,14 +7,16 @@ import elastic_schwarz
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_experiment_set_writes_every_output(tmp_path):
+def run_script(name, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(elastic_schwarz.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, os.path.join(REPO, "scripts", "experiments.py"),
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", name), *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
+
+
+def test_experiment_set_writes_every_output(tmp_path):
+    done = run_script("experiments.py", "--out", str(tmp_path))
     assert done.returncode == 0, done.stderr
     # 14 files: two sweeps, two Schwarz runs of three files, two spectra
     # and two pairs of histories
@@ -33,3 +35,11 @@ def test_experiment_set_writes_every_output(tmp_path):
         for root, _, files in os.walk(tmp_path) for file in files
     }
     assert written == expected
+
+
+def test_peak_rss_over_the_limit_fails(tmp_path):
+    # any interpreter takes more than 1 MB
+    done = run_script("peak_rss.py", "1", "sweep", "--k-count", "11", "--out", str(tmp_path))
+    assert done.returncode != 0
+    assert "MB exceeds 1 MB" in done.stderr
+    assert (tmp_path / "sweep.csv").exists()
