@@ -11,9 +11,11 @@ and its small-overlap asymptotics.
 
 Everything here is a pure function of its inputs (safe to call
 concurrently) in plain double precision.  A function of a wavenumber k
-broadcasts over an array of k; a scalar k runs the same code on a length-1
-array and gets Python scalars (complex, float, `Zone`), bit for bit those of
-an array call of fewer than 16,384 k (numpy evaluates longer ones in place).
+broadcasts over an array of k, and with it over arrays of frequencies and
+of media (an `ElasticMedium` of arrays); scalars run the same code on
+length-1 arrays and get Python scalars (complex, float, `Zone`), bit for bit
+those of an array call of fewer than 16,384 entries (numpy evaluates longer
+ones in place).
 """
 
 from __future__ import annotations
@@ -60,38 +62,36 @@ class Zone(Enum):
     BOUNDARY = "boundary"          # cut-off wavenumbers, one decay root vanishes
 
 
-def wave_speeds(rho: float, lame_lambda: float, lame_mu: float) -> tuple[float, float]:
-    """Pressure and shear wave speeds of a homogeneous isotropic medium.
+def wave_speeds(rho, lame_lambda, lame_mu):
+    """Pressure and shear wave speeds of a homogeneous isotropic medium,
+    or of each of a broadcast set of media.
 
     Parameters
     ----------
-    rho : float
+    rho : float or array
         Mass density, strictly positive.
-    lame_lambda, lame_mu : float
+    lame_lambda, lame_mu : float or array
         Lame coefficients, both strictly positive.
 
     Returns
     -------
-    (cp, cs) : tuple of float
+    (cp, cs) : tuple of float (for scalars) or of broadcast arrays
         cp = sqrt((lambda + 2 mu) / rho), cs = sqrt(mu / rho); cp > cs.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    if not lame_mu > 0:
-        raise ValueError(f"lame_mu must be > 0, got {lame_mu}")
-    if not lame_lambda > 0:
-        raise ValueError(f"lame_lambda must be > 0, got {lame_lambda}")
-    cp = math.sqrt((lame_lambda + 2.0 * lame_mu) / rho)
-    cs = math.sqrt(lame_mu / rho)
-    return cp, cs
+    for name, value in dict(rho=rho, lame_mu=lame_mu, lame_lambda=lame_lambda).items():
+        if not np.greater(value, 0).all():
+            raise ValueError(f"{name} must be > 0, got {value}")
+    cp, cs = np.sqrt((lame_lambda + 2.0 * lame_mu) / rho), np.sqrt(lame_mu / rho)
+    return (float(cp), float(cs)) if cp.ndim == 0 else (cp, cs)
 
 
 @dataclass(frozen=True)
 class ElasticMedium:
-    """Material constants of a homogeneous isotropic elastic medium.
+    """Material constants of a homogeneous isotropic elastic medium, or
+    arrays of them, one medium per broadcast entry.
 
     ``cp`` and ``cs`` are the pressure and shear wave speeds, computed
-    once by `wave_speeds` when the medium is built.
+    once by `wave_speeds` when the medium is built (arrays for arrays).
     """
 
     rho: float
@@ -133,10 +133,10 @@ def _vector(x, dtype=float) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=dtype))
 
 
-def _shaped(k, value):
-    """``value``, computed on ``_vector(k)``, in the shape of ``k``: a
-    scalar k gets a Python scalar (complex, float, Zone) or one matrix."""
-    if np.ndim(k):
+def _shaped(k, value, *inputs):
+    """``value``, computed on ``_vector(k)`` and the inputs, in their broadcast
+    shape: scalars alone give a Python scalar (complex, float, Zone) or one matrix."""
+    if np.broadcast(k, *inputs).ndim:
         return value
     value = value[0]
     return value.item() if isinstance(value, np.generic) else value
@@ -166,31 +166,35 @@ def principal_sqrt(radicand):
     return _shaped(radicand, np.where(x >= 0.0, root, 1j * root))
 
 
-def _radicands(k, omega: float, cp: float, cs: float):
+def _radicands(k, omega, cp, cs):
     # Shared by classify_zone and characteristic_roots so the cut-off
     # comparisons see bitwise-identical values.
     return k * k - (omega / cs) ** 2, k * k - (omega / cp) ** 2
 
 
-def classify_zone(k, omega: float, cp: float, cs: float):
-    """Place a wavenumber (or each of an array of them) in the three-band
-    structure of the iteration.
+_ZONES = np.array(list(Zone), dtype=object)  # the Zone of each zone code
+
+
+def _zones(rad_s, rad_p) -> np.ndarray:
+    # zone code 2 less the number of negative radicands (rad_s <= rad_p), 3 at a cut-off
+    cut = (rad_p == 0.0) | (rad_s == 0.0)
+    return _ZONES[np.where(cut, 3, 2 - (rad_s < 0.0) - (rad_p < 0.0))]
+
+
+def classify_zone(k, omega, cp, cs):
+    """Place a wavenumber (or each of an array of them, broadcast with
+    arrays of frequencies and speeds) in the three-band structure of the
+    iteration.
 
     [0, omega/cp) stagnates, (omega/cp, omega/cs) diverges, beyond
     omega/cs contracts; the two cut-offs themselves are BOUNDARY.  An
-    array k gives an object array of `Zone` members.
+    array gives an object array of `Zone` members.
     """
-    if not omega > 0:
+    if not np.greater(omega, 0).all():
         raise ValueError(f"omega must be > 0, got {omega}")
-    if not (cp > cs > 0):
+    if not (np.greater(cp, cs) & np.greater(cs, 0)).all():
         raise ValueError(f"need cp > cs > 0, got cp={cp}, cs={cs}")
-    rad_s, rad_p = _radicands(_vector(k), omega, cp, cs)
-    zones = np.select(
-        [(rad_p == 0.0) | (rad_s == 0.0), rad_p < 0.0, rad_s < 0.0],
-        [Zone.BOUNDARY, Zone.STAGNANT, Zone.DIVERGENT],
-        Zone.CONTRACTIVE,
-    )
-    return _shaped(k, zones)
+    return _shaped(k, _zones(*_radicands(_vector(k), omega, cp, cs)), omega, cp, cs)
 
 
 class DegenerateModeError(ValueError):
@@ -203,12 +207,12 @@ class ModeSymbol:
 
     ``lambda1`` and ``lambda2`` are the decay roots attached to the shear
     and pressure speeds; ``x1`` and ``x2`` are the two auxiliary ratios
-    that the interface iteration matrix is built from.  For an array of
-    wavenumbers every field but ``omega`` is an array of their shape.
+    that the interface iteration matrix is built from.  For arrays of
+    inputs every field but ``omega`` is an array of their broadcast shape.
     """
 
     k: float | np.ndarray
-    omega: float
+    omega: float | np.ndarray
     lambda1: complex | np.ndarray
     lambda2: complex | np.ndarray
     x1: complex | np.ndarray
@@ -216,7 +220,7 @@ class ModeSymbol:
     zone: Zone | np.ndarray
 
 
-def _root_gap(ks, prod, omega: float, cp: float, cs: float) -> np.ndarray:
+def _root_gap(ks, prod, omega, cp, cs) -> np.ndarray:
     # k^2 - lambda1*lambda2 cancels to nothing at large k.  Beyond omega/cs,
     # where both roots are real and positive, it equals
     # (k^2 (a + b) - a b) / (k^2 + lambda1*lambda2) with a = (omega/cs)^2
@@ -225,25 +229,27 @@ def _root_gap(ks, prod, omega: float, cp: float, cs: float) -> np.ndarray:
     # vanishes at k^2 = a b / (a + b)
     a, b, k2 = (omega / cs) ** 2, (omega / cp) ** 2, ks * ks
     gap = k2 - prod
-    far = k2 > a
+    far = k2 > a  # k2 has the shape of gap: callers broadcast ks
+    a, b = (np.broadcast_to(x, far.shape)[far] if np.ndim(x) else x for x in (a, b))
     gap[far] = (a + b - a * (b / k2[far])) / (1.0 + prod[far] / k2[far])
     return gap
 
 
-def characteristic_roots(medium: ElasticMedium, omega: float, k) -> ModeSymbol:
+def characteristic_roots(medium: ElasticMedium, omega, k) -> ModeSymbol:
     """Decay roots and auxiliary ratios for one Fourier mode, or for each
-    of an array of wavenumbers.
+    of an array of wavenumbers, broadcast with arrays of frequencies and
+    of media (the symbol's ``k`` then has the broadcast shape).
 
     Both roots take the principal branch (nonnegative real part, positive
     imaginary part on the negative real axis), so subdomain solutions decay
     or radiate outward.  Cut-off wavenumbers, where one root vanishes, are
     flagged as BOUNDARY.
     """
-    if not omega > 0:
+    if not np.greater(omega, 0).all():
         raise ValueError(f"omega must be > 0, got {omega}")
     cp, cs = medium.cp, medium.cs
-    ks = _vector(k)
-    rad_s, rad_p = _radicands(ks, omega, cp, cs)
+    rad_s, rad_p = _radicands(_vector(k), omega, cp, cs)
+    ks = np.broadcast_to(_vector(k), rad_s.shape)
     lam1 = principal_sqrt(rad_s)
     lam2 = principal_sqrt(rad_p)
     prod = lam1 * lam2
@@ -253,11 +259,12 @@ def characteristic_roots(medium: ElasticMedium, omega: float, k) -> ModeSymbol:
         i = int(np.argmax(degenerate))
         raise DegenerateModeError(
             f"degenerate mode: |k^2 - lambda1*lambda2| = {abs(den.flat[i]):.3e} "
-            f"at k={ks.flat[i]}, omega={omega}"
+            f"at k={ks.flat[i]}, omega={np.broadcast_to(omega, den.shape).flat[i]}"
         )
     x1, x2 = (ks * ks + prod) / den, -2j * ks * lam2 / den
-    fields = (lam1, lam2, x1, x2, classify_zone(ks, omega, cp, cs))
-    return ModeSymbol(_shaped(k, ks), omega, *(_shaped(k, f) for f in fields))
+    fields = (ks, lam1, lam2, x1, x2, _zones(rad_s, rad_p))
+    k_, *fields = (_shaped(k, f, omega, cp) for f in fields)
+    return ModeSymbol(k_, omega, *fields)
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,12 @@ def iteration_matrix(
 
     The entries are written in a cancelled form that stays finite at the
     pressure cut-off (lambda2 -> 0) and at k -> 0, where the raw
-    eigenvector normalization would divide by zero.
+    eigenvector normalization would divide by zero.  Beyond omega/cs, at
+    a fixed k delta, the entries grow like k^2 and the eigenvalues do not
+    (0.13 k^2 against 0.42 and 0.043 for cp = 1, cs = 0.5, omega = 1 and
+    delta = 1/k), so `np.linalg.eigvals` of ``r`` loses their digits: 1e-5
+    off at k = 1e3, meaningless from k = 1e4.  ``r_plus`` and ``r_minus``
+    are accurate.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -339,7 +351,7 @@ def iteration_matrix(
     r_plus, r_minus = _eigenpair(sym, g, delta)
     rho_cla = np.maximum(_modulus(r_plus), _modulus(r_minus))
     fields = (r, r_plus, r_minus, rho_cla, sym.zone)
-    return IterationMatrix2(*(_shaped(k, f) for f in fields))
+    return IterationMatrix2(*(_shaped(k, f, omega, medium.cp) for f in fields))
 
 
 def eigenvalues_closed_form(medium: ElasticMedium, omega: float, k, delta: float):
@@ -353,7 +365,7 @@ def eigenvalues_closed_form(medium: ElasticMedium, omega: float, k, delta: float
         raise ValueError(f"delta must be >= 0, got {delta}")
     sym = characteristic_roots(medium, omega, _vector(k))
     r_plus, r_minus = _eigenpair(sym, _exp_gap(sym, medium, delta), delta)
-    return _shaped(k, r_plus), _shaped(k, r_minus)
+    return _shaped(k, r_plus, omega, medium.cp), _shaped(k, r_minus, omega, medium.cp)
 
 
 def _exp_gap(sym: ModeSymbol, medium: ElasticMedium, delta: float) -> np.ndarray:
@@ -383,7 +395,7 @@ def _eigenpair(
 def convergence_factor(medium: ElasticMedium, omega: float, k, delta: float):
     """Modulus of the worst eigenvalue of the double-sweep iteration."""
     r_plus, r_minus = eigenvalues_closed_form(medium, omega, _vector(k), delta)
-    return _shaped(k, np.maximum(_modulus(r_plus), _modulus(r_minus)))
+    return _shaped(k, np.maximum(_modulus(r_plus), _modulus(r_minus)), omega, medium.cp)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,11 @@ class TestArrayCalls:
         medium=ElasticMedium.from_speeds(rho=1.0, cp=1.0, cs=0.5), omega=5.0,
         delta=0.1, extra=np.linspace(0.0, 30.0, 16380).tolist(),
     )
+    # one wavenumber in each zone: stagnant, boundary, divergent, contractive
+    @example(
+        medium=ElasticMedium.from_speeds(rho=1.0, cp=1.0, cs=0.5), omega=1.0,
+        delta=0.1, extra=[1.5, 3.0],
+    )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_array_call_equals_scalar_calls(self, medium, omega, delta, extra):
         # k = 0 and both cut-offs exactly, plus random wavenumbers
@@ -64,6 +69,9 @@ class TestArrayCalls:
         zones = classify_zone(grid, omega, medium.cp, medium.cs)
         sym = characteristic_roots(medium, omega, grid)
         assert zones[1] is zones[2] is Zone.BOUNDARY
+        if extra == [1.5, 3.0]:
+            assert list(zones) == [Zone.STAGNANT, *[Zone.BOUNDARY] * 2,
+                                   Zone.DIVERGENT, Zone.CONTRACTIVE]
         # every entry of a short grid, 300 spread over a long one
         for i in np.unique(np.linspace(0, grid.size - 1, 300).astype(int)).tolist():
             k = grid[i].item()
@@ -93,6 +101,14 @@ class TestArrayCalls:
         np.testing.assert_array_equal(
             it.r[1, 2], iteration_matrix(medium, 1.0, float(ks[1, 2]), 0.1).r
         )
+        # a scalar k broadcast with an array of frequencies
+        omegas = np.array([1.0, 5.0])
+        plus, _ = eigenvalues_closed_form(medium, omegas, 1.5, 0.1)
+        assert plus.shape == (2,)
+        assert plus[1] == eigenvalues_closed_form(medium, 5.0, 1.5, 0.1)[0]
+        zones = classify_zone(1.5, omegas, 1.0, 0.5)
+        assert list(zones) == [Zone.DIVERGENT, Zone.STAGNANT]
+        assert characteristic_roots(medium, omegas, 1.5).k.shape == (2,)
 
     def test_degenerate_guard_names_first_offending_k(self, medium, monkeypatch):
         from elastic_schwarz import analysis
@@ -101,14 +117,24 @@ class TestArrayCalls:
         monkeypatch.setattr(analysis, "_ROOT_PRODUCT_GUARD", 2.0)
         with pytest.raises(DegenerateModeError, match="at k=0.25,"):
             characteristic_roots(medium, 1.0, np.array([3.0, 0.25, 0.5]))
+        # with an array of frequencies, the omega of the offending entry
+        with pytest.raises(DegenerateModeError, match="at k=0.25, omega=0.5$"):
+            characteristic_roots(
+                medium, np.array([1.0, 0.5, 1.0]), np.array([3.0, 0.25, 0.5])
+            )
 
 
 class TestWaveSpeeds:
     def test_reference_values(self):
         assert wave_speeds(1.0, 0.5, 0.25) == (1.0, 0.5)
+        assert all(type(c) is float for c in wave_speeds(1.0, 0.5, 0.25))
 
     def test_scaled_medium(self):
         assert wave_speeds(4.0, 2.0, 1.0) == (1.0, 0.5)
+        # the reference and the scaled medium as one array of media
+        rho, lam, mu = np.array([[1.0, 4.0], [0.5, 2.0], [0.25, 1.0]])
+        cp, cs = wave_speeds(rho, lam, mu)
+        assert cp.tolist() == [1.0, 1.0] and cs.tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize(
         "rho,lam,mu,field",
@@ -117,6 +143,8 @@ class TestWaveSpeeds:
             (1.0, 0.5, 0.0, "lame_mu"),
             (0.0, 0.5, 0.25, "rho"),
             (1.0, -1.0, 0.25, "lame_lambda"),
+            (np.array([1.0, 0.0]), 0.5, 0.25, "rho"),
+            (1.0, 0.5, np.array([0.25, np.nan]), "lame_mu"),
         ],
     )
     def test_rejects_nonpositive(self, rho, lam, mu, field):

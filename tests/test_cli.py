@@ -333,6 +333,51 @@ class TestVerifyCommand:
         assert ("FAIL first_order_rho_vs_finite_difference: max deviation not finite"
                 in capsys.readouterr().out)
 
+    def test_zero_overlap_draws_are_the_scalar_loop(self, monkeypatch):
+        """The zero-overlap check draws the 100 points the former per-medium
+        loop drew, and its one array call equals 100 scalar calls bit for
+        bit."""
+        from elastic_schwarz import analysis
+        from elastic_schwarz.analysis import ElasticMedium, Zone, classify_zone
+        from elastic_schwarz.cli import run_verification
+
+        cfg = load_config(None, {"omega": 5.0})
+        rng = np.random.default_rng(cfg.seed)
+        loop = []
+        for _ in range(100):  # the former loop's draws, in its order
+            m = ElasticMedium(
+                rho=float(rng.uniform(0.1, 10.0)),
+                lame_lambda=float(rng.uniform(0.1, 10.0)),
+                lame_mu=float(rng.uniform(0.1, 10.0)),
+            )
+            w = float(rng.uniform(0.1, 10.0))
+            loop.append((m, w, float(rng.uniform(0.0, 3.0 * w / m.cs))))
+
+        calls = []
+        closed_form = analysis.eigenvalues_closed_form
+
+        def spy(medium, omega, k, delta):
+            calls.append((medium, omega, k, delta))
+            return closed_form(medium, omega, k, delta)
+
+        monkeypatch.setattr(analysis, "eigenvalues_closed_form", spy)
+        run_verification(cfg)
+        media, w, k, delta = calls[0]
+        assert delta == 0.0 and w.shape == k.shape == media.cs.shape == (100,)
+        plus, minus = closed_form(media, w, k, delta)
+        zones = classify_zone(k, w, media.cp, media.cs)
+        assert {Zone.STAGNANT, Zone.DIVERGENT, Zone.CONTRACTIVE} <= set(zones)
+        for i, (m, wi, ki) in enumerate(loop):
+            for name in ("rho", "lame_lambda", "lame_mu", "cp", "cs"):
+                assert type(getattr(m, name)) is float
+                assert getattr(media, name)[i] == getattr(m, name)
+            assert (w[i], k[i]) == (wi, ki)
+            r_plus, r_minus = closed_form(m, wi, ki, 0.0)
+            assert type(r_plus) is complex
+            assert np.asarray(r_plus).tobytes() == plus[i].tobytes()
+            assert np.asarray(r_minus).tobytes() == minus[i].tobytes()
+            assert classify_zone(ki, wi, m.cp, m.cs) is zones[i]
+
     def test_zero_overlap_config_passes(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path), "--delta", "0"]) == 0
         report = json.loads(read(tmp_path / "verify_report.json"))

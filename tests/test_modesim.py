@@ -169,6 +169,26 @@ class TestPowerGrowth:
         ]
         assert max(values) - min(values) < 1e-2 * min(values)
 
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
+    def test_matches_the_stacked_matrix_vector_loop(self, medium, omega):
+        # modesim's default grid: 600 modes in (0, 3 omega/cs], 200 sweeps
+        ks = np.linspace(0.0, 3.0 * omega / medium.cs, 601)[1:]
+        sym = characteristic_roots(medium, omega, ks)
+        r = modesim.numeric_iteration_matrix(sym, 0.1)
+        rng = np.random.default_rng(1870)
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v = np.repeat((v / np.linalg.norm(v))[None, :, None], len(ks), axis=0)
+        log_sum = np.zeros(len(ks))
+        for n in range(200):
+            v = r @ v
+            g = np.linalg.norm(v, axis=1, keepdims=True)
+            if n >= 100:
+                log_sum += np.log(g[:, 0, 0])
+            v /= g
+        expected = np.exp(log_sum / 100)
+        growth = modesim.power_growth(sym, 0.1, 200, 1870)
+        assert np.max(np.abs(growth - expected) / expected) < 1e-12
+
     def test_requires_enough_iterations(self, medium):
         sym = characteristic_roots(medium, 1.0, 3.0)
         with pytest.raises(ValueError, match="n_iter"):
