@@ -248,17 +248,17 @@ def assemble(
 
 
 def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
-    """sqrt(weight * sum v^2) of a real vector (``np.linalg.norm`` for unit
+    """sqrt(weight * sum |v|^2) of a vector (``np.linalg.norm`` for unit
     weight), finite whenever that value is: only when the squares
     overflow is it recomputed from v / max|v|, so finite sums keep their
     bits."""
     with np.errstate(over="ignore"):
-        norm = math.sqrt(weight * float(np.dot(v, v)))
-    if math.isinf(norm):
+        norm = math.sqrt(weight * float(np.vdot(v, v).real))
+    if not math.isfinite(norm):  # overflowing complex squares give nan
         peak = float(np.max(np.abs(v)))
         if math.isfinite(peak):
             scaled = v / peak
-            norm = peak * math.sqrt(weight * float(np.dot(scaled, scaled)))
+            norm = peak * math.sqrt(weight * float(np.vdot(scaled, scaled).real))
     return norm
 
 
@@ -297,6 +297,10 @@ def interface_mode_amplitudes(trace: np.ndarray, ny: int) -> np.ndarray:
     The end values of the trace do not enter (the sine basis vanishes
     there), and for ny < 2 there is no mode.
     """
+    if np.iscomplexobj(trace):  # those of the real part + i * the imaginary part
+        amps = interface_mode_amplitudes(np.real(trace), ny).astype(complex)
+        amps.imag = interface_mode_amplitudes(np.imag(trace), ny)
+        return amps
     trace = np.asarray(trace, dtype=float)
     if trace.shape != (ny + 1,):
         raise ValueError(
@@ -361,13 +365,22 @@ def write_table(path, header_lines, names, columns) -> None:
     atomic_write(path, chunks())
 
 
+def _real_field(mesh: StructuredMesh, u) -> np.ndarray:
+    """The dofs ``u`` of an export as float64; a complex field or a wrong
+    length raises ValueError."""
+    if np.iscomplexobj(u):
+        raise ValueError("complex fields need a new binary format version and CSV columns")
+    u = np.asarray(u, dtype=float)
+    if u.shape != (2 * mesh.n_nodes,):
+        raise ValueError(f"expected {2 * mesh.n_nodes} dofs, got shape {u.shape}")
+    return u
+
+
 def export_solution_csv(
     mesh: StructuredMesh, u: np.ndarray, path, header_lines=()
 ) -> None:
     """Write (node, x, y, u_x, u_y) rows with 17 significant digits."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (2 * mesh.n_nodes,):
-        raise ValueError(f"expected {2 * mesh.n_nodes} dofs, got shape {u.shape}")
+    u = _real_field(mesh, u)
     write_table(
         path, header_lines, ["node", "x", "y", "u_x", "u_y"],
         [np.arange(mesh.n_nodes), mesh.nodes[:, 0], mesh.nodes[:, 1], u[0::2], u[1::2]],
@@ -377,9 +390,7 @@ def export_solution_csv(
 def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:
     """Binary dump: magic 'ELSCHWZ1', u32 version, u32 nx, u32 ny,
     u32 node count, then (x, y, u_x, u_y) little-endian doubles per node."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (2 * mesh.n_nodes,):
-        raise ValueError(f"expected {2 * mesh.n_nodes} dofs, got shape {u.shape}")
+    u = _real_field(mesh, u)
     header = struct.pack(
         "<8sIIII", BINARY_MAGIC, BINARY_VERSION, mesh.nx, mesh.ny, mesh.n_nodes
     )

@@ -28,6 +28,10 @@ solves.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu of
 the eigenvalues mu of B0 P; `RestrictedSolve.interface_block` returns the
 block with the index of that |S|/2 x |S|/2 half, which `spectrum` then
 diagonalizes (None on every other decomposition: the whole block).
+
+The scalar type of every solve, block and iterate is that of the assembled
+matrix, promoted with the load's, so a complex matrix runs complex (the
+histories and norms stay real); the exports and the CLI stay real.
 """
 
 from __future__ import annotations
@@ -69,14 +73,14 @@ __all__ = [
     "gmres",
 ]
 
-SPECTRUM_BUDGET_BYTES = 2 * 1024**3
+MEMORY_BUDGET_BYTES = 2 * 1024**3
 # interface columns per subdomain solve; each is dense over the interior
 SPECTRUM_CHUNK = 8
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a dense operator or interface block and its
-    eigenproblem would exceed the memory budget."""
+    """Raised when the subdomain LU factors, or a dense operator or
+    interface block and its eigenproblem, would exceed the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -231,8 +235,10 @@ class RestrictedSolve:
     The subdomains are factored once, here, and each factor must solve
     for ``A_i @ ones`` within the residual bound of `direct_solve`; a
     factor that fails this, or a singular subdomain matrix, raises
-    `SingularSystemError`.  Calling the object on a vector, or a block
-    of columns, over the free (non-Dirichlet) unknowns solves every
+    `SingularSystemError`.  Before each factorization an upper estimate
+    of the bytes of all factors so far is checked against the memory
+    budget (`BudgetExceededError`).  Calling the object on a vector, or a
+    block of columns, over the free (non-Dirichlet) unknowns solves every
     subdomain on its interior and keeps the part it owns; that is the
     RAS preconditioner M^-1.  Dofs that no subdomain owns come back zero.
     ``interface`` holds the interface unknowns S of the decomposition
@@ -267,6 +273,7 @@ class RestrictedSolve:
         # the factor's first part has None
         self._groups = []
         first_interior = tol = None  # the first subdomain's interior and 1e-12 max|A_1|
+        factor_bytes = 0
 
         for sub in decomposition.subdomains:
             interior, shared = sub.interior_free, False
@@ -282,6 +289,12 @@ class RestrictedSolve:
             if shared:
                 self._groups[0][1].append(part + (pos[reflect[self.free]],))
                 continue
+            # L+U of n unknowns, a value and a 4-byte index per entry: the
+            # fill measured at omega 5 is 7.7-9.5 n log2 n for n = 12,798
+            # to 204,798, so 16 n log2 n bounds it
+            n = interior.size
+            factor_bytes += 16 * n * math.log2(max(n, 2)) * (matrix.dtype.itemsize + 4)
+            _check_budget("the subdomain LU factors", int(factor_bytes))
             a = matrix[interior][:, interior].tocsc()
             # the subdomain matrices are symmetric: order on A^T + A
             try:
@@ -294,7 +307,7 @@ class RestrictedSolve:
                 first_interior, tol = interior, 1e-12 * abs(a).max()
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        z = np.zeros_like(v)
+        z = np.zeros(v.shape, np.result_type(v, self.system.matrix.dtype))
         columns, out = v.reshape(v.shape[0], -1), z.reshape(z.shape[0], -1)
         width = columns.shape[1]
         for lu, parts in self._groups:
@@ -324,7 +337,7 @@ class RestrictedSolve:
         a = self.system.matrix.tocsr()[:, self.free[columns]][self.free]
         at = np.full(self.free.size, -1, dtype=np.int64)
         at[columns] = np.arange(columns.size)
-        block = np.zeros((columns.size, columns.size))
+        block = np.zeros((columns.size, columns.size), a.dtype)
         for lu, parts in self._groups:
             solved = np.flatnonzero(np.isin(columns, parts[0][0], invert=True))
             targets = []
@@ -396,7 +409,7 @@ class ErrorHistory:
 
 def _record(mesh: StructuredMesh, midline_col, e: np.ndarray):
     ex, ey = e[0::2], e[1::2]
-    modulus = np.hypot(ex, ey)
+    modulus = np.hypot(abs(ex), abs(ey))
     err_max = float(modulus.max())
     err_l2 = _l2_norm(modulus, mesh.hx * mesh.hy)
     if midline_col is None:
@@ -428,7 +441,7 @@ def schwarz_iterate(
     """
     if np.any(system.rhs):
         raise ValueError("schwarz_iterate runs the error equation: the load must be zero")
-    e = np.asarray(initial, dtype=float).copy()
+    e = _promoted(initial, system).copy()
     e[system.dirichlet_mask] = 0.0
     solve = RestrictedSolve(system, decomposition)
 
@@ -449,10 +462,15 @@ def schwarz_iterate(
     )
 
 
+def _promoted(v, system: AssembledSystem) -> np.ndarray:
+    """``v`` as an array of its scalar type promoted with the matrix's."""
+    return np.asarray(v, np.result_type(np.asarray(v), system.matrix.dtype))
+
+
 def ras_apply(solve: RestrictedSolve, residual: np.ndarray) -> np.ndarray:
     """Apply the RAS preconditioner to a full-length residual:
     ownership-weighted sum of subdomain solves of the restricted residual."""
-    residual = np.asarray(residual, dtype=float)
+    residual = _promoted(residual, solve.system)
     z = np.zeros_like(residual)
     z[solve.free] = solve(residual[solve.free])
     return z
@@ -471,8 +489,8 @@ def stationary_ras(
     iterate whose residual was finite; a non-finite initial residual gives
     an empty history."""
     system = solve.system
-    x = np.zeros(system.n_dofs)
-    rhs = np.where(system.dirichlet_mask, 0.0, np.asarray(rhs, dtype=float))
+    rhs = np.where(system.dirichlet_mask, 0.0, _promoted(rhs, system))
+    x = np.zeros_like(rhs)
     z = ras_apply(solve, rhs - system.matrix @ x)
     norm0 = _l2_norm(z)
     if not math.isfinite(norm0):
@@ -493,10 +511,10 @@ def stationary_ras(
 
 
 def _check_budget(what: str, needed: int) -> None:
-    if needed > SPECTRUM_BUDGET_BYTES:
+    if needed > MEMORY_BUDGET_BYTES:
         raise BudgetExceededError(
             f"{what} need about {needed / 1024**3:.1f} GiB, over the budget "
-            f"of {SPECTRUM_BUDGET_BYTES / 1024**3:.1f} GiB; use a coarser mesh"
+            f"of {MEMORY_BUDGET_BYTES / 1024**3:.1f} GiB; use a coarser mesh"
         )
 
 
@@ -505,10 +523,11 @@ def preconditioned_operator(
 ) -> np.ndarray:
     """The dense n x n RAS-preconditioned operator M^-1 A on the free
     unknowns, the reference `spectrum` is tested against; its memory is
-    checked against `SPECTRUM_BUDGET_BYTES` before any factorization."""
+    checked against `MEMORY_BUDGET_BYTES` before any factorization."""
     free = np.flatnonzero(~system.dirichlet_mask)
     n = free.size
-    _check_budget(f"a dense {n} x {n} operator and its eigenproblem", 48 * n * n)
+    needed = 6 * system.matrix.dtype.itemsize * n * n
+    _check_budget(f"a dense {n} x {n} operator and its eigenproblem", needed)
     a = system.matrix[free][:, free]
     return RestrictedSolve(system, decomposition)(a.toarray())
 
@@ -534,7 +553,7 @@ def spectrum(
     # the block, LAPACK's copy, one chunk of right-hand sides and solutions
     _check_budget(
         f"a {m} x {m} interface block of {n} unknowns and its eigenproblem",
-        8 * (2 * m * m + 2 * SPECTRUM_CHUNK * n),
+        system.matrix.dtype.itemsize * (2 * m * m + 2 * SPECTRUM_CHUNK * n),
     )
     block, half = RestrictedSolve(system, decomposition).interface_block()
     if half is None:
@@ -587,23 +606,24 @@ def gmres(
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     system, free = solve.system, solve.free
-    full = np.zeros(system.n_dofs)
+    b = _promoted(rhs, system)[free]
+    full = np.zeros(system.n_dofs, b.dtype)
 
     def apply_a(v):
         # zero on the Dirichlet dofs, so this is A[free, free] @ v
         full[free] = v
         return (system.matrix @ full)[free]
 
-    b = np.asarray(rhs, dtype=float)[free]
     n = free.size
-    x = np.zeros(n)
+    x = np.zeros_like(b)
     b_pre = solve(b)
     b_norm = _l2_norm(b_pre)
     # SciPy takes the norm of b_pre itself, whose squares may overflow
     # though b_norm is finite: iterate on the problem scaled by a power of
-    # two that brings b_norm into [0.5, 1) (exact), and scale x back
+    # two that brings b_norm into [0.5, 1) (exact, on the real and imaginary
+    # parts), and scale x back
     exponent = math.frexp(b_norm)[1]
-    b, b_pre = np.ldexp(b, -exponent), np.ldexp(b_pre, -exponent)
+    b, b_pre = (np.ldexp(v.view(np.float64), -exponent).view(v.dtype) for v in (b, b_pre))
     nonfinite = not math.isfinite(b_norm)
     if nonfinite:
         history, converged = [], False
@@ -613,7 +633,7 @@ def gmres(
         history, converged = [1.0], 1.0 < tol
     stagnated = False
     cycle_len = restart if restart is not None else max_iter
-    operator = LinearOperator((n, n), matvec=lambda v: solve(apply_a(v)), dtype=float)
+    operator = LinearOperator((n, n), matvec=lambda v: solve(apply_a(v)), dtype=b.dtype)
 
     while len(history) <= max_iter and not (converged or stagnated or nonfinite):
         start = len(history)
@@ -637,8 +657,8 @@ def gmres(
         converged = history[-1] < tol
         stagnated = not converged and history[-1] >= history[start - 1] * (1.0 - 1e-12)
 
-    out = np.zeros(system.n_dofs)
-    out[free] = np.ldexp(x, exponent)
+    out = np.zeros_like(full)
+    out[free] = np.ldexp(x.view(np.float64), exponent).view(x.dtype)
     return GmresResult(
         x=out,
         history=np.asarray(history, dtype=float),

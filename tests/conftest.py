@@ -9,6 +9,22 @@ def medium() -> ElasticMedium:
     return ElasticMedium.from_speeds(rho=1.0, cp=1.0, cs=0.5)
 
 
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Counts the subdomain factorizations `schwarz` makes."""
+    from elastic_schwarz import schwarz
+
+    calls = []
+    original = schwarz.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schwarz, "splu", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def poisoned_solve():
     """Factory of `RestrictedSolve` subclasses whose calls after the first

@@ -423,6 +423,18 @@ class TestErrorMapping:
         assert main(["schwarz", "--out", str(tmp_path), "--nx", "40", "--ny", "20"]) == 3
         assert "solver error: direct solve residual" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["schwarz", "gmres"])
+    def test_factor_over_budget_exits_4(
+        self, tmp_path, monkeypatch, capsys, factor_calls, command
+    ):
+        from elastic_schwarz import schwarz
+
+        monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", 1024)
+        assert main([command, "--out", str(tmp_path), "--nx", "40", "--ny", "20"]) == 4
+        assert "budget exceeded: the subdomain LU factors" in capsys.readouterr().err
+        assert factor_calls == []
+        assert os.listdir(tmp_path) == []
+
     def test_other_errors_are_not_solver_errors(self, tmp_path, monkeypatch):
         from elastic_schwarz import analysis
 

@@ -405,6 +405,26 @@ class TestInterfaceModeAmplitudes:
         amps = interface_mode_amplitudes(trace, ny)
         assert np.abs(amps - dense).max() <= 1e-14 * np.abs(dense).max()
 
+    def test_complex_trace_is_real_plus_i_imaginary(self):
+        ny, j = 40, 3
+        trace = (1 + 2j) * np.sin(j * PI * np.linspace(0.0, 1.0, ny + 1))
+        amps = interface_mode_amplitudes(trace, ny)
+        assert amps.dtype == np.complex128
+        assert amps[j - 1] == pytest.approx(1 + 2j, abs=1e-12)
+        assert np.abs(np.delete(amps, j - 1)).max() < 1e-12
+        np.testing.assert_array_equal(amps.real, interface_mode_amplitudes(trace.real, ny))
+        np.testing.assert_array_equal(amps.imag, interface_mode_amplitudes(trace.imag, ny))
+
+    @pytest.mark.parametrize("ny", [2, 3, 40, 160])
+    def test_real_trace_keeps_its_bits(self, ny):
+        # against the former real-only transform
+        trace = np.random.default_rng(ny).standard_normal(ny + 1)
+        inner = trace[1:ny]
+        odd = np.concatenate([[0.0], inner, [0.0], -inner[::-1]])
+        amps = interface_mode_amplitudes(trace, ny)
+        assert amps.dtype == np.float64
+        np.testing.assert_array_equal(amps, -np.fft.rfft(odd)[1:ny].imag / ny)
+
     @pytest.mark.parametrize("ny", [0, 1])
     def test_no_interior_node_gives_no_modes(self, ny):
         amps = interface_mode_amplitudes(np.ones(ny + 1), ny)
@@ -435,6 +455,20 @@ class TestExports:
         parsed = [line.split(",") for line in lines[2:]]
         ux = np.array([float(p[3]) for p in parsed])
         np.testing.assert_array_equal(ux, u[0::2])  # 17 digits round-trip
+
+    @pytest.mark.parametrize("export", ["export_solution_csv", "export_solution_binary"])
+    def test_complex_field_is_refused(self, tmp_path, export):
+        # the CSV columns and the binary version hold real fields only
+        mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
+        path = tmp_path / "field"
+        with pytest.raises(ValueError, match="complex fields"):
+            getattr(fem, export)(mesh, np.zeros(2 * mesh.n_nodes, dtype=complex), path)
+        assert not path.exists()
+
+    def test_dropping_an_imaginary_part_fails_a_test(self):
+        # the test configuration makes numpy's ComplexWarning an error
+        with pytest.raises(np.exceptions.ComplexWarning):
+            np.asarray(np.array([1j]), dtype=float)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)

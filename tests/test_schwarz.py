@@ -267,24 +267,24 @@ class TestL2Norm:
             norm = _l2_norm(b_pre)
         assert 1e300 < norm < math.inf
 
+    def test_rescaled_real_norm_bits(self):
+        # the squares overflow: the bits of the former real sum np.dot(v, v)
+        v = 1e200 * np.random.default_rng(1).standard_normal(1001)
+        peak = np.abs(v).max()
+        former = peak * math.sqrt(0.5 * float(np.dot(v / peak, v / peak)))
+        assert _l2_norm(v, 0.5) == former
+
+    def test_complex_input_is_the_modulus_norm(self):
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
+        assert _l2_norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-15)
+        # the squares overflow: the rescaled branch
+        assert _l2_norm(1e200 * v) == pytest.approx(1e200 * np.linalg.norm(v), rel=1e-14)
+
     def test_infinite_only_when_the_norm_is(self):
         assert _l2_norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2.0) * 1e308)
         assert _l2_norm(np.array([1.5e308, 1.5e308])) == math.inf
         assert _l2_norm(np.array([1.0, np.inf])) == math.inf
-
-
-@pytest.fixture
-def factor_calls(monkeypatch):
-    """Counts the subdomain factorizations `schwarz` makes."""
-    calls = []
-    original = schwarz.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(schwarz, "splu", counting)
-    return calls
 
 
 @pytest.fixture
@@ -856,3 +856,165 @@ class TestGmres:
         assert result.stagnated and not result.converged
         assert result.iterations < 40
         assert result.history[-1] >= result.history[-2] * (1.0 - 1e-12)
+
+
+PHASE = np.exp(1j * np.pi / 3)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(1.0, 1.0), (1.0, 5.0), (1.5, 5.0)],
+    ids=["mirrored-omega1", "mirrored-omega5", "asymmetric-omega5"],
+)
+def phase_pair(request, medium):
+    """A strip (50x20 on x in (-1, 1.5), else 40x20), its system, the same
+    system with matrix and load times e^{i pi/3}, and a load.  M^-1 A does
+    not change, nor do the RAS iteration and the spectrum."""
+    x_max, omega = request.param
+    mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
+    real = assemble(mesh, medium, omega)
+    rotated = dataclasses.replace(real, matrix=PHASE * real.matrix, rhs=PHASE * real.rhs)
+    load = real.matrix @ seeded_initial_guess(real, seed=1870)
+    return real, rotated, decompose(mesh, 4), load, x_max == 1.0
+
+
+class TestComplexMatrix:
+    """The solver core runs in the scalar type of the matrix: a real system
+    rotated by a unit phase gives the real run's results."""
+
+    def test_interface_block_and_shared_factor(self, phase_pair, factor_calls):
+        real, rotated, dec, load, mirrored = phase_pair
+        solve = RestrictedSolve(real, dec)
+        block, half = solve.interface_block()
+        calls = len(factor_calls)
+        rotated_solve = RestrictedSolve(rotated, dec)
+        rotated_block, rotated_half = rotated_solve.interface_block()
+        assert len(factor_calls) - calls == calls == (1 if mirrored else 2)
+        # a real vector through a complex factor: M^-1 scales by 1 / PHASE
+        z = solve(load[solve.free])
+        rotated_z = rotated_solve(load[solve.free])
+        assert np.abs(PHASE * rotated_z - z).max() < 1e-12 * np.abs(z).max()
+        assert rotated_block.dtype == np.complex128
+        assert np.abs(rotated_block - block).max() < 1e-11
+        if mirrored:
+            assert half is not None and rotated_half is not None
+            for index, rotated_index in zip(half, rotated_half):
+                np.testing.assert_array_equal(index, rotated_index)
+        else:
+            assert half is None and rotated_half is None
+
+    def test_spectrum(self, phase_pair):
+        # matched as multisets: the sort order of near-conjugate pairs
+        # flips under roundoff
+        real, rotated, dec, _, _ = phase_pair
+        assert matched_deviation(spectrum(real, dec), spectrum(rotated, dec)) < 1e-11
+
+    def test_gmres(self, phase_pair):
+        real, rotated, dec, load, _ = phase_pair
+        result = gmres(RestrictedSolve(real, dec), load)
+        rotated_result = gmres(RestrictedSolve(rotated, dec), PHASE * load)
+        assert result.converged and rotated_result.converged
+        assert rotated_result.iterations == result.iterations
+        assert rotated_result.history.dtype == np.float64
+        assert np.abs(rotated_result.history - result.history).max() < 1e-12
+        scale = np.abs(result.x).max()
+        assert np.abs(rotated_result.x - result.x).max() < 1e-10 * scale
+
+    def test_stationary_ras(self, phase_pair):
+        real, rotated, dec, load, _ = phase_pair
+        _, history = stationary_ras(RestrictedSolve(real, dec), load, 30)
+        rotated_solve = RestrictedSolve(rotated, dec)
+        _, rotated_history = stationary_ras(rotated_solve, PHASE * load, 30)
+        assert rotated_history.size == history.size == 31
+        np.testing.assert_allclose(rotated_history, history, rtol=1e-10, atol=0)
+        # a zero load returns the start, in the matrix's scalar type
+        x, _ = stationary_ras(rotated_solve, np.zeros(real.n_dofs), 3)
+        assert x.dtype == np.complex128 and not x.any()
+
+    def test_schwarz_iterate(self, phase_pair):
+        # the rotated run starts from the rotated start: the moduli and the
+        # mode amplitudes |a_j| do not change
+        real, rotated, dec, _, _ = phase_pair
+        start = seeded_initial_guess(real, seed=1870)
+        (_, history), (e, rotated_history) = (
+            schwarz_iterate(dataclasses.replace(system, rhs=0 * system.rhs), dec, x0, 25)
+            for system, x0 in ((real, start), (rotated, PHASE * start))
+        )
+        assert e.dtype == np.complex128 and len(rotated_history) == len(history) == 26
+        np.testing.assert_allclose(rotated_history.err_max, history.err_max, rtol=1e-10)
+        np.testing.assert_allclose(rotated_history.err_l2, history.err_l2, rtol=1e-10)
+        np.testing.assert_array_equal(rotated_history.dominant_mode, history.dominant_mode)
+        np.testing.assert_allclose(
+            rotated_history.mode_amplitude, history.mode_amplitude, rtol=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "budgeted, nx, ny", [("spectrum", 8, 400), ("preconditioned_operator", 40, 20)]
+    )
+    def test_budget_counts_the_item_size(self, medium, monkeypatch, budgeted, nx, ny):
+        # a complex entry takes 16 bytes, so the complex need is twice the
+        # real one; the 8x400 strip's interface block outweighs its factor
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), nx, ny)
+        real = assemble(mesh, medium, 1.0)
+        rotated = dataclasses.replace(real, matrix=PHASE * real.matrix)
+        dec = decompose(mesh, 4)
+        n = int(np.count_nonzero(~real.dirichlet_mask))
+        m = interface_unknowns(real, dec).size
+        real_need = {
+            "spectrum": 8 * (2 * m * m + 2 * schwarz.SPECTRUM_CHUNK * n),
+            "preconditioned_operator": 48 * n * n,
+        }[budgeted]
+        monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", 3 * real_need // 2)
+        run = getattr(schwarz, budgeted)
+        run(real, dec)
+        with pytest.raises(BudgetExceededError, match="coarser"):
+            run(rotated, dec)
+
+
+class TestFactorBudget:
+    @pytest.mark.parametrize("nx, fill", [(160, 1.34e6), (320, 6.96e6), (640, 34.2e6)])
+    def test_estimate_bounds_the_measured_fill(self, monkeypatch, nx, fill):
+        # the L+U fill measured at omega 5 (MMD_AT_PLUS_A), 12 bytes an
+        # entry; the check runs on an identity system, whose one shared
+        # factor is never built, so the 640x320 strip costs no factor
+        import scipy.sparse as sp
+
+        class NotFactored(Exception):
+            pass
+
+        needs = []
+        check = schwarz._check_budget
+
+        def recording(what, needed):
+            needs.append(needed)
+            check(what, needed)
+
+        def refuse(*args, **kwargs):
+            raise NotFactored
+
+        monkeypatch.setattr(schwarz, "_check_budget", recording)
+        monkeypatch.setattr(schwarz, "splu", refuse)
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), nx, nx // 2)
+        mask = np.repeat(mesh.boundary_node_mask(), 2)
+        system = fem.AssembledSystem(
+            matrix=sp.identity(mask.size, format="csr"),
+            rhs=np.zeros(mask.size), dirichlet_mask=mask, mesh=mesh,
+        )
+        with pytest.raises(NotFactored):
+            RestrictedSolve(system, decompose(mesh, 4))
+        assert needs and 12 * fill < needs[0] <= schwarz.MEMORY_BUDGET_BYTES
+
+    def test_complex_entries_count_16_bytes(self, small_setup, monkeypatch):
+        # a value and a 4-byte index per entry: 20 bytes complex, 12 real
+        needs = []
+        monkeypatch.setattr(schwarz, "_check_budget", lambda what, needed: needs.append(needed))
+        system, dec = small_setup
+        RestrictedSolve(system, dec)
+        RestrictedSolve(dataclasses.replace(system, matrix=PHASE * system.matrix), dec)
+        assert needs[1] == pytest.approx(20 / 12 * needs[0], abs=2)  # whole bytes
+
+    def test_factor_over_budget_is_never_built(self, small_setup, factor_calls, monkeypatch):
+        monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", 1024)
+        with pytest.raises(BudgetExceededError, match="subdomain LU factors"):
+            RestrictedSolve(*small_setup)
+        assert factor_calls == []
