@@ -11,9 +11,10 @@ directory itself is deliberately not part of the header).
 
 Exit codes: 0 ok, 2 configuration error (an output directory that cannot
 be created too), 3 solver error, 4 memory budget exceeded (the subdomain
-LU factors, or the spectrum's interface block), 5 verification failure,
-6 non-finite iterate (the history stops before it and carries a
-``nonfinite_at=`` header line).
+LU factors plus what the command holds beside them, for ``spectrum`` its
+interface block, LAPACK's copy and one chunk of solves; checked before
+each factorization), 5 verification failure, 6 non-finite iterate (the
+history stops before it and carries a ``nonfinite_at=`` header line).
 """
 
 from __future__ import annotations

@@ -79,8 +79,8 @@ SPECTRUM_CHUNK = 8
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when the subdomain LU factors, or a dense operator or
-    interface block and its eigenproblem, would exceed the memory budget."""
+    """Raised when the subdomain LU factors and what the caller holds
+    beside them would exceed the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -235,12 +235,16 @@ class RestrictedSolve:
     The subdomains are factored once, here, and each factor must solve
     for ``A_i @ ones`` within the residual bound of `direct_solve`; a
     factor that fails this, or a singular subdomain matrix, raises
-    `SingularSystemError`.  Before each factorization an upper estimate
-    of the bytes of all factors so far is checked against the memory
-    budget (`BudgetExceededError`).  Calling the object on a vector, or a
-    block of columns, over the free (non-Dirichlet) unknowns solves every
-    subdomain on its interior and keeps the part it owns; that is the
-    RAS preconditioner M^-1.  Dofs that no subdomain owns come back zero.
+    `SingularSystemError`.  ``beside`` is (bytes, phrase) of what the
+    caller will hold beside the factors; before each factorization those
+    bytes plus an upper estimate of all factors so far are checked against
+    `MEMORY_BUDGET_BYTES`, the one budget check of the package
+    (`BudgetExceededError`, naming the factors and the phrase).  Calling
+    the object on a vector, or a block of columns, over the free
+    (non-Dirichlet) unknowns solves every subdomain on its interior and
+    keeps the part it owns; that is the RAS preconditioner M^-1.  Dofs that
+    no subdomain owns come back zero.  A complex vector on a real system
+    is solved as its real and imaginary parts, columns of the same solve.
     ``interface`` holds the interface unknowns S of the decomposition
     (`interface_unknowns`), on which `interface_block` builds M^-1 A.
 
@@ -257,7 +261,9 @@ class RestrictedSolve:
     is not reflection-invariant) each subdomain has its own factor.
     """
 
-    def __init__(self, system: AssembledSystem, decomposition: Decomposition):
+    def __init__(
+        self, system: AssembledSystem, decomposition: Decomposition, beside=(0, "")
+    ):
         self.system = system
         mask = system.dirichlet_mask
         self.free = np.flatnonzero(~mask)
@@ -273,7 +279,8 @@ class RestrictedSolve:
         # the factor's first part has None
         self._groups = []
         first_interior = tol = None  # the first subdomain's interior and 1e-12 max|A_1|
-        factor_bytes = 0
+        needed, phrase = beside  # what the caller holds; the factors add to it
+        what = "the subdomain LU factors" + (f" and {phrase}" if phrase else "")
 
         for sub in decomposition.subdomains:
             interior, shared = sub.interior_free, False
@@ -293,8 +300,8 @@ class RestrictedSolve:
             # fill measured at omega 5 is 7.7-9.5 n log2 n for n = 12,798
             # to 204,798, so 16 n log2 n bounds it
             n = interior.size
-            factor_bytes += 16 * n * math.log2(max(n, 2)) * (matrix.dtype.itemsize + 4)
-            _check_budget("the subdomain LU factors", int(factor_bytes))
+            needed += 16 * n * math.log2(max(n, 2)) * (matrix.dtype.itemsize + 4)
+            _check_budget(what, int(needed))
             a = matrix[interior][:, interior].tocsc()
             # the subdomain matrices are symmetric: order on A^T + A
             try:
@@ -307,6 +314,9 @@ class RestrictedSolve:
                 first_interior, tol = interior, 1e-12 * abs(a).max()
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(v) and not np.iscomplexobj(self.system.matrix):
+            # a real factor solves the real and imaginary parts as columns
+            return self(np.stack([v.real, v.imag], axis=-1)) @ np.array([1, 1j])
         z = np.zeros(v.shape, np.result_type(v, self.system.matrix.dtype))
         columns, out = v.reshape(v.shape[0], -1), z.reshape(z.shape[0], -1)
         width = columns.shape[1]
@@ -522,14 +532,15 @@ def preconditioned_operator(
     system: AssembledSystem, decomposition: Decomposition
 ) -> np.ndarray:
     """The dense n x n RAS-preconditioned operator M^-1 A on the free
-    unknowns, the reference `spectrum` is tested against; its memory is
-    checked against `MEMORY_BUDGET_BYTES` before any factorization."""
-    free = np.flatnonzero(~system.dirichlet_mask)
-    n = free.size
-    needed = 6 * system.matrix.dtype.itemsize * n * n
-    _check_budget(f"a dense {n} x {n} operator and its eigenproblem", needed)
-    a = system.matrix[free][:, free]
-    return RestrictedSolve(system, decomposition)(a.toarray())
+    unknowns, the reference `spectrum` is tested against; its memory (six
+    n x n arrays with the eigenproblem) is held beside the subdomain
+    factors in the budget of `RestrictedSolve`."""
+    n = int(np.count_nonzero(~system.dirichlet_mask))
+    held = 6 * system.matrix.dtype.itemsize * n * n
+    solve = RestrictedSolve(
+        system, decomposition, (held, f"a dense {n} x {n} operator and its eigenproblem")
+    )
+    return solve(system.matrix[solve.free][:, solve.free].toarray())
 
 
 def spectrum(
@@ -545,17 +556,17 @@ def spectrum(
     only that half of it is diagonalized; otherwise (an asymmetric strip,
     one subdomain, unowned unknowns in S) the whole block.  The dense
     ``eigvals(preconditioned_operator(system, decomposition))`` is the
-    reference it agrees with.  The memory budget is checked for the whole
-    block, before any factorization.
+    reference it agrees with.  The whole block, LAPACK's copy of it and
+    one chunk of right-hand sides and solutions are held beside the
+    subdomain factors in the budget of `RestrictedSolve`, checked before
+    each factorization.
     """
     n = int(np.count_nonzero(~system.dirichlet_mask))
     m = interface_unknowns(system, decomposition).size
     # the block, LAPACK's copy, one chunk of right-hand sides and solutions
-    _check_budget(
-        f"a {m} x {m} interface block of {n} unknowns and its eigenproblem",
-        system.matrix.dtype.itemsize * (2 * m * m + 2 * SPECTRUM_CHUNK * n),
-    )
-    block, half = RestrictedSolve(system, decomposition).interface_block()
+    held = system.matrix.dtype.itemsize * (2 * m * m + 2 * SPECTRUM_CHUNK * n)
+    beside = held, f"a {m} x {m} interface block of {n} unknowns and its eigenproblem"
+    block, half = RestrictedSolve(system, decomposition, beside).interface_block()
     if half is None:
         interface = np.linalg.eigvals(block)
     else:

@@ -971,6 +971,48 @@ class TestComplexMatrix:
             run(rotated, dec)
 
 
+@pytest.fixture(scope="module")
+def complex_load(small_setup):
+    """A complex load on the real 40x20 system of `small_setup`."""
+    system, _ = small_setup
+    re, im = (system.matrix @ seeded_initial_guess(system, seed) for seed in (1870, 11))
+    return re + 1j * im
+
+
+class TestComplexLoad:
+    """A complex load on a real system: the real factors solve its real
+    and imaginary parts."""
+
+    def test_call_solves_both_parts(self, small_setup, complex_load):
+        solve = RestrictedSolve(*small_setup)
+        block = np.stack([complex_load, 2j * complex_load], axis=1)
+        for v in (complex_load[solve.free], block[solve.free]):
+            z = solve(v)
+            reference = solve(v.real) + 1j * solve(v.imag)
+            assert z.dtype == np.complex128 and z.shape == v.shape
+            assert np.abs(z - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    def test_ras_apply_and_stationary_ras(self, small_setup, complex_load):
+        solve = RestrictedSolve(*small_setup)
+        re, im = complex_load.real, complex_load.imag
+        z = ras_apply(solve, complex_load)
+        reference = ras_apply(solve, re) + 1j * ras_apply(solve, im)
+        assert np.abs(z - reference).max() <= 1e-14 * np.abs(reference).max()
+        # the iteration is linear in the load
+        x, history = stationary_ras(solve, complex_load, 10)
+        (x_re, _), (x_im, _) = (stationary_ras(solve, part, 10) for part in (re, im))
+        assert x.dtype == np.complex128 and history.size == 11
+        assert np.abs(x - (x_re + 1j * x_im)).max() <= 1e-12 * np.abs(x).max()
+
+    def test_gmres(self, small_setup, complex_load):
+        system, dec = small_setup
+        solve = RestrictedSolve(system, dec)
+        result = gmres(solve, complex_load)
+        assert result.converged and result.x.dtype == np.complex128
+        residual = ras_apply(solve, complex_load - system.matrix @ result.x)
+        assert _l2_norm(residual) < 1e-6 * _l2_norm(ras_apply(solve, complex_load))
+
+
 class TestFactorBudget:
     @pytest.mark.parametrize("nx, fill", [(160, 1.34e6), (320, 6.96e6), (640, 34.2e6)])
     def test_estimate_bounds_the_measured_fill(self, monkeypatch, nx, fill):
@@ -1017,4 +1059,22 @@ class TestFactorBudget:
         monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", 1024)
         with pytest.raises(BudgetExceededError, match="subdomain LU factors"):
             RestrictedSolve(*small_setup)
+        assert factor_calls == []
+
+    def test_budget_sums_the_block_and_the_factors(
+        self, medium, monkeypatch, factor_calls
+    ):
+        # the 8x400 strip at omega 1: a 41.5 MB interface block and a
+        # 9.2 MB factor, each under 45 MB, together over it
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 8, 400)
+        system = assemble(mesh, medium, 1.0)
+        dec = decompose(mesh, 4)
+        n = int(np.count_nonzero(~system.dirichlet_mask))
+        m = interface_unknowns(system, dec).size
+        budget = 45 * 10**6
+        assert 8 * (2 * m * m + 2 * schwarz.SPECTRUM_CHUNK * n) < budget
+        monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", budget)
+        match = "LU factors and a 1596 x 1596 .*coarser"
+        with pytest.raises(BudgetExceededError, match=match):
+            spectrum(system, dec)
         assert factor_calls == []
