@@ -166,35 +166,33 @@ def principal_sqrt(radicand):
     return _shaped(radicand, np.where(x >= 0.0, root, 1j * root))
 
 
-def _radicands(k, omega, cp, cs):
-    # Shared by classify_zone and characteristic_roots so the cut-off
-    # comparisons see bitwise-identical values.
-    return k * k - (omega / cs) ** 2, k * k - (omega / cp) ** 2
+def _radicands(medium: ElasticMedium, omega, ks: np.ndarray):
+    """k^2 - (omega/cs)^2 and k^2 - (omega/cp)^2, the squared shear and
+    pressure decay roots, after checking omega > 0.  `classify_zone`,
+    `characteristic_roots` and `first_order_coefficient` share them: one
+    check, and cut-off comparisons that see bitwise-identical values."""
+    if not np.greater(omega, 0).all():
+        raise ValueError(f"omega must be > 0, got {omega}")
+    return ks * ks - (omega / medium.cs) ** 2, ks * ks - (omega / medium.cp) ** 2
 
 
 _ZONES = np.array(list(Zone), dtype=object)  # the Zone of each zone code
 
 
-def _zones(rad_s, rad_p) -> np.ndarray:
-    # zone code 2 less the number of negative radicands (rad_s <= rad_p), 3 at a cut-off
-    cut = (rad_p == 0.0) | (rad_s == 0.0)
-    return _ZONES[np.where(cut, 3, 2 - (rad_s < 0.0) - (rad_p < 0.0))]
-
-
-def classify_zone(k, omega, cp, cs):
+def classify_zone(medium: ElasticMedium, omega, k):
     """Place a wavenumber (or each of an array of them, broadcast with
-    arrays of frequencies and speeds) in the three-band structure of the
-    iteration.
+    arrays of frequencies and of media) in the three-band structure of the
+    iteration; the one place the module computes zones.
 
     [0, omega/cp) stagnates, (omega/cp, omega/cs) diverges, beyond
     omega/cs contracts; the two cut-offs themselves are BOUNDARY.  An
     array gives an object array of `Zone` members.
     """
-    if not np.greater(omega, 0).all():
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if not (np.greater(cp, cs) & np.greater(cs, 0)).all():
-        raise ValueError(f"need cp > cs > 0, got cp={cp}, cs={cs}")
-    return _shaped(k, _zones(*_radicands(_vector(k), omega, cp, cs)), omega, cp, cs)
+    rad_s, rad_p = _radicands(medium, omega, _vector(k))
+    # zone code 2 less the number of negative radicands (rad_s <= rad_p), 3 at a cut-off
+    cut = (rad_p == 0.0) | (rad_s == 0.0)
+    codes = np.where(cut, 3, 2 - (rad_s < 0.0) - (rad_p < 0.0))
+    return _shaped(k, _ZONES[codes], omega, medium.cp)
 
 
 class DegenerateModeError(ValueError):
@@ -209,6 +207,7 @@ class ModeSymbol:
     and pressure speeds; ``x1`` and ``x2`` are the two auxiliary ratios
     that the interface iteration matrix is built from.  For arrays of
     inputs every field but ``omega`` is an array of their broadcast shape.
+    The band of a mode is not part of it: `classify_zone` gives that.
     """
 
     k: float | np.ndarray
@@ -217,17 +216,16 @@ class ModeSymbol:
     lambda2: complex | np.ndarray
     x1: complex | np.ndarray
     x2: complex | np.ndarray
-    zone: Zone | np.ndarray
 
 
-def _root_gap(ks, prod, omega, cp, cs) -> np.ndarray:
+def _root_gap(medium: ElasticMedium, omega, ks, prod) -> np.ndarray:
     # k^2 - lambda1*lambda2 cancels to nothing at large k.  Beyond omega/cs,
     # where both roots are real and positive, it equals
     # (k^2 (a + b) - a b) / (k^2 + lambda1*lambda2) with a = (omega/cs)^2
     # and b = (omega/cp)^2, taken here divided through by k^2 so that no
     # product of squares overflows.  Not below omega/cs: that denominator
     # vanishes at k^2 = a b / (a + b)
-    a, b, k2 = (omega / cs) ** 2, (omega / cp) ** 2, ks * ks
+    a, b, k2 = (omega / medium.cs) ** 2, (omega / medium.cp) ** 2, ks * ks
     gap = k2 - prod
     far = k2 > a  # k2 has the shape of gap: callers broadcast ks
     a, b = (np.broadcast_to(x, far.shape)[far] if np.ndim(x) else x for x in (a, b))
@@ -242,18 +240,15 @@ def characteristic_roots(medium: ElasticMedium, omega, k) -> ModeSymbol:
 
     Both roots take the principal branch (nonnegative real part, positive
     imaginary part on the negative real axis), so subdomain solutions decay
-    or radiate outward.  Cut-off wavenumbers, where one root vanishes, are
-    flagged as BOUNDARY.
+    or radiate outward; at a cut-off wavenumber one root is zero.  A
+    nonpositive omega raises ValueError (in `_radicands`).
     """
-    if not np.greater(omega, 0).all():
-        raise ValueError(f"omega must be > 0, got {omega}")
-    cp, cs = medium.cp, medium.cs
-    rad_s, rad_p = _radicands(_vector(k), omega, cp, cs)
+    rad_s, rad_p = _radicands(medium, omega, _vector(k))
     ks = np.broadcast_to(_vector(k), rad_s.shape)
     lam1 = principal_sqrt(rad_s)
     lam2 = principal_sqrt(rad_p)
     prod = lam1 * lam2
-    den = _root_gap(ks, prod, omega, cp, cs)
+    den = _root_gap(medium, omega, ks, prod)
     degenerate = np.abs(den) < _ROOT_PRODUCT_GUARD
     if np.any(degenerate):
         i = int(np.argmax(degenerate))
@@ -262,8 +257,7 @@ def characteristic_roots(medium: ElasticMedium, omega, k) -> ModeSymbol:
             f"at k={ks.flat[i]}, omega={np.broadcast_to(omega, den.shape).flat[i]}"
         )
     x1, x2 = (ks * ks + prod) / den, -2j * ks * lam2 / den
-    fields = (ks, lam1, lam2, x1, x2, _zones(rad_s, rad_p))
-    k_, *fields = (_shaped(k, f, omega, cp) for f in fields)
+    k_, *fields = (_shaped(k, f, omega, medium.cp) for f in (ks, lam1, lam2, x1, x2))
     return ModeSymbol(k_, omega, *fields)
 
 
@@ -304,13 +298,13 @@ def basis_matrices(sym: ModeSymbol, x: float) -> BasisMatrices:
 @dataclass(frozen=True)
 class IterationMatrix2:
     """Double-sweep interface iteration matrix with its spectral data
-    (a (..., 2, 2) stack and arrays for an array of wavenumbers)."""
+    (a (..., 2, 2) stack and arrays for an array of wavenumbers); the band
+    of the mode comes from `classify_zone`."""
 
     r: np.ndarray
     r_plus: complex | np.ndarray
     r_minus: complex | np.ndarray
     rho_cla: float | np.ndarray
-    zone: Zone | np.ndarray
 
 
 def iteration_matrix(
@@ -325,19 +319,16 @@ def iteration_matrix(
     (0.13 k^2 against 0.42 and 0.043 for cp = 1, cs = 0.5, omega = 1 and
     delta = 1/k), so `np.linalg.eigvals` of ``r`` loses their digits: 1e-5
     off at k = 1e3, meaningless from k = 1e4.  ``r_plus`` and ``r_minus``
-    are accurate.
+    are accurate.  A negative delta raises ValueError (in `_exp_gap`).
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
     sym = characteristic_roots(medium, omega, _vector(k))
-    l1, l2, k_ = sym.lambda1, sym.lambda2, sym.k
-    den = _root_gap(k_, l1 * l2, omega, medium.cp, medium.cs)
-    x1, x2 = sym.x1, sym.x2
+    g = _exp_gap(sym, medium, delta)
+    l1, l2, k_, x1, x2 = sym.lambda1, sym.lambda2, sym.k, sym.x1, sym.x2
+    den = _root_gap(medium, omega, k_, l1 * l2)
     # x1*x2 * (l1/l2) with the l2 factor cancelled, finite at the cut-offs
     z = x1 * (-2j * k_ * l1) / den
     ea = np.exp(-delta * (l1 + l2))
     e1 = np.exp(-2.0 * delta * l1)
-    g = _exp_gap(sym, medium, delta)
     # diagonal uses x2^2 l1/l2 = 1 - x1^2 exactly, isolating the large-x1
     # cancellation inside the exponential differences e1 - ea = -e1 g and
     # ea - e^(-2 delta l2) = -ea g (zero overlap is then the identity
@@ -350,7 +341,7 @@ def iteration_matrix(
     )
     r_plus, r_minus = _eigenpair(sym, g, delta)
     rho_cla = np.maximum(_modulus(r_plus), _modulus(r_minus))
-    fields = (r, r_plus, r_minus, rho_cla, sym.zone)
+    fields = (r, r_plus, r_minus, rho_cla)
     return IterationMatrix2(*(_shaped(k, f, omega, medium.cp) for f in fields))
 
 
@@ -361,8 +352,6 @@ def eigenvalues_closed_form(medium: ElasticMedium, omega: float, k, delta: float
     delta = 0 both eigenvalues equal 1 exactly.  An array k gives a pair
     of arrays.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
     sym = characteristic_roots(medium, omega, _vector(k))
     r_plus, r_minus = _eigenpair(sym, _exp_gap(sym, medium, delta), delta)
     return _shaped(k, r_plus, omega, medium.cp), _shaped(k, r_minus, omega, medium.cp)
@@ -375,7 +364,10 @@ def _exp_gap(sym: ModeSymbol, medium: ElasticMedium, delta: float) -> np.ndarray
     form is minus the larger one times g; Re(lambda2 - lambda1) >= 0 in
     every zone, so |g| <= 2 and nothing overflows, and beyond omega/cs,
     where the two agree to about (a - b) delta / 2k, g keeps the digits a
-    subtraction would lose."""
+    subtraction would lose.  The module's one check that delta >= 0, made
+    before its callers take any exponential of delta, which could overflow."""
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     a, b = (sym.omega / medium.cs) ** 2, (sym.omega / medium.cp) ** 2
     return np.expm1(-(a - b) * delta / (sym.lambda1 + sym.lambda2))
 
@@ -438,7 +430,7 @@ def sweep(medium: ElasticMedium, omega: float, delta: float, k_grid) -> Sweep:
         r_plus, r_minus = eigenvalues_closed_form(medium, omega, ks[block], delta)
         s.abs_r_plus[block], s.abs_r_minus[block] = _modulus(r_plus), _modulus(r_minus)
         np.maximum(s.abs_r_plus[block], s.abs_r_minus[block], out=s.rho_cla[block])
-        s.zone[block] = classify_zone(ks[block], omega, medium.cp, medium.cs)
+        s.zone[block] = classify_zone(medium, omega, ks[block])
     return s
 
 
@@ -471,22 +463,20 @@ def max_rho(medium: ElasticMedium, omega: float, delta: float) -> tuple[float, f
         ks = ks[i] + step * np.arange(-31.0, 32.0)
 
 
-def asymptotic_slope(cp: float, cs: float, omega: float) -> float:
+def asymptotic_slope(medium: ElasticMedium, omega: float) -> float:
     """Small-overlap growth rate of the band maximum of the factor.
 
     Returns the coefficient of delta in max_k rho = 1 + slope * delta as
     the overlap shrinks; the slope is linear in omega.
     """
-    if not (cp > cs > 0):
-        raise ValueError(f"need cp > cs > 0, got cp={cp}, cs={cs}")
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     # in the speed ratio r = cs/cp < 1, where q = sqrt(1 + 8 r^4) < 3: no
     # power of a speed overflows and no difference cancels at small r
-    r = cs / cp
+    r = medium.cs / medium.cp
     q = math.sqrt(1.0 + 8.0 * r**4)
     return (
-        (omega / cp)
+        (omega / medium.cp)
         * (3.0 - q) ** 1.5
         * math.sqrt(q + 1.0)
         / (4.0 * r * (1.0 + r * r) ** 1.5)
@@ -502,7 +492,7 @@ def first_order_coefficient(medium: ElasticMedium, omega: float, k):
     """
     cp, cs = medium.cp, medium.cs
     ks = _vector(k)
-    rad_s, rad_p = _radicands(ks, omega, cp, cs)
+    rad_s, rad_p = _radicands(medium, omega, ks)
     outside = ~((rad_p > 0.0) & (rad_s < 0.0))
     if np.any(outside):
         raise ValueError(

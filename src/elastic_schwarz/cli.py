@@ -529,7 +529,7 @@ def run_verification(cfg: ExperimentConfig) -> list[dict]:
             "delta=0: every mode stagnates",
         )
 
-    slope = analysis.asymptotic_slope(medium.cp, medium.cs, omega)
+    slope = analysis.asymptotic_slope(medium, omega)
     rel_errs = []
     for d in (1e-2, 1e-3, 1e-4):
         _, rho_star = analysis.max_rho(medium, omega, d)

@@ -313,11 +313,11 @@ def interface_mode_amplitudes(trace: np.ndarray, ny: int) -> np.ndarray:
 
 
 def dominant_mode(amplitudes: np.ndarray) -> int:
-    """Mode index j with the largest |a_j| (1-based); 0 for an empty set."""
-    amplitudes = np.asarray(amplitudes)
-    if amplitudes.size == 0:
+    """Mode index j with the largest |a_j| (1-based); 0 if no a_j is nonzero."""
+    magnitudes = np.abs(np.asarray(amplitudes))
+    if not magnitudes.any():
         return 0
-    return int(np.argmax(np.abs(amplitudes))) + 1
+    return int(np.argmax(magnitudes)) + 1
 
 
 def atomic_write(path, chunks) -> None:

@@ -213,19 +213,17 @@ def _rows_mirror(matrix, rows, first_rows, reflect, tol) -> bool:
     """Whether ``matrix[rows]``, its columns reflected, equals
     ``matrix[first_rows]`` to ``tol``: the interior block and the entries
     outside the interior in one pass over the two row slices, without
-    building either subdomain matrix.  Where the sorted reflected pattern
-    is the first rows' pattern the values are compared in place."""
+    building either subdomain matrix.  A stored pattern (explicit zeros
+    included) unlike the first rows' gives False."""
     mirrored = matrix[rows]
     mirrored.indices = reflect.astype(mirrored.indices.dtype)[mirrored.indices]
     mirrored.has_sorted_indices = False
     mirrored.sort_indices()
     first = matrix[first_rows]
-    if np.array_equal(mirrored.indptr, first.indptr) and np.array_equal(
-        mirrored.indices, first.indices
-    ):
-        diff = np.subtract(mirrored.data, first.data, out=mirrored.data)
-    else:
-        diff = (mirrored - first).data
+    if not (np.array_equal(mirrored.indptr, first.indptr)
+            and np.array_equal(mirrored.indices, first.indices)):
+        return False
+    diff = np.subtract(mirrored.data, first.data, out=mirrored.data)
     return diff.size == 0 or np.abs(diff, out=diff).max() <= tol
 
 
@@ -251,12 +249,13 @@ class RestrictedSolve:
     A subdomain whose interior is the point reflection of the first one's
     (the reflection of the strip reverses node ids) is taken in reflected
     order, and it shares the first one's factor when its rows of A equal
-    the first one's under the reflection to 1e-12 max|A_1|: its interior
-    block and its entries outside the interior, compared in one pass over
-    the two row slices, with a reflection-invariant Dirichlet mask; its
-    own matrix is never built.  Its right-hand sides are then
-    the first one's read through the reflection, and the right-hand sides
-    of the subdomains a factor serves are the columns of one solve.
+    the first one's under the reflection, in stored pattern and to 1e-12
+    max|A_1| in value: its interior block and its entries outside the
+    interior, compared in one pass over the two row slices, with a
+    reflection-invariant Dirichlet mask; its own matrix is never built.
+    Its right-hand sides are then the first one's read through the
+    reflection, and those of the subdomains a factor serves are the
+    columns of one solve.
     Otherwise (an x range not symmetric about the midline, a matrix that
     is not reflection-invariant) each subdomain has its own factor.
     """

@@ -155,7 +155,7 @@ def test_criterion_03_zone_structure():
 
 def test_criterion_04_asymptotic_slope():
     t0 = time.perf_counter()
-    slope = asymptotic_slope(1.0, 0.5, 1.0)
+    slope = asymptotic_slope(MEDIUM, 1.0)
     rel_errors = []
     for delta in (1e-2, 1e-3, 1e-4):
         _, rho_star = max_rho(MEDIUM, 1.0, delta)

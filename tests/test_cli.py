@@ -286,6 +286,20 @@ class TestSweepCommand:
         assert len(rows) == 601
         assert all(float(row[3]) == 1.0 for row in rows)
 
+    def test_zone_column_is_classify_zone(self, tmp_path, medium):
+        # the default grid's step of 0.01 puts both cut-offs on it at omega 1
+        assert main(["sweep", "--out", str(tmp_path), "--omega", "1"]) == 0
+        from elastic_schwarz.analysis import classify_zone
+
+        rows = [line.split(",") for line in
+                read(tmp_path / "sweep.csv").decode().splitlines()
+                if not (line.startswith("#") or line.startswith("k,"))]
+        ks = [float(row[0]) for row in rows]
+        assert {1.0, 2.0} <= set(ks)
+        for k, row in zip(ks, rows):
+            assert row[4] == classify_zone(medium, 1.0, k).value
+            assert (row[4] == "boundary") == (k in (1.0, 2.0))
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), "--omega", "-1"]) == 2
         assert "omega" in capsys.readouterr().err
@@ -365,7 +379,7 @@ class TestVerifyCommand:
         media, w, k, delta = calls[0]
         assert delta == 0.0 and w.shape == k.shape == media.cs.shape == (100,)
         plus, minus = closed_form(media, w, k, delta)
-        zones = classify_zone(k, w, media.cp, media.cs)
+        zones = classify_zone(media, w, k)
         assert {Zone.STAGNANT, Zone.DIVERGENT, Zone.CONTRACTIVE} <= set(zones)
         for i, (m, wi, ki) in enumerate(loop):
             for name in ("rho", "lame_lambda", "lame_mu", "cp", "cs"):
@@ -376,7 +390,7 @@ class TestVerifyCommand:
             assert type(r_plus) is complex
             assert np.asarray(r_plus).tobytes() == plus[i].tobytes()
             assert np.asarray(r_minus).tobytes() == minus[i].tobytes()
-            assert classify_zone(ki, wi, m.cp, m.cs) is zones[i]
+            assert classify_zone(m, wi, ki) is zones[i]
 
     def test_zero_overlap_config_passes(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path), "--delta", "0"]) == 0
@@ -456,6 +470,8 @@ class TestSchwarzCommand:
         assert len(body) == 5
         for line in body:
             assert float(line.split(",")[1]) == 0.0
+            # a zero trace has no dominant mode, as without a midline
+            assert line.split(",")[3] == "0"
 
     def test_deterministic_artifacts(self, tmp_path):
         args = ["schwarz", "--nx", "20", "--ny", "10", "--n-iter", "3"]

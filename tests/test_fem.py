@@ -372,6 +372,7 @@ class TestInterfaceModeAmplitudes:
     def test_zero_trace(self):
         amps = interface_mode_amplitudes(np.zeros(11), 10)
         assert not amps.any()
+        assert dominant_mode(amps) == 0
 
     @given(
         coeffs=arrays(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from elastic_schwarz import fem, schwarz
@@ -365,7 +366,7 @@ class TestSharedFactor:
         "case",
         [
             "asymmetric", "single_domain", "perturbed", "perturbed_offdiagonal",
-            "perturbed_outside", "unreflected_mask",
+            "perturbed_outside", "unreflected_mask", "stored_zero",
         ],
     )
     def test_fallback_factors_every_subdomain(self, medium, factor_calls, case):
@@ -398,6 +399,18 @@ class TestSharedFactor:
             matrix = system.matrix.tolil(copy=True)
             matrix[wall - 2, wall] = 1e-9 * abs(system.matrix).max()
             system = dataclasses.replace(system, matrix=matrix.tocsr())
+        if case == "stored_zero":
+            # an explicitly stored zero coupling two right-interior dofs:
+            # the values mirror, the stored patterns do not
+            row, col = dec.subdomains[1].interior_free[[0, -1]]
+            coo = system.matrix.tocoo()
+            assert system.matrix.tocsr()[row, col] == 0.0
+            matrix = csr_matrix(
+                (np.append(coo.data, 0.0), (np.append(coo.row, row), np.append(coo.col, col))),
+                shape=coo.shape,
+            )
+            assert matrix.nnz == system.matrix.nnz + 1
+            system = dataclasses.replace(system, matrix=matrix)
         if case == "unreflected_mask":
             # a free dof on the wall x = -1 whose reflection stays pinned
             mask = system.dirichlet_mask.copy()
