@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import analysis, fem, modesim, schwarz
 from .analysis import ElasticMedium, Zone
@@ -283,30 +284,21 @@ def _nonfinite_flag(name: str, rows: int, stopped: bool) -> list[str]:
     return [f"nonfinite_at={rows}"]
 
 
-def _mesh(cfg: ExperimentConfig) -> fem.StructuredMesh:
-    return fem.build_mesh(
-        (cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max), cfg.nx, cfg.ny
-    )
-
-
-def _system(cfg: ExperimentConfig) -> fem.AssembledSystem:
-    system = fem.assemble(_mesh(cfg), cfg.medium(), cfg.omega)
+def _problem(cfg: ExperimentConfig) -> tuple[fem.AssembledSystem, schwarz.Decomposition]:
+    """System and decomposition of a solver command, on one mesh: the FE
+    system, or with ``identity_system`` the unit matrix with no Dirichlet
+    row and a zero load (nothing assembled); two subdomains overlapping by
+    ``overlap_cells``, or with ``single_domain`` one over every free dof."""
+    mesh = fem.build_mesh((cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max), cfg.nx, cfg.ny)
     if cfg.identity_system:
-        import scipy.sparse as sp
-
-        system = fem.AssembledSystem(
-            matrix=sp.identity(system.n_dofs, format="csr"),
-            rhs=np.zeros(system.n_dofs),
-            dirichlet_mask=np.zeros(system.n_dofs, dtype=bool),
-            mesh=system.mesh,
-        )
-    return system
-
-
-def _decomposition(cfg: ExperimentConfig, mesh: fem.StructuredMesh):
+        n = 2 * mesh.n_nodes
+        system = fem.AssembledSystem(sp.identity(n, format="csr"), np.zeros(n),
+                                     np.zeros(n, dtype=bool), mesh)
+    else:
+        system = fem.assemble(mesh, cfg.medium(), cfg.omega)
     if cfg.single_domain:
-        return schwarz.single_domain(mesh)
-    return schwarz.decompose(mesh, cfg.overlap_cells)
+        return system, schwarz.single_domain(mesh)
+    return system, schwarz.decompose(mesh, cfg.overlap_cells)
 
 
 def experiment_load(cfg: ExperimentConfig, system: fem.AssembledSystem) -> np.ndarray:
@@ -362,8 +354,7 @@ def _pairing(eigs: np.ndarray, r_plus: np.ndarray, r_minus: np.ndarray) -> np.nd
 
 
 def cmd_schwarz(cfg: ExperimentConfig, header: list[str], out: str) -> int:
-    system = _system(cfg)
-    decomposition = _decomposition(cfg, system.mesh)
+    system, decomposition = _problem(cfg)
     initial = schwarz.seeded_initial_guess(
         system, cfg.seed, max_modulus=cfg.initial_error, noise=cfg.noise
     )
@@ -385,8 +376,7 @@ def cmd_schwarz(cfg: ExperimentConfig, header: list[str], out: str) -> int:
 
 
 def cmd_spectrum(cfg: ExperimentConfig, header: list[str], out: str) -> int:
-    system = _system(cfg)
-    decomposition = _decomposition(cfg, system.mesh)
+    system, decomposition = _problem(cfg)
     eigs = schwarz.spectrum(system, decomposition)
     _write_table(
         os.path.join(out, "spectrum.csv"),
@@ -398,8 +388,7 @@ def cmd_spectrum(cfg: ExperimentConfig, header: list[str], out: str) -> int:
 
 
 def cmd_gmres(cfg: ExperimentConfig, header: list[str], out: str) -> int:
-    system = _system(cfg)
-    decomposition = _decomposition(cfg, system.mesh)
+    system, decomposition = _problem(cfg)
     rhs = experiment_load(cfg, system)
     solve = schwarz.RestrictedSolve(system, decomposition)
     result = schwarz.gmres(

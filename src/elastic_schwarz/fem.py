@@ -43,6 +43,8 @@ __all__ = [
 
 BINARY_MAGIC = b"ELSCHWZ1"
 BINARY_VERSION = 1
+# magic, version, nx, ny, node count
+_BINARY_HEADER = struct.Struct("<8sIIII")
 
 
 class SingularSystemError(RuntimeError):
@@ -391,9 +393,8 @@ def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:
     """Binary dump: magic 'ELSCHWZ1', u32 version, u32 nx, u32 ny,
     u32 node count, then (x, y, u_x, u_y) little-endian doubles per node."""
     u = _real_field(mesh, u)
-    header = struct.pack(
-        "<8sIIII", BINARY_MAGIC, BINARY_VERSION, mesh.nx, mesh.ny, mesh.n_nodes
-    )
+    header = _BINARY_HEADER.pack(BINARY_MAGIC, BINARY_VERSION,
+                                 mesh.nx, mesh.ny, mesh.n_nodes)
     table = np.column_stack([mesh.nodes, u[0::2], u[1::2]]).astype("<f8")
     atomic_write(path, (header, table))
 
@@ -404,10 +405,10 @@ def read_solution_binary(path) -> tuple[dict, np.ndarray]:
     is not the header plus 32 bytes per node."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    head = struct.calcsize("<8sIIII")
+    head = _BINARY_HEADER.size
     if len(blob) < head:
         raise ValueError(f"expected at least a {head}-byte header, got {len(blob)} bytes")
-    magic, version, nx, ny, n_nodes = struct.unpack_from("<8sIIII", blob, 0)
+    magic, version, nx, ny, n_nodes = _BINARY_HEADER.unpack_from(blob)
     if magic != BINARY_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if version != BINARY_VERSION:

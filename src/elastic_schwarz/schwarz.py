@@ -152,8 +152,7 @@ def decompose(mesh: StructuredMesh, overlap_cells: int) -> Decomposition:
     free_node = ~mesh.boundary_node_mask()
 
     def dofs_of(node_sel: np.ndarray) -> np.ndarray:
-        picked = np.flatnonzero(node_sel)
-        return np.repeat(2 * picked, 2) + np.tile([0, 1], picked.size)
+        return np.flatnonzero(np.repeat(node_sel, 2))
 
     subs = []
     for side in (0, 1):
@@ -233,11 +232,12 @@ class RestrictedSolve:
     The subdomains are factored once, here, and each factor must solve
     for ``A_i @ ones`` within the residual bound of `direct_solve`; a
     factor that fails this, or a singular subdomain matrix, raises
-    `SingularSystemError`.  ``beside`` is (bytes, phrase) of what the
-    caller will hold beside the factors; before each factorization those
-    bytes plus an upper estimate of all factors so far are checked against
-    `MEMORY_BUDGET_BYTES`, the one budget check of the package
-    (`BudgetExceededError`, naming the factors and the phrase).  Calling
+    `SingularSystemError`; a subdomain with no interior unknown raises
+    ValueError before anything is factored.  ``beside`` is (bytes, phrase)
+    of what the caller will hold beside the factors; before each
+    factorization those bytes plus an upper estimate of all factors so far
+    are checked against `MEMORY_BUDGET_BYTES`, the one budget check of the
+    package (`BudgetExceededError`, naming the factors and the phrase).  Calling
     the object on a vector, or a block of columns, over the free
     (non-Dirichlet) unknowns solves every subdomain on its interior and
     keeps the part it owns; that is the RAS preconditioner M^-1.  Dofs that
@@ -263,6 +263,10 @@ class RestrictedSolve:
     def __init__(
         self, system: AssembledSystem, decomposition: Decomposition, beside=(0, "")
     ):
+        for i, sub in enumerate(decomposition.subdomains):
+            if sub.interior_free.size == 0:
+                raise ValueError(f"subdomain {i} has no interior unknown: it needs an "
+                                 "interior node of the mesh")
         self.system = system
         mask = system.dirichlet_mask
         self.free = np.flatnonzero(~mask)

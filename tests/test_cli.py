@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastic_schwarz import fem
 from elastic_schwarz.cli import (
     _COMMANDS,
     _KEY_TYPES,
@@ -80,6 +81,8 @@ class TestConfig:
         path.write_text("bogus = 1\n")
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path, {})
+        with pytest.raises(ConfigError, match="unknown configuration field 'bogus'"):
+            load_config(None, {"bogus": 1})
 
     def test_field_validation_names_field(self):
         with pytest.raises(ConfigError, match="omega"):
@@ -170,6 +173,19 @@ class TestConfig:
     def test_comment_lines_ignored(self):
         parsed = parse_kv_lines(["# just a note", "", "omega = 2.0"])
         assert parsed == {"omega": 2.0}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("single_domain = maybe\n", "field single_domain: cannot parse value 'maybe'"),
+         ("nx = abc\n", "field nx: cannot parse value 'abc'"),
+         ("omega = 2.0\nnx 40\n", "line 2: expected key=value")],
+        ids=["bool", "int", "no-equals"],
+    )
+    def test_bad_config_line_names_it(self, tmp_path, text, message):
+        path = tmp_path / "cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path, {})
 
 
 class TestParser:
@@ -558,6 +574,22 @@ class TestSpectrumCommand:
         lines = read(tmp_path / "spectrum.csv").decode().splitlines()
         body = [line for line in lines if not line.startswith(("#", "re,"))]
         assert len(body) == 2 * 159 * 59
+
+
+class TestSolverSetup:
+    @pytest.mark.parametrize("command", ["schwarz", "spectrum", "gmres"])
+    @pytest.mark.parametrize("split", [[], ["--single-domain"]], ids=["two", "single"])
+    def test_identity_system_assembles_nothing(self, tmp_path, monkeypatch, command, split):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the identity system was assembled")
+
+        built = []
+        build_mesh = fem.build_mesh
+        monkeypatch.setattr(fem, "assemble", refuse)
+        monkeypatch.setattr(fem, "build_mesh", lambda *a: built.append(a) or build_mesh(*a))
+        assert main([command, "--out", str(tmp_path), "--nx", "12", "--ny", "6",
+                     "--identity-system"] + split) == 0
+        assert len(built) == 1
 
 
 class TestGmresCommand:

@@ -343,6 +343,15 @@ class TestDirectSolve:
         with pytest.raises(fem.SingularSystemError, match="residual"):
             direct_solve(system)
 
+    def test_failed_factorization_is_singular(self, medium, monkeypatch):
+        def fail(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fem, "splu", fail)
+        system = assemble(build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2), medium, 1.0)
+        with pytest.raises(fem.SingularSystemError, match="sparse factorization failed"):
+            direct_solve(system)
+
     def test_replaced_matrix_solves_its_own_system(self, medium):
         # a system copied with another matrix must not solve with the
         # factor of the original one
@@ -546,6 +555,22 @@ class TestExports:
         fem.export_solution_binary(mesh, np.zeros(2 * mesh.n_nodes), path)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ValueError, match=f"expected .*, got {size}"):
+            fem.read_solution_binary(path)
+
+    @pytest.mark.parametrize(
+        "offset, field, message",
+        [(0, b"ELSCHWZ0", "bad magic b'ELSCHWZ0'"),
+         (8, (2).to_bytes(4, "little"), "unsupported version 2")],
+        ids=["magic", "version"],
+    )
+    def test_binary_rejects_wrong_header(self, tmp_path, offset, field, message):
+        mesh = build_mesh((0.0, 1.0), (0.0, 2.0), 3, 2)
+        path = tmp_path / "field.bin"
+        fem.export_solution_binary(mesh, np.zeros(2 * mesh.n_nodes), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(field)] = field
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=message):
             fem.read_solution_binary(path)
 
     def test_rejects_wrong_length(self, tmp_path):

@@ -517,6 +517,15 @@ class TestFactorCheck:
         monkeypatch.setattr(schwarz, "splu", wrong_factor(1e-13))
         RestrictedSolve(*small_setup)
 
+    @pytest.mark.parametrize("split", ["single", "two"])
+    def test_subdomain_without_interior_is_named(self, medium, factor_calls, split):
+        # one row of cells: every node is on the outer boundary
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 8, 1)
+        dec = single_domain(mesh) if split == "single" else decompose(mesh, 4)
+        with pytest.raises(ValueError, match="subdomain 0 has no interior unknown"):
+            RestrictedSolve(assemble(mesh, medium, 1.0), dec)
+        assert factor_calls == []
+
 
 class TestRasApply:
     def test_zero_residual(self, small_setup):
