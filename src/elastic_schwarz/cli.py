@@ -20,6 +20,7 @@ history stops before it and carries a ``nonfinite_at=`` header line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -274,14 +275,19 @@ def config_header(cfg: ExperimentConfig, command: str) -> list[str]:
     return lines
 
 
-def _nonfinite_flag(name: str, rows: int, stopped: bool) -> list[str]:
-    """Header line of a history that stopped before a non-finite value
-    (none for a complete one, so finite runs keep their bytes)."""
-    if not stopped:
-        return []
-    print(f"{name}: non-finite iterate {rows}; history stops before it",
-          file=sys.stderr)
-    return [f"nonfinite_at={rows}"]
+def _write_history(out: str, name: str, header: list[str], columns: dict,
+                   stopped: bool) -> bool:
+    """Write the history ``<name>.csv``: an ``iter`` column, then ``columns``
+    (name: values).  One that stopped before a non-finite value also gets a
+    ``nonfinite_at=`` header line and a note on stderr.  Returns ``stopped``."""
+    rows = len(next(iter(columns.values())))
+    if stopped:
+        print(f"{name}: non-finite iterate {rows}; history stops before it",
+              file=sys.stderr)
+        header = header + [f"nonfinite_at={rows}"]
+    _write_table(os.path.join(out, f"{name}.csv"), header, ["iter", *columns],
+                 [np.arange(rows), *columns.values()])
+    return stopped
 
 
 def _problem(cfg: ExperimentConfig) -> tuple[fem.AssembledSystem, schwarz.Decomposition]:
@@ -359,20 +365,16 @@ def cmd_schwarz(cfg: ExperimentConfig, header: list[str], out: str) -> int:
         system, cfg.seed, max_modulus=cfg.initial_error, noise=cfg.noise
     )
     final, history = schwarz.schwarz_iterate(system, decomposition, initial, cfg.n_iter)
-    flag = _nonfinite_flag("schwarz_history", len(history), len(history) <= cfg.n_iter)
-    _write_table(
-        os.path.join(out, "schwarz_history.csv"),
-        header + flag,
-        ["iter", "err_max", "err_l2", "dominant_mode_j"],
-        [np.arange(len(history)), history.err_max, history.err_l2, history.dominant_mode],
-    )
+    stopped = _write_history(out, "schwarz_history", header, {
+        "err_max": history.err_max, "err_l2": history.err_l2,
+        "dominant_mode_j": history.dominant_mode}, len(history) <= cfg.n_iter)
     fem.export_solution_csv(
         system.mesh, final, os.path.join(out, "schwarz_final.csv"), header
     )
     fem.export_solution_binary(
         system.mesh, final, os.path.join(out, "schwarz_final.bin")
     )
-    return EXIT_NONFINITE if flag else EXIT_OK
+    return EXIT_NONFINITE if stopped else EXIT_OK
 
 
 def cmd_spectrum(cfg: ExperimentConfig, header: list[str], out: str) -> int:
@@ -395,23 +397,13 @@ def cmd_gmres(cfg: ExperimentConfig, header: list[str], out: str) -> int:
         solve, rhs, tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart
     )
     _, ras_history = schwarz.stationary_ras(solve, rhs, cfg.stationary_iters)
-    gmres_flag = _nonfinite_flag("gmres_history", result.history.size, result.nonfinite)
-    rows = ras_history.size
-    ras_flag = _nonfinite_flag("ras_history", rows, rows <= cfg.stationary_iters)
-    _write_table(
-        os.path.join(out, "gmres_history.csv"),
-        header + [f"converged={_format_value(result.converged)}",
-                  f"stagnated={_format_value(result.stagnated)}"] + gmres_flag,
-        ["iter", "relres"],
-        [np.arange(result.history.size), result.history],
-    )
-    _write_table(
-        os.path.join(out, "ras_history.csv"),
-        header + ras_flag,
-        ["iter", "relres"],
-        [np.arange(ras_history.size), ras_history],
-    )
-    return EXIT_NONFINITE if gmres_flag or ras_flag else EXIT_OK
+    gmres_stopped = _write_history(
+        out, "gmres_history", header + [f"converged={_format_value(result.converged)}",
+                                        f"stagnated={_format_value(result.stagnated)}"],
+        {"relres": result.history}, result.nonfinite)
+    ras_stopped = _write_history(out, "ras_history", header, {"relres": ras_history},
+                                 ras_history.size <= cfg.stationary_iters)
+    return EXIT_NONFINITE if gmres_stopped or ras_stopped else EXIT_OK
 
 
 def run_verification(cfg: ExperimentConfig) -> list[dict]:
@@ -586,6 +578,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elastic-schwarz",

@@ -428,8 +428,8 @@ def _record(mesh: StructuredMesh, midline_col, e: np.ndarray):
     if midline_col is None:
         return err_max, err_l2, 0, 0.0
     trace_nodes = np.arange(mesh.ny + 1) * (mesh.nx + 1) + midline_col
-    # an overflowing iterate gives a non-finite record, which the caller checks
-    with np.errstate(over="ignore"):
+    # an overflowing iterate gives an inf or nan record, which the caller checks
+    with np.errstate(over="ignore", invalid="ignore"):
         amps = interface_mode_amplitudes(ex[trace_nodes], mesh.ny)
     j = dominant_mode(amps)
     return err_max, err_l2, j, float(abs(amps[j - 1])) if j else 0.0

@@ -13,6 +13,7 @@ from elastic_schwarz.cli import (
     _COMMANDS,
     _KEY_TYPES,
     ConfigError,
+    _build_parser,
     config_header,
     load_config,
     main,
@@ -210,6 +211,17 @@ class TestParser:
         after = main(["sweep", "--k-count", "7", "--out", str(tmp_path / "b")])
         assert before == after == 0
         assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "b" / "sweep.csv")
+
+    def test_parser_is_built_once_and_keeps_no_values(self, tmp_path):
+        # one parser per process: a flag of one call does not reach the next
+        assert _build_parser() is _build_parser()
+        runs = ((["--single-domain", "--k-count", "7"], "true"), ([], "false"))
+        for flags, value in runs:
+            out = tmp_path / value
+            assert main(["sweep", "--out", str(out)] + flags) == 0
+            header = header_only(out / "sweep.csv")
+            assert f"# single_domain={value}" in header
+            assert ("# k_count=7" in header) == bool(flags)
 
     @pytest.mark.parametrize("argv", [
         ["sweep"],
@@ -530,6 +542,17 @@ class TestSchwarzCommand:
 
         _, table = read_solution_binary(tmp_path / "schwarz_final.bin")
         assert np.isfinite(table).all()
+
+    def test_huge_initial_error_stops_at_row_0(self, tmp_path, capsys):
+        # a start of modulus 1e308 is finite, but the sine transform of its
+        # midline trace overflows to inf - inf: the record is not finite, and
+        # computing it warns nothing (tier-1 makes RuntimeWarning an error)
+        assert main(["schwarz", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e308"]) == 6
+        assert capsys.readouterr().err == (
+            "schwarz_history: non-finite iterate 0; history stops before it\n")
+        lines = read(tmp_path / "schwarz_history.csv").decode().splitlines()
+        assert lines[-2:] == ["# nonfinite_at=0", "iter,err_max,err_l2,dominant_mode_j"]
 
     def test_finite_run_carries_no_flag(self, tmp_path):
         assert main(["schwarz", "--out", str(tmp_path), "--nx", "20", "--ny", "10",

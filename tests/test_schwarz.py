@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import os
 import warnings
 import weakref
 
@@ -1033,6 +1034,49 @@ class TestComplexLoad:
         assert result.converged and result.x.dtype == np.complex128
         residual = ras_apply(solve, complex_load - system.matrix @ result.x)
         assert _l2_norm(residual) < 1e-6 * _l2_norm(ras_apply(solve, complex_load))
+
+
+ASYMMETRIC_STRIP = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts",
+    "asymmetric_strip.cfg",
+)
+
+
+class TestSolveSharesNoState:
+    """The iterations on one `RestrictedSolve` keep nothing between calls, so
+    `gmres` and `stationary_ras` may run in either order, or side by side."""
+
+    @pytest.fixture(scope="class", params=[None, ASYMMETRIC_STRIP],
+                    ids=["mirrored", "asymmetric"])
+    def gmres_problem(self, request):
+        """The `gmres` command's solve and load at omega 5: the mirrored
+        40x20 strip (one shared factor) and the asymmetric strip (two)."""
+        from elastic_schwarz import cli
+
+        overrides = {"omega": 5.0} if request.param else {"nx": 40, "ny": 20, "omega": 5.0}
+        cfg = cli.load_config(request.param, overrides)
+        system, dec = cli._problem(cfg)
+        return RestrictedSolve(system, dec), cli.experiment_load(cfg, system)
+
+    def test_order_of_the_iterations(self, gmres_problem):
+        # RAS before GMRES, GMRES, then both again on the same solve
+        solve, rhs = gmres_problem
+        runs = [(stationary_ras(solve, rhs, 50), gmres(solve, rhs)) for _ in range(2)]
+        ((x_first, ras_first), gmres_first), ((x_after, ras_after), gmres_after) = runs
+        assert ras_first.size == 51 and gmres_first.converged
+        np.testing.assert_array_equal(ras_after, ras_first)
+        np.testing.assert_array_equal(x_after, x_first)
+        np.testing.assert_array_equal(gmres_after.history, gmres_first.history)
+        np.testing.assert_array_equal(gmres_after.x, gmres_first.x)
+
+    def test_solve_leaves_its_input(self, gmres_problem):
+        solve, rhs = gmres_problem
+        v = rhs[solve.free]
+        for load in (v, np.stack([v, -v], axis=1), v + 0.5j * v[::-1]):
+            kept = load.copy()
+            first = solve(load)
+            np.testing.assert_array_equal(load, kept)
+            np.testing.assert_array_equal(solve(load), first)
 
 
 class TestFactorBudget:
