@@ -10,11 +10,14 @@ file can be reproduced by feeding its own header back in (the output
 directory itself is deliberately not part of the header).
 
 Exit codes: 0 ok, 2 configuration error (an output directory that cannot
-be created too), 3 solver error, 4 memory budget exceeded (the subdomain
-LU factors plus what the command holds beside them, for ``spectrum`` its
-interface block, LAPACK's copy and one chunk of solves; checked before
-each factorization), 5 verification failure, 6 non-finite iterate (the
-history stops before it and carries a ``nonfinite_at=`` header line).
+be created or take a new file too), 3 solver error, 4 memory budget
+exceeded (the subdomain LU factors plus what the command holds beside
+them, for ``spectrum`` its interface block, LAPACK's copy and one chunk of
+solves; checked before each factorization) or an allocation refused with
+`MemoryError` (such as SciPy's GMRES basis for a large ``max_iter``,
+which the budget does not count), 5 verification failure, 6 non-finite
+iterate (the history stops before it and carries a ``nonfinite_at=``
+header line).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -609,14 +613,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         os.makedirs(args.out, exist_ok=True)
+        # a directory that takes no new file fails here, not after the work
+        tempfile.NamedTemporaryFile(dir=args.out).close()
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         run, _ = _COMMANDS[args.command]
         return run(cfg, config_header(cfg, args.command), args.out)
-    except schwarz.BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (schwarz.BudgetExceededError, MemoryError) as exc:
+        print(f"budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (
         analysis.DegenerateModeError,

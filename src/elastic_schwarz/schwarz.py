@@ -8,9 +8,10 @@ disjoint {0,1} partition of unity split at the overlap midline, and
 solving each subdomain with Dirichlet data from the previous glued
 iterate, then writing back the owned values, is the residual step
 x + M^-1 (b - A x) of the RAS preconditioner M^-1.  So the sweep runs as
-that step on the error equation (b = 0), e - M^-1 A e.  All Krylov and
-spectrum work happens on the non-Dirichlet unknowns (the eliminated dofs
-carry a pinned unit diagonal and would only pad the spectrum with ones).
+that step on the error equation (b = 0), e - M^-1 A e.  The sweep,
+stationary RAS and GMRES apply M^-1 only as `ras_apply`, on full-length
+vectors kept zero on the Dirichlet dofs; the spectrum is taken on the
+free unknowns (the pinned Dirichlet dofs would only pad it with ones).
 Everything runs through one operator, `RestrictedSolve`, which is M^-1:
 each subdomain solves on its interior and keeps the part it owns.
 
@@ -502,9 +503,9 @@ def stationary_ras(
     iterate whose residual was finite; a non-finite initial residual gives
     an empty history."""
     system = solve.system
-    rhs = np.where(system.dirichlet_mask, 0.0, _promoted(rhs, system))
+    rhs = _promoted(rhs, system)
     x = np.zeros_like(rhs)
-    z = ras_apply(solve, rhs - system.matrix @ x)
+    z = ras_apply(solve, rhs)
     norm0 = _l2_norm(z)
     if not math.isfinite(norm0):
         return x, np.empty(0)
@@ -609,8 +610,8 @@ def gmres(
     restart: int | None = None,
 ) -> GmresResult:
     """Left-preconditioned GMRES with RAS as the preconditioner:
-    `scipy.sparse.linalg.gmres` on the operator v -> M^-1 A v over the
-    free unknowns, one SciPy call per restart cycle.
+    `scipy.sparse.linalg.gmres` on the full-length operator v -> M^-1 A v
+    (`ras_apply`, zero on the Dirichlet dofs), one SciPy call per restart cycle.
 
     Restarted when ``restart`` is given, otherwise a single cycle capped at
     ``max_iter``.  A restart cycle that makes no progress flags stagnation
@@ -619,18 +620,10 @@ def gmres(
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    system, free = solve.system, solve.free
-    b = _promoted(rhs, system)[free]
-    full = np.zeros(system.n_dofs, b.dtype)
-
-    def apply_a(v):
-        # zero on the Dirichlet dofs, so this is A[free, free] @ v
-        full[free] = v
-        return (system.matrix @ full)[free]
-
-    n = free.size
+    matrix = solve.system.matrix
+    b = _promoted(rhs, solve.system)
     x = np.zeros_like(b)
-    b_pre = solve(b)
+    b_pre = ras_apply(solve, b)
     b_norm = _l2_norm(b_pre)
     # SciPy takes the norm of b_pre itself, whose squares may overflow
     # though b_norm is finite: iterate on the problem scaled by a power of
@@ -647,7 +640,8 @@ def gmres(
         history, converged = [1.0], 1.0 < tol
     stagnated = False
     cycle_len = restart if restart is not None else max_iter
-    operator = LinearOperator((n, n), matvec=lambda v: solve(apply_a(v)), dtype=b.dtype)
+    operator = LinearOperator((b.size, b.size), dtype=b.dtype,
+                              matvec=lambda v: ras_apply(solve, matrix @ v))
 
     while len(history) <= max_iter and not (converged or stagnated or nonfinite):
         start = len(history)
@@ -660,7 +654,8 @@ def gmres(
                 callback=history.append, callback_type="pr_norm",
             )
         estimates = history[start:]
-        relres = _l2_norm(solve(b - apply_a(candidate))) / math.ldexp(b_norm, -exponent)
+        residual = ras_apply(solve, b - matrix @ candidate)
+        relres = _l2_norm(residual) / math.ldexp(b_norm, -exponent)
         finite = np.isfinite(estimates + [relres])
         if not finite.all():
             del history[start + int(np.argmin(finite)):]
@@ -671,10 +666,8 @@ def gmres(
         converged = history[-1] < tol
         stagnated = not converged and history[-1] >= history[start - 1] * (1.0 - 1e-12)
 
-    out = np.zeros_like(full)
-    out[free] = np.ldexp(x.view(np.float64), exponent).view(x.dtype)
     return GmresResult(
-        x=out,
+        x=np.ldexp(x.view(np.float64), exponent).view(x.dtype),
         history=np.asarray(history, dtype=float),
         converged=converged,
         stagnated=stagnated,

@@ -239,6 +239,23 @@ class TestParser:
         assert err.startswith("configuration error: ") and str(out) in err
         assert read(blocker) == b"kept\n"
 
+    def test_out_refusing_new_files_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an existing directory that takes no new file, as on a read-only
+        # mount; root ignores permission bits, so the probe file is refused
+        # by a stand-in
+        def refuse(dir):
+            raise PermissionError(13, "Permission denied", os.path.join(dir, "probe"))
+
+        ran = []
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile", refuse)
+        monkeypatch.setitem(_COMMANDS, "gmres", (lambda *args: ran.append(args), "help"))
+        assert main(["gmres", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(tmp_path) in err
+        assert ran == []
+
 
 class TestGeometryValidation:
     @pytest.mark.parametrize("argv, config, field", [
@@ -476,6 +493,22 @@ class TestErrorMapping:
         assert "budget exceeded: the subdomain LU factors" in capsys.readouterr().err
         assert factor_calls == []
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 79.6 GiB for an array with shape (103363, 103362)", None),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_refused_allocation_exits_4(self, tmp_path, monkeypatch, capsys, message, shown):
+        # an allocation refused in SciPy's GMRES basis (a huge --max-iter on
+        # a host that does not overcommit), which the budget does not count
+        from elastic_schwarz import schwarz
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(schwarz, "scipy_gmres", refuse)
+        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20"]) == 4
+        assert capsys.readouterr().err == f"budget exceeded: {shown or message}\n"
 
     def test_other_errors_are_not_solver_errors(self, tmp_path, monkeypatch):
         from elastic_schwarz import analysis

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import gmres as scipy_gmres
 from scipy.sparse.linalg import spsolve
 
 from elastic_schwarz import fem, schwarz
@@ -1042,25 +1043,50 @@ ASYMMETRIC_STRIP = os.path.join(
 )
 
 
+@pytest.fixture(scope="module", params=[None, ASYMMETRIC_STRIP],
+                ids=["mirrored", "asymmetric"])
+def gmres_problem(request):
+    """The `gmres` command's system, decomposition and load at omega 5: the
+    mirrored 40x20 strip (one shared factor) and the asymmetric strip (two)."""
+    from elastic_schwarz import cli
+
+    overrides = {"omega": 5.0} if request.param else {"nx": 40, "ny": 20, "omega": 5.0}
+    cfg = cli.load_config(request.param, overrides)
+    system, dec = cli._problem(cfg)
+    return system, dec, cli.experiment_load(cfg, system)
+
+
+class TestGmresDenseReference:
+    def test_matches_scipy_on_the_dense_free_operator(self, gmres_problem):
+        # the full-length operator v -> M^-1 A v of `gmres` against SciPy's
+        # GMRES on the dense M^-1 A over the free unknowns, in one cycle
+        system, dec, rhs = gmres_problem
+        solve = RestrictedSolve(system, dec)
+        result = gmres(solve, rhs, tol=1e-6, max_iter=500)
+        free = solve.free
+        dense = preconditioned_operator(system, dec)
+        b_pre = solve(rhs[free])
+        estimates = []
+        scipy_gmres(dense, b_pre, rtol=1e-6, atol=0.0, restart=500, maxiter=1,
+                    callback=estimates.append, callback_type="pr_norm")
+        assert result.converged and result.iterations == len(estimates)
+        np.testing.assert_allclose(result.history[1:-1], estimates[:-1], rtol=1e-8)
+        own = np.linalg.norm(b_pre - dense @ result.x[free]) / np.linalg.norm(b_pre)
+        assert result.history[-1] == pytest.approx(own, rel=1e-8)
+
+
 class TestSolveSharesNoState:
     """The iterations on one `RestrictedSolve` keep nothing between calls, so
     `gmres` and `stationary_ras` may run in either order, or side by side."""
 
-    @pytest.fixture(scope="class", params=[None, ASYMMETRIC_STRIP],
-                    ids=["mirrored", "asymmetric"])
-    def gmres_problem(self, request):
-        """The `gmres` command's solve and load at omega 5: the mirrored
-        40x20 strip (one shared factor) and the asymmetric strip (two)."""
-        from elastic_schwarz import cli
+    @pytest.fixture(scope="class")
+    def solve_and_load(self, gmres_problem):
+        system, dec, rhs = gmres_problem
+        return RestrictedSolve(system, dec), rhs
 
-        overrides = {"omega": 5.0} if request.param else {"nx": 40, "ny": 20, "omega": 5.0}
-        cfg = cli.load_config(request.param, overrides)
-        system, dec = cli._problem(cfg)
-        return RestrictedSolve(system, dec), cli.experiment_load(cfg, system)
-
-    def test_order_of_the_iterations(self, gmres_problem):
+    def test_order_of_the_iterations(self, solve_and_load):
         # RAS before GMRES, GMRES, then both again on the same solve
-        solve, rhs = gmres_problem
+        solve, rhs = solve_and_load
         runs = [(stationary_ras(solve, rhs, 50), gmres(solve, rhs)) for _ in range(2)]
         ((x_first, ras_first), gmres_first), ((x_after, ras_after), gmres_after) = runs
         assert ras_first.size == 51 and gmres_first.converged
@@ -1069,8 +1095,8 @@ class TestSolveSharesNoState:
         np.testing.assert_array_equal(gmres_after.history, gmres_first.history)
         np.testing.assert_array_equal(gmres_after.x, gmres_first.x)
 
-    def test_solve_leaves_its_input(self, gmres_problem):
-        solve, rhs = gmres_problem
+    def test_solve_leaves_its_input(self, solve_and_load):
+        solve, rhs = solve_and_load
         v = rhs[solve.free]
         for load in (v, np.stack([v, -v], axis=1), v + 0.5j * v[::-1]):
             kept = load.copy()
