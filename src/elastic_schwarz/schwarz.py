@@ -8,12 +8,12 @@ disjoint {0,1} partition of unity split at the overlap midline, and
 solving each subdomain with Dirichlet data from the previous glued
 iterate, then writing back the owned values, is the residual step
 x + M^-1 (b - A x) of the RAS preconditioner M^-1.  So the sweep runs as
-that step on the error equation (b = 0), e - M^-1 A e.  The sweep,
-stationary RAS and GMRES apply M^-1 only as `ras_apply`, on full-length
-vectors kept zero on the Dirichlet dofs; the spectrum is taken on the
-free unknowns (the pinned Dirichlet dofs would only pad it with ones).
-Everything runs through one operator, `RestrictedSolve`, which is M^-1:
-each subdomain solves on its interior and keeps the part it owns.
+that step on the error equation (b = 0), e - M^-1 A e.  Every solver
+index is a dof: one operator, `RestrictedSolve`, is M^-1 on full-length
+vectors (each subdomain solves on its interior and keeps the part it owns,
+zero on every dof no subdomain owns), which the sweep, stationary RAS and
+GMRES apply only as `ras_apply`; the spectrum is taken on the free
+unknowns (the pinned Dirichlet dofs would only pad it with ones).
 
 The RAS error propagator T = I - M^-1 A reads its argument only on the
 interface unknowns S (`interface_unknowns`), so the spectrum of M^-1 A is
@@ -191,9 +191,9 @@ def single_domain(mesh: StructuredMesh) -> Decomposition:
 def interface_unknowns(
     system: AssembledSystem, decomposition: Decomposition
 ) -> np.ndarray:
-    """Positions, among the free unknowns, of the dofs on either
-    subdomain's interface line and of the free dofs no subdomain owns
-    (boundary dofs left free by a system without Dirichlet rows).
+    """The free dofs on either subdomain's interface line and those no
+    subdomain owns (boundary dofs left free by a system without Dirichlet
+    rows), as sorted dof indices.
 
     The RAS error propagator T = I - M^-1 A reads its argument only there:
     an owned dof gets minus its subdomain's solve of A[interior, interface]
@@ -206,7 +206,7 @@ def interface_unknowns(
     for sub in decomposition.subdomains:
         read[sub.interface_free] = True
         owned[sub.owned_free] = True
-    return np.flatnonzero((read | ~owned)[~system.dirichlet_mask])
+    return np.flatnonzero((read | ~owned) & ~system.dirichlet_mask)
 
 
 def _rows_mirror(matrix, rows, first_rows, reflect, tol) -> bool:
@@ -239,12 +239,13 @@ class RestrictedSolve:
     factorization those bytes plus an upper estimate of all factors so far
     are checked against `MEMORY_BUDGET_BYTES`, the one budget check of the
     package (`BudgetExceededError`, naming the factors and the phrase).  Calling
-    the object on a vector, or a block of columns, over the free
-    (non-Dirichlet) unknowns solves every subdomain on its interior and
-    keeps the part it owns; that is the RAS preconditioner M^-1.  Dofs that
-    no subdomain owns come back zero.  A complex vector on a real system
-    is solved as its real and imaginary parts, columns of the same solve.
-    ``interface`` holds the interface unknowns S of the decomposition
+    the object on a vector, or a block of columns, with ``n_dofs`` rows
+    solves every subdomain on its interior, reading no other row, and
+    keeps the part it owns; that is the RAS preconditioner M^-1.  Every dof
+    that no subdomain owns, the Dirichlet dofs among them, comes back zero.
+    A complex vector on a real system is solved as its real and imaginary
+    parts, columns of the same solve.  ``interface`` holds the dof indices
+    of the interface unknowns S of the decomposition
     (`interface_unknowns`), on which `interface_block` builds M^-1 A.
 
     A subdomain whose interior is the point reflection of the first one's
@@ -270,17 +271,14 @@ class RestrictedSolve:
                                  "interior node of the mesh")
         self.system = system
         mask = system.dirichlet_mask
-        self.free = np.flatnonzero(~mask)
         self.interface = interface_unknowns(system, decomposition)
-        pos = np.full(system.n_dofs, -1, dtype=np.int64)
-        pos[self.free] = np.arange(self.free.size)
         local = np.full(system.n_dofs, -1, dtype=np.int64)
         matrix = system.matrix.tocsr()
         # the point reflection of the strip reverses node ids
         reflect = np.arange(system.n_dofs).reshape(-1, 2)[::-1].ravel()
         # (factor, [(interior, owned, owned within interior, reflection)]):
-        # a reflected part maps each free position to its reflection's,
-        # the factor's first part has None
+        # a shared part's reflection is ``reflect``, the factor's first
+        # part has None
         self._groups = []
         first_interior = tol = None  # the first subdomain's interior and 1e-12 max|A_1|
         needed, phrase = beside  # what the caller holds; the factors add to it
@@ -296,9 +294,9 @@ class RestrictedSolve:
                     matrix, interior, first_interior, reflect, tol
                 )
             local[interior] = np.arange(interior.size)
-            part = (pos[interior], pos[sub.owned_free], local[sub.owned_free])
+            part = (interior, sub.owned_free, local[sub.owned_free])
             if shared:
-                self._groups[0][1].append(part + (pos[reflect[self.free]],))
+                self._groups[0][1].append(part + (reflect,))
                 continue
             # L+U of n unknowns, a value and a 4-byte index per entry: the
             # fill measured at omega 5 is 7.7-9.5 n log2 n for n = 12,798
@@ -348,8 +346,8 @@ class RestrictedSolve:
         as columns their reflections, which must be the S rows the second
         subdomain owns."""
         columns = self.interface
-        a = self.system.matrix.tocsr()[:, self.free[columns]][self.free]
-        at = np.full(self.free.size, -1, dtype=np.int64)
+        a = self.system.matrix.tocsr()[:, columns]
+        at = np.full(self.system.n_dofs, -1, dtype=np.int64)
         at[columns] = np.arange(columns.size)
         block = np.zeros((columns.size, columns.size), a.dtype)
         for lu, parts in self._groups:
@@ -482,12 +480,9 @@ def _promoted(v, system: AssembledSystem) -> np.ndarray:
 
 
 def ras_apply(solve: RestrictedSolve, residual: np.ndarray) -> np.ndarray:
-    """Apply the RAS preconditioner to a full-length residual:
-    ownership-weighted sum of subdomain solves of the restricted residual."""
-    residual = _promoted(residual, solve.system)
-    z = np.zeros_like(residual)
-    z[solve.free] = solve(residual[solve.free])
-    return z
+    """Apply the RAS preconditioner M^-1 to a full-length residual: the
+    solve itself, the one step the sweep, stationary RAS and GMRES take."""
+    return solve(np.asarray(residual))
 
 
 def stationary_ras(
@@ -536,15 +531,16 @@ def preconditioned_operator(
     system: AssembledSystem, decomposition: Decomposition
 ) -> np.ndarray:
     """The dense n x n RAS-preconditioned operator M^-1 A on the free
-    unknowns, the reference `spectrum` is tested against; its memory (six
-    n x n arrays with the eigenproblem) is held beside the subdomain
-    factors in the budget of `RestrictedSolve`."""
-    n = int(np.count_nonzero(~system.dirichlet_mask))
-    held = 6 * system.matrix.dtype.itemsize * n * n
+    unknowns, the reference `spectrum` is tested against; its memory (its
+    n_dofs x n right-hand sides and solutions, and its eigenproblem) is
+    held beside the subdomain factors in the budget of `RestrictedSolve`."""
+    free = np.flatnonzero(~system.dirichlet_mask)
+    n = free.size
+    held = system.matrix.dtype.itemsize * n * (2 * system.n_dofs + 4 * n)
     solve = RestrictedSolve(
         system, decomposition, (held, f"a dense {n} x {n} operator and its eigenproblem")
     )
-    return solve(system.matrix[solve.free][:, solve.free].toarray())
+    return solve(system.matrix[:, free].toarray())[free]
 
 
 def spectrum(
@@ -611,7 +607,7 @@ def gmres(
 ) -> GmresResult:
     """Left-preconditioned GMRES with RAS as the preconditioner:
     `scipy.sparse.linalg.gmres` on the full-length operator v -> M^-1 A v
-    (`ras_apply`, zero on the Dirichlet dofs), one SciPy call per restart cycle.
+    (`ras_apply`, zero on every unowned dof), one SciPy call per restart cycle.
 
     Restarted when ``restart`` is given, otherwise a single cycle capped at
     ``max_iter``.  A restart cycle that makes no progress flags stagnation

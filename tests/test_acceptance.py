@@ -265,16 +265,17 @@ def _leading_propagator_mode(omega: float) -> tuple[float, int]:
     system = reference_system(omega)
     dec = reference_decomposition(system.mesh)
     solve = schwarz.RestrictedSolve(system, dec)
-    a = system.matrix[solve.free][:, solve.free].tocsr()
-    n = solve.free.size
+    free = np.flatnonzero(~system.dirichlet_mask)
+    a = system.matrix[:, free].tocsr()
+    n = free.size
     propagator = spla.LinearOperator(
-        (n, n), matvec=lambda v: v - solve(a @ v), dtype=float
+        (n, n), matvec=lambda v: v - solve(a @ v)[free], dtype=float
     )
     v0 = np.random.default_rng(SEED).standard_normal(n)
     values, vectors = spla.eigs(propagator, k=4, which="LM", v0=v0)
     lead = int(np.argmax(np.abs(values)))
     vector = np.zeros(system.n_dofs, dtype=complex)
-    vector[solve.free] = vectors[:, lead]
+    vector[free] = vectors[:, lead]
     mesh = system.mesh
     trace = vector[0::2][np.arange(mesh.ny + 1) * (mesh.nx + 1) + dec.midline_col]
     amps = np.hypot(

@@ -13,13 +13,18 @@ SPANS = os.path.join(
 )
 
 
-def traced_names() -> list[tuple[str, str]]:
-    """(module, attribute) of every ``tracer.wrap(module, "attr", ...)`` in
-    `install` and of every module attribute it assigns (``schwarz.splu``)."""
-    with open(SPANS) as f:
-        tree = ast.parse(f.read())
+def dotted(node: ast.expr) -> str:
+    """The name an argument spells: ``schwarz`` or ``schwarz.RestrictedSolve``."""
+    return node.id if isinstance(node, ast.Name) else f"{dotted(node.value)}.{node.attr}"
+
+
+def traced_names(source: str) -> list[tuple[str, str]]:
+    """(target, attribute) of every ``tracer.wrap(target, "attr", ...)`` in
+    the `install` of ``source``, the target a module or a dotted name in
+    one (``schwarz.RestrictedSolve``), and of every module attribute it
+    assigns (``schwarz.splu``)."""
     install = next(
-        node for node in tree.body
+        node for node in ast.parse(source).body
         if isinstance(node, ast.FunctionDef) and node.name == "install"
     )
     names = []
@@ -31,17 +36,18 @@ def traced_names() -> list[tuple[str, str]]:
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "tracer"
         ):
-            module, attr = node.args[:2]
-            names.append((module.id, attr.value))
+            target, attr = node.args[:2]
+            names.append((dotted(target), attr.value))
         elif isinstance(node, ast.Assign):
             names += [
-                (target.value.id, target.attr)
+                (dotted(target.value), target.attr)
                 for target in node.targets if isinstance(target, ast.Attribute)
             ]
     return names
 
 
-NAMES = traced_names()
+with open(SPANS) as f:
+    NAMES = traced_names(f.read())
 
 
 def test_the_parse_finds_the_layers():
@@ -50,6 +56,23 @@ def test_the_parse_finds_the_layers():
     assert len(NAMES) >= 15
 
 
-@pytest.mark.parametrize("module, attr", NAMES, ids=[".".join(name) for name in NAMES])
-def test_traced_name_exists(module, attr):
-    assert callable(getattr(importlib.import_module(f"elastic_schwarz.{module}"), attr))
+@pytest.mark.parametrize("target, attr", NAMES, ids=[".".join(name) for name in NAMES])
+def test_traced_name_exists(target, attr):
+    module, *path = target.split(".")
+    owner = importlib.import_module(f"elastic_schwarz.{module}")
+    for name in path:
+        owner = getattr(owner, name)
+    assert callable(getattr(owner, attr))
+
+
+def test_a_class_attribute_target():
+    # a method wrapped on its class names the class as a dotted target
+    source = (
+        "def install(tracer):\n"
+        "    from elastic_schwarz import schwarz\n"
+        '    tracer.wrap(schwarz.RestrictedSolve, "interface_block", "schwarz.operator")\n'
+        "    schwarz.splu = None\n"
+    )
+    names = traced_names(source)
+    assert sorted(names) == [("schwarz", "splu"), ("schwarz.RestrictedSolve", "interface_block")]
+    test_traced_name_exists("schwarz.RestrictedSolve", "interface_block")

@@ -30,6 +30,11 @@ from elastic_schwarz.schwarz import (
     stationary_ras,
 )
 
+ASYMMETRIC_STRIP = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts",
+    "asymmetric_strip.cfg",
+)
+
 
 @pytest.fixture(scope="module")
 def small_setup(medium):
@@ -264,7 +269,7 @@ class TestL2Norm:
         system = assemble(mesh, medium, 5.0)
         solve = RestrictedSolve(system, decompose(mesh, 4))
         target = seeded_initial_guess(system, seed=1870, max_modulus=1e300)
-        b_pre = solve((system.matrix @ target)[solve.free])
+        b_pre = solve(system.matrix @ target)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             norm = _l2_norm(b_pre)
@@ -344,19 +349,24 @@ def assert_pairs_about_one(eigs):
 
 def reference_solve(system, dec, v, previous=None):
     """`RestrictedSolve` rebuilt from one `spsolve` per subdomain."""
-    free = np.flatnonzero(~system.dirichlet_mask)
-    pos = np.full(system.n_dofs, -1)
-    pos[free] = np.arange(free.size)
     matrix = system.matrix.tocsr()
     z = np.zeros_like(v) if previous is None else previous.copy()
     for sub in dec.subdomains:
         rows = matrix[sub.interior_free]
-        rhs = v[pos[sub.interior_free]]
+        rhs = v[sub.interior_free]
         if previous is not None:
-            rhs = rhs - rows[:, sub.interface_free] @ previous[pos[sub.interface_free]]
+            rhs = rhs - rows[:, sub.interface_free] @ previous[sub.interface_free]
         x = spsolve(rows[:, sub.interior_free].tocsc(), rhs)
-        z[pos[sub.owned_free]] = x[np.searchsorted(sub.interior_free, sub.owned_free)]
+        z[sub.owned_free] = x[np.searchsorted(sub.interior_free, sub.owned_free)]
     return z
+
+
+def scattered(system, values):
+    """``values`` over the free unknowns as full-length dofs, zero on the
+    Dirichlet ones."""
+    v = np.zeros((system.n_dofs,) + values.shape[1:], values.dtype)
+    v[~system.dirichlet_mask] = values
+    return v
 
 
 class TestSharedFactor:
@@ -420,7 +430,8 @@ class TestSharedFactor:
             system = dataclasses.replace(system, dirichlet_mask=mask)
         solve = RestrictedSolve(system, dec)
         assert len(factor_calls) == len(dec.subdomains)
-        v = np.random.default_rng(3).standard_normal(solve.free.size)
+        n = int(np.count_nonzero(~system.dirichlet_mask))
+        v = scattered(system, np.random.default_rng(3).standard_normal(n))
         want = reference_solve(system, dec, v)
         assert np.abs(solve(v) - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -432,21 +443,18 @@ class TestSharedFactor:
         solve = RestrictedSolve(system, dec)
         assert len(factor_calls) == 1
         rng = np.random.default_rng(4)
-        n = solve.free.size
+        n = int(np.count_nonzero(~system.dirichlet_mask))
 
         def close(got, want):
             return np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-        v = rng.standard_normal(n)
+        v = scattered(system, rng.standard_normal(n))
         assert close(solve(v), reference_solve(system, dec, v))
-        block = rng.standard_normal((n, 3))
+        block = scattered(system, rng.standard_normal((n, 3)))
         assert close(solve(block), reference_solve(system, dec, block))
         start = seeded_initial_guess(system, seed=5)
         x, _ = schwarz_iterate(system, dec, start, 1)
-        want = start.copy()
-        want[solve.free] = reference_solve(
-            system, dec, system.rhs[solve.free], previous=start[solve.free]
-        )
+        want = reference_solve(system, dec, system.rhs, previous=start)
         assert close(x, want)
 
     @pytest.mark.parametrize("x_max", [1.0, 1.5])
@@ -455,7 +463,8 @@ class TestSharedFactor:
         mesh = build_mesh((-1.0, x_max), (0.0, 1.0), 40, 20)
         solve = RestrictedSolve(assemble(mesh, medium, 5.0), decompose(mesh, 4))
         assert len(factor_calls) == (1 if x_max == 1.0 else 2)
-        block = np.random.default_rng(6).standard_normal((solve.free.size, 4))
+        n = int(np.count_nonzero(~solve.system.dirichlet_mask))
+        block = scattered(solve.system, np.random.default_rng(6).standard_normal((n, 4)))
         got = solve(block)
         for j in range(block.shape[1]):
             want = got[:, j]
@@ -548,6 +557,30 @@ class TestRasApply:
         dense = system.matrix[free][:, free].toarray()
         direct[free] = np.linalg.solve(dense, residual[free])
         np.testing.assert_allclose(increment, direct, atol=1e-11)
+
+    @pytest.mark.parametrize("config, overrides", [
+        (None, {}), (ASYMMETRIC_STRIP, {}), (None, {"single_domain": True}),
+        (None, {"identity_system": True}),
+    ], ids=["mirrored", "asymmetric", "single_domain", "identity_system"])
+    def test_reads_only_interiors_and_writes_only_owned(self, config, overrides):
+        # the solve gathers the subdomain interiors of a full-length
+        # residual itself: nothing outside them reaches a solve, and
+        # nothing comes back where no subdomain owns
+        from elastic_schwarz import cli
+
+        size = {} if config else {"nx": 40, "ny": 20}
+        system, dec = cli._problem(cli.load_config(config, {**size, **overrides}))
+        solve = RestrictedSolve(system, dec)
+        inside = np.zeros(system.n_dofs, dtype=bool)
+        owned = np.zeros(system.n_dofs, dtype=bool)
+        for sub in dec.subdomains:
+            inside[sub.interior_free] = True
+            owned[sub.owned_free] = True
+        residual = np.random.default_rng(7).standard_normal(system.n_dofs)
+        z = ras_apply(solve, residual)
+        assert (~inside).any() and (~owned).any() and np.isfinite(z).all()
+        assert ras_apply(solve, np.where(inside, residual, np.nan)).tobytes() == z.tobytes()
+        assert not z[~owned].any()
 
     def test_single_domain_stationary_converges_in_one_step(self, medium):
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 6, 6)
@@ -707,7 +740,8 @@ class TestSpectrum:
         dec = decompose(mesh, 4)
         columns = interface_unknowns(system, dec)
         block, _ = RestrictedSolve(system, dec).interface_block()
-        dense = preconditioned_operator(system, dec)[np.ix_(columns, columns)]
+        at = np.searchsorted(np.flatnonzero(~system.dirichlet_mask), columns)
+        dense = preconditioned_operator(system, dec)[np.ix_(at, at)]
         assert block.shape == (76, 76)
         np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)
 
@@ -751,8 +785,15 @@ class TestSpectrum:
         # as multisets: eigenvalues tied on Re = 1 may come in either order
         cost = np.abs(eigs[:, None] - dense[None, :])
         assert cost[linear_sum_assignment(cost)].max() < 1e-8 * scale
-        n_interface = interface_unknowns(system, dec).size
-        assert np.count_nonzero(eigs == 1.0) >= eigs.size - n_interface
+        columns = interface_unknowns(system, dec)
+        assert np.count_nonzero(eigs == 1.0) >= eigs.size - columns.size
+        # S, sorted and free of Dirichlet dofs: the interface lines and the
+        # free dofs no subdomain owns
+        lines = np.concatenate([sub.interface_free for sub in dec.subdomains])
+        owned = np.concatenate([sub.owned_free for sub in dec.subdomains])
+        unowned = np.setdiff1d(np.flatnonzero(~system.dirichlet_mask), owned)
+        assert (np.diff(columns) > 0).all() and not system.dirichlet_mask[columns].any()
+        np.testing.assert_array_equal(columns, np.union1d(lines, unowned))
 
 
 class TestGmres:
@@ -915,8 +956,8 @@ class TestComplexMatrix:
         rotated_block, rotated_half = rotated_solve.interface_block()
         assert len(factor_calls) - calls == calls == (1 if mirrored else 2)
         # a real vector through a complex factor: M^-1 scales by 1 / PHASE
-        z = solve(load[solve.free])
-        rotated_z = rotated_solve(load[solve.free])
+        z = solve(load)
+        rotated_z = rotated_solve(load)
         assert np.abs(PHASE * rotated_z - z).max() < 1e-12 * np.abs(z).max()
         assert rotated_block.dtype == np.complex128
         assert np.abs(rotated_block - block).max() < 1e-11
@@ -1010,7 +1051,7 @@ class TestComplexLoad:
     def test_call_solves_both_parts(self, small_setup, complex_load):
         solve = RestrictedSolve(*small_setup)
         block = np.stack([complex_load, 2j * complex_load], axis=1)
-        for v in (complex_load[solve.free], block[solve.free]):
+        for v in (complex_load, block):
             z = solve(v)
             reference = solve(v.real) + 1j * solve(v.imag)
             assert z.dtype == np.complex128 and z.shape == v.shape
@@ -1037,12 +1078,6 @@ class TestComplexLoad:
         assert _l2_norm(residual) < 1e-6 * _l2_norm(ras_apply(solve, complex_load))
 
 
-ASYMMETRIC_STRIP = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts",
-    "asymmetric_strip.cfg",
-)
-
-
 @pytest.fixture(scope="module", params=[None, ASYMMETRIC_STRIP],
                 ids=["mirrored", "asymmetric"])
 def gmres_problem(request):
@@ -1063,9 +1098,9 @@ class TestGmresDenseReference:
         system, dec, rhs = gmres_problem
         solve = RestrictedSolve(system, dec)
         result = gmres(solve, rhs, tol=1e-6, max_iter=500)
-        free = solve.free
+        free = np.flatnonzero(~system.dirichlet_mask)
         dense = preconditioned_operator(system, dec)
-        b_pre = solve(rhs[free])
+        b_pre = solve(rhs)[free]
         estimates = []
         scipy_gmres(dense, b_pre, rtol=1e-6, atol=0.0, restart=500, maxiter=1,
                     callback=estimates.append, callback_type="pr_norm")
@@ -1096,8 +1131,7 @@ class TestSolveSharesNoState:
         np.testing.assert_array_equal(gmres_after.x, gmres_first.x)
 
     def test_solve_leaves_its_input(self, solve_and_load):
-        solve, rhs = solve_and_load
-        v = rhs[solve.free]
+        solve, v = solve_and_load
         for load in (v, np.stack([v, -v], axis=1), v + 0.5j * v[::-1]):
             kept = load.copy()
             first = solve(load)
