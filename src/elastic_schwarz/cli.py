@@ -14,7 +14,7 @@ be created or take a new file too), 3 solver error, 4 memory budget
 exceeded (the subdomain LU factors plus what the command holds beside
 them, for ``spectrum`` its interface block, LAPACK's copy and one chunk of
 solves; checked before each factorization) or an allocation refused with
-`MemoryError` (such as SciPy's GMRES basis for a large ``max_iter``,
+`MemoryError` (such as the GMRES Krylov basis for a large ``max_iter``,
 which the budget does not count), 5 verification failure, 6 non-finite
 iterate (the history stops before it and carries a ``nonfinite_at=``
 header line).
@@ -397,10 +397,10 @@ def cmd_gmres(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     system, decomposition = _problem(cfg)
     rhs = experiment_load(cfg, system)
     solve = schwarz.RestrictedSolve(system, decomposition)
-    result = schwarz.gmres(
-        solve, rhs, tol=cfg.tol, max_iter=cfg.max_iter, restart=cfg.restart
-    )
-    _, ras_history = schwarz.stationary_ras(solve, rhs, cfg.stationary_iters)
+    result = schwarz.gmres(solve, rhs, tol=cfg.tol, max_iter=cfg.max_iter,
+                           restart=cfg.restart, ras_iters=cfg.stationary_iters)
+    # the stationary RAS steps GMRES's first cycle has taken are not repeated
+    _, ras_history = schwarz.stationary_ras(solve, rhs, cfg.stationary_iters, start=result)
     gmres_stopped = _write_history(
         out, "gmres_history", header + [f"converged={_format_value(result.converged)}",
                                         f"stagnated={_format_value(result.stagnated)}"],

@@ -14,6 +14,9 @@ vectors (each subdomain solves on its interior and keeps the part it owns,
 zero on every dof no subdomain owns), which the sweep, stationary RAS and
 GMRES apply only as `ras_apply`; the spectrum is taken on the free
 unknowns (the pinned Dirichlet dofs would only pad it with ones).
+Stationary RAS from zero and GMRES share their Krylov space, so the
+first GMRES cycle's Arnoldi process also gives the stationary
+iteration's first residuals (`GmresResult`, `stationary_ras`).
 
 The RAS error propagator T = I - M^-1 A reads its argument only on the
 interface unknowns S (`interface_unknowns`), so the spectrum of M^-1 A is
@@ -41,8 +44,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, splu
-from scipy.sparse.linalg import gmres as scipy_gmres
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import splu
 
 from .fem import (
     AssembledSystem,
@@ -489,19 +492,31 @@ def stationary_ras(
     solve: RestrictedSolve,
     rhs: np.ndarray,
     n_iter: int,
+    start: GmresResult | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the RAS-preconditioned Richardson iteration from zero, tracking
     the preconditioned relative residual (same quantity GMRES reports).
 
-    A run that overflows stops before the first non-finite residual: the
-    history is then shorter than ``n_iter + 1`` and ``x`` is the last
-    iterate whose residual was finite; a non-finite initial residual gives
-    an empty history."""
+    With ``start``, a `gmres` result on the same solve and load, its first
+    ``start.ras_steps`` = m steps (m <= ``n_iter``, else ValueError) are
+    read off that run's first cycle: entry n <= m is |y_n| (see
+    `GmresResult`), and the iteration continues from its state x_m, z_m.
+
+    A run that overflows stops before the first non-finite residual (from
+    the first cycle, where beta |y_n| is not finite): the history is then
+    shorter than ``n_iter + 1`` and ``x`` is the last iterate whose
+    residual was finite; a non-finite initial residual gives an empty
+    history."""
     system = solve.system
     rhs = _promoted(rhs, system)
-    x = np.zeros_like(rhs)
-    z = ras_apply(solve, rhs)
-    norm0 = _l2_norm(z)
+    if start is None:
+        x, z, m = np.zeros_like(rhs), ras_apply(solve, rhs), 0
+        norm0 = _l2_norm(z)
+    else:
+        x, z, m, norm0 = start.ras_x, start.ras_z, start.ras_steps, start.beta
+        if m > n_iter:
+            raise ValueError(f"n_iter: {n_iter} is below the {m} steps the start has "
+                             f"taken; pass ras_iters={n_iter} to gmres")
     if not math.isfinite(norm0):
         return x, np.empty(0)
     history = np.empty(n_iter + 1)
@@ -509,7 +524,13 @@ def stationary_ras(
     if norm0 == 0.0:
         history[1:] = 0.0
         return x, history
-    for n in range(n_iter):
+    if start is not None:
+        reach = min(m + 1, n_iter, start.hessenberg.shape[1])
+        _, shared = _ras_residuals(start.hessenberg, norm0, reach)
+        history[: m + 1] = shared[: m + 1]
+        if shared.size <= reach:  # |z_(m+1)| = beta |y_(m+1)| is not finite
+            return x, history[: m + 1]
+    for n in range(m, n_iter):
         step = x + z
         z = ras_apply(solve, rhs - system.matrix @ step)
         history[n + 1] = _l2_norm(z) / norm0
@@ -517,6 +538,29 @@ def stationary_ras(
             return x, history[: n + 1]
         x = step
     return x, history
+
+
+def _ras_residuals(
+    hessenberg: np.ndarray, beta: float, n_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary RAS residuals from zero in a GMRES cycle's Arnoldi
+    basis: with z_0 = beta v_0 and M^-1 A V_j = V_(j+1) H (Saad, Iterative
+    Methods for Sparse Linear Systems, 2003, ch. 6), H the unrotated
+    (j+1) x j ``hessenberg``, z_n = (I - M^-1 A)^n z_0 = beta V y_n for
+    n <= j, where y_0 = e_1 and y_(n+1) = y_n - H y_n.  Returns the rows
+    y_0 .. y_m and |y_n| = |z_n| / |z_0|, for m = min(``n_iter``, j) or
+    the last n before the first whose |z_n| = beta |y_n| is not finite."""
+    steps = hessenberg.shape[1]
+    y = np.zeros((min(n_iter, steps) + 1, steps + 1), hessenberg.dtype)
+    y[0, 0] = 1.0
+    norms = [1.0]
+    for n in range(1, y.shape[0]):
+        # y_(n-1) lies in the first n entries, so y_n in the first n + 1
+        y[n, : n + 1] = y[n - 1, : n + 1] - hessenberg[: n + 1, :n] @ y[n - 1, :n]
+        norms.append(_l2_norm(y[n]))
+        if not math.isfinite(beta * norms[-1]):
+            return y[:n], np.array(norms[:-1])
+    return y, np.array(norms)
 
 
 def _check_budget(what: str, needed: int) -> None:
@@ -582,12 +626,23 @@ class GmresResult:
     """Outcome of a preconditioned GMRES solve.
 
     ``history`` holds the preconditioned relative residual, entry 0 being
-    the start; in-cycle values are SciPy's Givens-rotated residual
-    estimates (exact up to roundoff), the last entry of each restart cycle
-    is recomputed from the iterate.  ``nonfinite`` marks a run stopped
+    the start; in-cycle values are the Givens-rotated residual estimates
+    (exact up to roundoff), the last entry of each restart cycle is
+    recomputed from the iterate.  ``nonfinite`` marks a run stopped
     before its first non-finite residual: ``history`` then ends at the last
     finite one (it is empty when the initial residual is not finite) and
     ``x`` is the iterate the last complete finite cycle reached.
+
+    The first cycle's Arnoldi process, M^-1 A V_j = V_(j+1) H over its j
+    finite steps, builds the Krylov space of the stationary RAS iteration
+    from zero too (`stationary_ras`): ``hessenberg`` is H, unrotated,
+    (j+1) x j, and ``beta`` = |M^-1 b|, so that iteration's residuals are
+    z_n = beta V y_n with y_0 = e_1, y_(n+1) = y_n - H y_n, for n <= j.
+    ``ras_x`` and ``ras_z`` are its iterate x_m = beta V (y_0 + ... +
+    y_(m-1)) and residual z_m = beta V y_m, taken from V before it is
+    dropped, after ``ras_steps`` = m steps: the first cycle's finite steps,
+    at most the ``ras_iters`` of `gmres`, and no further than the last n
+    whose beta |y_n| is finite.
     """
 
     x: np.ndarray
@@ -596,6 +651,11 @@ class GmresResult:
     stagnated: bool
     iterations: int
     nonfinite: bool
+    hessenberg: np.ndarray
+    beta: float
+    ras_steps: int
+    ras_x: np.ndarray
+    ras_z: np.ndarray
 
 
 def gmres(
@@ -604,29 +664,38 @@ def gmres(
     tol: float = 1e-6,
     max_iter: int = 500,
     restart: int | None = None,
+    ras_iters: int | None = None,
 ) -> GmresResult:
-    """Left-preconditioned GMRES with RAS as the preconditioner:
-    `scipy.sparse.linalg.gmres` on the full-length operator v -> M^-1 A v
-    (`ras_apply`, zero on every unowned dof), one SciPy call per restart cycle.
+    """Left-preconditioned GMRES with RAS as the preconditioner, on the
+    full-length operator v -> M^-1 A v (`ras_apply`, zero on every unowned
+    dof) from zero.
 
     Restarted when ``restart`` is given, otherwise a single cycle capped at
-    ``max_iter``.  A restart cycle that makes no progress flags stagnation
-    and returns the partial result; one that meets a non-finite residual
-    flags ``nonfinite`` and returns the iterate it started from.
+    ``max_iter``; each cycle is `_gmres_cycle`, and its last history entry
+    is the true preconditioned residual of its iterate, which the next
+    cycle starts from.  A restart cycle that makes no progress flags
+    stagnation and returns the partial result; one that meets a non-finite
+    residual flags ``nonfinite`` and returns the iterate it started from.
+    The result carries the stationary RAS state after at most
+    ``ras_iters`` (None: all) steps of the first cycle (`GmresResult`).
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     matrix = solve.system.matrix
     b = _promoted(rhs, solve.system)
     x = np.zeros_like(b)
-    b_pre = ras_apply(solve, b)
-    b_norm = _l2_norm(b_pre)
-    # SciPy takes the norm of b_pre itself, whose squares may overflow
+    residual = ras_apply(solve, b)
+    b_norm = _l2_norm(residual)
+    # the cycles take norms of the residual whose squares may overflow
     # though b_norm is finite: iterate on the problem scaled by a power of
-    # two that brings b_norm into [0.5, 1) (exact, on the real and imaginary
-    # parts), and scale x back
+    # two that brings b_norm into [0.5, 1) (exact, on the real and
+    # imaginary parts), and scale x and the RAS state back
     exponent = math.frexp(b_norm)[1]
-    b, b_pre = (np.ldexp(v.view(np.float64), -exponent).view(v.dtype) for v in (b, b_pre))
+
+    def scaled(v, by):
+        return np.ldexp(v.view(np.float64), by).view(v.dtype)
+
+    b, residual = scaled(b, -exponent), scaled(residual, -exponent)
     nonfinite = not math.isfinite(b_norm)
     if nonfinite:
         history, converged = [], False
@@ -636,25 +705,26 @@ def gmres(
         history, converged = [1.0], 1.0 < tol
     stagnated = False
     cycle_len = restart if restart is not None else max_iter
-    operator = LinearOperator((b.size, b.size), dtype=b.dtype,
-                              matvec=lambda v: ras_apply(solve, matrix @ v))
+    scale = math.ldexp(b_norm, -exponent)
+    # the stationary RAS state (H, m, x_m, z_m) as long as no cycle has run
+    ras = (np.zeros((1, 0), b.dtype), 0, x, residual)
+    ras_iters = max_iter if ras_iters is None else ras_iters
 
     while len(history) <= max_iter and not (converged or stagnated or nonfinite):
         start = len(history)
-        # a non-finite solve makes SciPy's own dot products warn; the
-        # check below stops the run
-        with np.errstate(invalid="ignore"):
-            candidate, _ = scipy_gmres(
-                operator, b_pre, x0=x, rtol=tol, atol=0.0,
-                restart=min(cycle_len, max_iter + 1 - start), maxiter=1,
-                callback=history.append, callback_type="pr_norm",
-            )
-        estimates = history[start:]
+        correction, estimates, state = _gmres_cycle(
+            solve, residual, min(cycle_len, max_iter + 1 - start, b.size),
+            tol * scale, scale, (b_norm, ras_iters) if start == 1 else None,
+        )
+        history += estimates
+        ras = state or ras
+        if correction is None:
+            nonfinite = True
+            break
+        candidate = x + correction
         residual = ras_apply(solve, b - matrix @ candidate)
-        relres = _l2_norm(residual) / math.ldexp(b_norm, -exponent)
-        finite = np.isfinite(estimates + [relres])
-        if not finite.all():
-            del history[start + int(np.argmin(finite)):]
+        relres = _l2_norm(residual) / scale
+        if not math.isfinite(relres):
             nonfinite = True
             break
         history[-1] = relres
@@ -662,11 +732,106 @@ def gmres(
         converged = history[-1] < tol
         stagnated = not converged and history[-1] >= history[start - 1] * (1.0 - 1e-12)
 
+    hessenberg, m, ras_x, ras_z = ras
     return GmresResult(
-        x=np.ldexp(x.view(np.float64), exponent).view(x.dtype),
+        x=scaled(x, exponent),
         history=np.asarray(history, dtype=float),
         converged=converged,
         stagnated=stagnated,
         iterations=max(len(history) - 1, 0),
         nonfinite=nonfinite,
+        hessenberg=hessenberg,
+        beta=b_norm,
+        ras_steps=m,
+        ras_x=scaled(ras_x, exponent),
+        ras_z=scaled(ras_z, exponent),
     )
+
+
+def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
+    """One GMRES cycle of at most ``steps`` Arnoldi steps from an iterate
+    whose preconditioned residual is ``residual``: modified
+    Gram-Schmidt and Givens rotations as in SciPy 1.17's loop, with its
+    breakdown test h1 <= eps h0.  It stops once the rotated residual is at
+    most ``ptol`` or at a breakdown, and reports each as a ratio to
+    ``scale``.
+
+    Returns (correction, estimates, ras).  The correction to the iterate
+    is None when a step met a non-finite value; the estimates then end
+    before it.  With ``ras`` = (beta, ras_iters) of the unscaled load, ras
+    is (H, m, x_m, z_m): the unrotated Hessenberg matrix of the finite
+    steps and the stationary RAS state of `GmresResult`, for this scaled
+    cycle from zero; else None.
+    """
+    matrix = solve.system.matrix
+    dtype, n = residual.dtype, residual.size
+    dot = np.vdot if np.iscomplexobj(residual) else np.dot
+    lartg = get_lapack_funcs("lartg", dtype=dtype)
+    eps = np.finfo(dtype).eps
+    # only the rows the cycle reaches are touched
+    basis = np.empty((steps + 1, n), dtype)
+    hessenberg = np.zeros((steps + 1, steps), dtype)
+    rotated = np.zeros((steps, steps + 1), dtype)  # a row per column, as SciPy's h
+    givens = np.zeros((steps, 2), dtype)
+    basis[0] = residual
+    beta = np.linalg.norm(basis[0])
+    basis[0] *= 1 / beta
+    g = np.zeros(steps + 1, dtype)  # beta e_1, rotated with the columns
+    g[0] = beta
+    estimates, finite = [], True
+    # a non-finite solve makes the dot products warn; the check below stops the cycle
+    with np.errstate(invalid="ignore"):
+        for col in range(steps):
+            w = ras_apply(solve, matrix @ basis[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                hessenberg[k, col] = dot(basis[k], w)
+                w -= hessenberg[k, col] * basis[k]
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * h0
+            hessenberg[col + 1, col] = 0.0 if breakdown else h1
+            basis[col + 1] = w
+            if not breakdown:
+                basis[col + 1] *= 1 / h1
+            if not np.isfinite(hessenberg[: col + 2, col]).all():
+                finite = False
+                break
+            h = rotated[col]
+            h[: col + 2] = hessenberg[: col + 2, col]
+            for k in range(col):
+                c, s = givens[k]
+                h[k], h[k + 1] = c * h[k] + s * h[k + 1], -s.conj() * h[k] + c * h[k + 1]
+            c, s, mag = lartg(h[col], h[col + 1])
+            givens[col] = c, s
+            h[col], h[col + 1] = mag, 0
+            g[col], g[col + 1] = c * g[col], -np.conj(s) * g[col]
+            presid = abs(g[col + 1])
+            estimates.append(presid / scale)
+            if presid <= ptol or breakdown:
+                break
+    done = col + 1 if finite else col  # the finite steps
+
+    state = None
+    if ras is not None:
+        # the stationary RAS state after m steps, from V before it is dropped
+        beta_load, ras_iters = ras
+        h_bar = hessenberg[: done + 1, :done].copy()
+        rows, _ = _ras_residuals(h_bar, beta_load, ras_iters)
+        m = rows.shape[0] - 1
+        used = basis[: done + 1]
+        state = (h_bar, m, beta * (rows[:m].sum(axis=0) @ used), beta * (rows[m] @ used))
+    if not finite:
+        return None, estimates, state
+
+    # back substitution on the rotated triangle, as SciPy's pseudo-solve
+    # of a singular one
+    if rotated[col, col] == 0:
+        g[col] = 0
+    y = g[: col + 1].copy()
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= rotated[k, k]
+            y[:k] -= y[k] * rotated[k, :k]
+    if y[0] != 0:
+        y[0] /= rotated[0, 0]
+    return y @ basis[: col + 1], estimates, state

@@ -499,15 +499,20 @@ class TestErrorMapping:
         ("", "out of memory"),
     ], ids=["numpy", "bare"])
     def test_refused_allocation_exits_4(self, tmp_path, monkeypatch, capsys, message, shown):
-        # an allocation refused in SciPy's GMRES basis (a huge --max-iter on
-        # a host that does not overcommit), which the budget does not count
-        from elastic_schwarz import schwarz
+        # an allocation refused for the GMRES Krylov basis, (steps + 1) x
+        # n_dofs (a huge --max-iter on a host that does not overcommit),
+        # which the budget does not count: here the 500-step basis at 40x20
+        empty, refused = np.empty, []
 
-        def refuse(*args, **kwargs):
-            raise MemoryError(message)
+        def refuse(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape == (501, 1722):
+                refused.append(shape)
+                raise MemoryError(message)
+            return empty(shape, *args, **kwargs)
 
-        monkeypatch.setattr(schwarz, "scipy_gmres", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
         assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20"]) == 4
+        assert refused == [(501, 1722)]
         assert capsys.readouterr().err == f"budget exceeded: {shown or message}\n"
 
     def test_other_errors_are_not_solver_errors(self, tmp_path, monkeypatch):
@@ -705,6 +710,24 @@ class TestGmresCommand:
         flag, body = runs["1e300"]
         assert not flag and len(body) == len(runs["1"][1])
         assert "# converged=true" in read(tmp_path / "1e300" / "gmres_history.csv").decode()
+
+    @pytest.mark.parametrize("scale, code, calls", [("1", 0, 52), ("1e300", 6, 19)])
+    def test_one_arnoldi_process_serves_both_histories(
+        self, tmp_path, monkeypatch, scale, code, calls
+    ):
+        # M^-1 b, 17 Arnoldi steps and the recomputed residual, then the 33
+        # RAS steps past GMRES's 17 (71 applications as two iterations);
+        # at 1e300 the RAS residual overflows within GMRES's steps (34)
+        from elastic_schwarz import schwarz
+
+        applied = []
+        apply = schwarz.ras_apply
+        monkeypatch.setattr(schwarz, "ras_apply", lambda *a: applied.append(1) or apply(*a))
+        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", scale]) == code
+        assert len(applied) == calls
+        _, body = flagged_history(tmp_path / "gmres_history.csv")
+        assert len(body) == 18
 
     def test_nonfinite_initial_residual_flags_row_0(self, tmp_path):
         assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",

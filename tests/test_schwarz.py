@@ -1027,7 +1027,9 @@ class TestComplexMatrix:
         m = interface_unknowns(real, dec).size
         real_need = {
             "spectrum": 8 * (2 * m * m + 2 * schwarz.SPECTRUM_CHUNK * n),
-            "preconditioned_operator": 48 * n * n,
+            # the reserve of `preconditioned_operator`: its n_dofs x n
+            # right-hand sides and solutions, the operator and its eigenproblem
+            "preconditioned_operator": 8 * n * (2 * real.n_dofs + 4 * n),
         }[budgeted]
         monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", 3 * real_need // 2)
         run = getattr(schwarz, budgeted)
@@ -1078,17 +1080,105 @@ class TestComplexLoad:
         assert _l2_norm(residual) < 1e-6 * _l2_norm(ras_apply(solve, complex_load))
 
 
+def cli_problem(config, overrides):
+    """A `gmres` command's system, decomposition and load."""
+    from elastic_schwarz import cli
+
+    cfg = cli.load_config(config, overrides)
+    system, dec = cli._problem(cfg)
+    return system, dec, cli.experiment_load(cfg, system)
+
+
 @pytest.fixture(scope="module", params=[None, ASYMMETRIC_STRIP],
                 ids=["mirrored", "asymmetric"])
 def gmres_problem(request):
     """The `gmres` command's system, decomposition and load at omega 5: the
     mirrored 40x20 strip (one shared factor) and the asymmetric strip (two)."""
-    from elastic_schwarz import cli
-
     overrides = {"omega": 5.0} if request.param else {"nx": 40, "ny": 20, "omega": 5.0}
-    cfg = cli.load_config(request.param, overrides)
-    system, dec = cli._problem(cfg)
-    return system, dec, cli.experiment_load(cfg, system)
+    return cli_problem(request.param, overrides)
+
+
+class TestSharedRasHistory:
+    """`stationary_ras` from a `gmres` result reads its first steps off the
+    first GMRES cycle and continues from their state; history and iterate
+    agree with the direct iteration within 1e-10, relative, and the history
+    within 1e-13 of the initial residual where it is near zero: each
+    iteration's roundoff is relative to its unit start."""
+
+    @staticmethod
+    def assert_shared_is_direct(solve, rhs, n_iter, result, direct_solve=None):
+        x, history = stationary_ras(solve, rhs, n_iter, start=result)
+        x_direct, direct = stationary_ras(direct_solve or solve, rhs, n_iter)
+        assert history.size == direct.size
+        np.testing.assert_allclose(history, direct, rtol=1e-10, atol=1e-13)
+        assert _l2_norm(x - x_direct) <= 1e-10 * _l2_norm(x_direct)
+        return history
+
+    @pytest.mark.parametrize("omega", [1.0, 5.0])
+    @pytest.mark.parametrize("config", [None, ASYMMETRIC_STRIP], ids=["mirrored", "asymmetric"])
+    def test_strips(self, config, omega):
+        overrides = {"omega": omega} if config else {"nx": 40, "ny": 20, "omega": omega}
+        system, dec, rhs = cli_problem(config, overrides)
+        solve = RestrictedSolve(system, dec)
+        result = gmres(solve, rhs, ras_iters=50)
+        assert result.converged and result.ras_steps == result.iterations < 50
+        history = self.assert_shared_is_direct(solve, rhs, 50, result)
+        assert history.size == 51 and (history[-1] > 1.0) == (omega == 5.0)
+
+    @pytest.fixture(scope="class")
+    def divergent(self):
+        """The 40x20 strip at omega 5 and its solve: GMRES takes 17 steps."""
+        system, dec, rhs = cli_problem(None, {"nx": 40, "ny": 20, "omega": 5.0})
+        return system, dec, RestrictedSolve(system, dec), rhs
+
+    def test_restarted_run_shares_its_first_cycle(self, divergent):
+        _, _, solve, rhs = divergent
+        result = gmres(solve, rhs, restart=10, ras_iters=50)
+        assert result.converged and result.iterations > 10 and result.ras_steps == 10
+        assert result.hessenberg.shape == (11, 10)
+        self.assert_shared_is_direct(solve, rhs, 50, result)
+
+    def test_fewer_steps_than_gmres_come_from_the_hessenberg(self, divergent, monkeypatch):
+        _, _, solve, rhs = divergent
+        result = gmres(solve, rhs, ras_iters=10)
+        assert result.iterations == 17 and result.ras_steps == 10
+        applied = []
+        apply = schwarz.ras_apply
+        monkeypatch.setattr(schwarz, "ras_apply", lambda *a: applied.append(1) or apply(*a))
+        _, history = stationary_ras(solve, rhs, 10, start=result)
+        assert history.size == 11 and not applied
+        monkeypatch.undo()
+        self.assert_shared_is_direct(solve, rhs, 10, result)
+        with pytest.raises(ValueError, match="n_iter"):
+            stationary_ras(solve, rhs, 9, start=result)
+
+    def test_overflow_stops_where_beta_y_is_not_finite(self, divergent):
+        # the load of `--initial-error 1e300`: |z_13| passes the largest double
+        system, _, solve, rhs = divergent
+        result = gmres(solve, 1e300 / 0.789 * rhs)
+        assert result.converged and result.ras_steps == 12
+        history = self.assert_shared_is_direct(solve, 1e300 / 0.789 * rhs, 50, result)
+        assert history.size == 13
+
+    def test_identity_system_breaks_down_happily(self):
+        system, dec, rhs = cli_problem(None, {"nx": 40, "ny": 20, "identity_system": True})
+        solve = RestrictedSolve(system, dec)
+        result = gmres(solve, rhs)
+        assert result.converged and result.iterations == result.ras_steps == 1
+        np.testing.assert_array_equal(result.hessenberg, [[1.0], [0.0]])
+        self.assert_shared_is_direct(solve, rhs, 50, result)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_only_finite_arnoldi_steps_are_shared(self, divergent, poisoned_solve):
+        # the solves break down after the load and three Krylov steps
+        system, dec, _, rhs = divergent
+        solve = poisoned_solve(4)(system, dec)
+        result = gmres(solve, rhs, ras_iters=50)
+        assert result.nonfinite and result.ras_steps == 3
+        history = self.assert_shared_is_direct(
+            solve, rhs, 50, result, direct_solve=poisoned_solve(4)(system, dec)
+        )
+        assert history.size == 4
 
 
 class TestGmresDenseReference:
