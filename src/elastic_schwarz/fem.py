@@ -401,8 +401,8 @@ def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:
 
 def read_solution_binary(path) -> tuple[dict, np.ndarray]:
     """Read a binary dump back; returns (metadata, (n_nodes, 4) table).
-    Raises ValueError on a bad magic or version, or on a file whose length
-    is not the header plus 32 bytes per node."""
+    Raises ValueError on a bad magic, version or node count (not
+    (nx+1)(ny+1)), or a length other than the header plus 32 bytes a node."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head = _BINARY_HEADER.size
@@ -413,6 +413,8 @@ def read_solution_binary(path) -> tuple[dict, np.ndarray]:
         raise ValueError(f"bad magic {magic!r}")
     if version != BINARY_VERSION:
         raise ValueError(f"unsupported version {version}")
+    if n_nodes != (nx + 1) * (ny + 1):
+        raise ValueError(f"{n_nodes} nodes do not make a {nx}x{ny} mesh")
     if len(blob) != head + 32 * n_nodes:
         raise ValueError(
             f"expected {head + 32 * n_nodes} bytes for {n_nodes} nodes, got {len(blob)}"

@@ -454,6 +454,8 @@ def schwarz_iterate(
     record is not finite: the history is then shorter than ``n_iter + 1``
     and the returned iterate is the last finite one.
     """
+    if n_iter < 0:
+        raise ValueError(f"n_iter must be >= 0, got {n_iter}")
     if np.any(system.rhs):
         raise ValueError("schwarz_iterate runs the error equation: the load must be zero")
     e = _promoted(initial, system).copy()
@@ -497,39 +499,36 @@ def stationary_ras(
     """Run the RAS-preconditioned Richardson iteration from zero, tracking
     the preconditioned relative residual (same quantity GMRES reports).
 
-    With ``start``, a `gmres` result on the same solve and load, its first
-    ``start.ras_steps`` = m steps (m <= ``n_iter``, else ValueError) are
-    read off that run's first cycle: entry n <= m is |y_n| (see
-    `GmresResult`), and the iteration continues from its state x_m, z_m.
+    With ``start``, a `gmres` result on the same solve and load, it resumes
+    from ``start.ras`` (`GmresResult`): the m <= ``n_iter`` shared steps
+    (else ValueError), then the loop from x_m, z_m.
 
-    A run that overflows stops before the first non-finite residual (from
-    the first cycle, where beta |y_n| is not finite): the history is then
+    A run that overflows stops before the first non-finite residual (among
+    the shared steps, where their list ends with inf): the history is then
     shorter than ``n_iter + 1`` and ``x`` is the last iterate whose
     residual was finite; a non-finite initial residual gives an empty
     history."""
+    if n_iter < 0:
+        raise ValueError(f"n_iter must be >= 0, got {n_iter}")
     system = solve.system
     rhs = _promoted(rhs, system)
     if start is None:
-        x, z, m = np.zeros_like(rhs), ras_apply(solve, rhs), 0
-        norm0 = _l2_norm(z)
+        z = ras_apply(solve, rhs)
+        x, norm0, shared = np.zeros_like(rhs), _l2_norm(z), [1.0]
     else:
-        x, z, m, norm0 = start.ras_x, start.ras_z, start.ras_steps, start.beta
-        if m > n_iter:
-            raise ValueError(f"n_iter: {n_iter} is below the {m} steps the start has "
-                             f"taken; pass ras_iters={n_iter} to gmres")
+        x, z, norm0, shared = start.ras
+    m = len(shared) - 1 if math.isfinite(shared[-1]) else len(shared) - 2
+    if m > n_iter:
+        raise ValueError(f"n_iter: {n_iter} is below the {m} steps the start has "
+                         f"taken; pass ras_iters={n_iter} to gmres")
     if not math.isfinite(norm0):
         return x, np.empty(0)
-    history = np.empty(n_iter + 1)
-    history[0] = 1.0
+    history = np.zeros(n_iter + 1)
+    history[: m + 1] = shared[: m + 1]
     if norm0 == 0.0:
-        history[1:] = 0.0
         return x, history
-    if start is not None:
-        reach = min(m + 1, n_iter, start.hessenberg.shape[1])
-        _, shared = _ras_residuals(start.hessenberg, norm0, reach)
-        history[: m + 1] = shared[: m + 1]
-        if shared.size <= reach:  # |z_(m+1)| = beta |y_(m+1)| is not finite
-            return x, history[: m + 1]
+    if len(shared) > m + 1:  # |z_(m+1)| = beta |y_(m+1)| is not finite
+        return x, history[: m + 1]
     for n in range(m, n_iter):
         step = x + z
         z = ras_apply(solve, rhs - system.matrix @ step)
@@ -538,29 +537,6 @@ def stationary_ras(
             return x, history[: n + 1]
         x = step
     return x, history
-
-
-def _ras_residuals(
-    hessenberg: np.ndarray, beta: float, n_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stationary RAS residuals from zero in a GMRES cycle's Arnoldi
-    basis: with z_0 = beta v_0 and M^-1 A V_j = V_(j+1) H (Saad, Iterative
-    Methods for Sparse Linear Systems, 2003, ch. 6), H the unrotated
-    (j+1) x j ``hessenberg``, z_n = (I - M^-1 A)^n z_0 = beta V y_n for
-    n <= j, where y_0 = e_1 and y_(n+1) = y_n - H y_n.  Returns the rows
-    y_0 .. y_m and |y_n| = |z_n| / |z_0|, for m = min(``n_iter``, j) or
-    the last n before the first whose |z_n| = beta |y_n| is not finite."""
-    steps = hessenberg.shape[1]
-    y = np.zeros((min(n_iter, steps) + 1, steps + 1), hessenberg.dtype)
-    y[0, 0] = 1.0
-    norms = [1.0]
-    for n in range(1, y.shape[0]):
-        # y_(n-1) lies in the first n entries, so y_n in the first n + 1
-        y[n, : n + 1] = y[n - 1, : n + 1] - hessenberg[: n + 1, :n] @ y[n - 1, :n]
-        norms.append(_l2_norm(y[n]))
-        if not math.isfinite(beta * norms[-1]):
-            return y[:n], np.array(norms[:-1])
-    return y, np.array(norms)
 
 
 def _check_budget(what: str, needed: int) -> None:
@@ -635,14 +611,13 @@ class GmresResult:
 
     The first cycle's Arnoldi process, M^-1 A V_j = V_(j+1) H over its j
     finite steps, builds the Krylov space of the stationary RAS iteration
-    from zero too (`stationary_ras`): ``hessenberg`` is H, unrotated,
-    (j+1) x j, and ``beta`` = |M^-1 b|, so that iteration's residuals are
-    z_n = beta V y_n with y_0 = e_1, y_(n+1) = y_n - H y_n, for n <= j.
-    ``ras_x`` and ``ras_z`` are its iterate x_m = beta V (y_0 + ... +
-    y_(m-1)) and residual z_m = beta V y_m, taken from V before it is
-    dropped, after ``ras_steps`` = m steps: the first cycle's finite steps,
-    at most the ``ras_iters`` of `gmres`, and no further than the last n
-    whose beta |y_n| is finite.
+    from zero too (`stationary_ras`): with beta = |M^-1 b|, its residuals
+    are z_n = beta V y_n, y_0 = e_1, y_(n+1) = y_n - H y_n, for n <= j.
+    ``ras`` = (x_m, z_m, beta, [|y_0|, ..., |y_m|]) is its state after m
+    steps, x_m = beta V (y_0 + ... + y_(m-1)) and z_m = beta V y_m: m is
+    the first cycle's finite steps, at most the ``ras_iters`` of `gmres`
+    (0 before any cycle), and stops before an n whose beta |y_n| is not
+    finite, whose entry then ends the list as inf.
     """
 
     x: np.ndarray
@@ -651,11 +626,7 @@ class GmresResult:
     stagnated: bool
     iterations: int
     nonfinite: bool
-    hessenberg: np.ndarray
-    beta: float
-    ras_steps: int
-    ras_x: np.ndarray
-    ras_z: np.ndarray
+    ras: tuple
 
 
 def gmres(
@@ -681,6 +652,8 @@ def gmres(
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if ras_iters is not None and ras_iters < 0:
+        raise ValueError(f"ras_iters must be >= 0, got {ras_iters}")
     matrix = solve.system.matrix
     b = _promoted(rhs, solve.system)
     x = np.zeros_like(b)
@@ -706,8 +679,8 @@ def gmres(
     stagnated = False
     cycle_len = restart if restart is not None else max_iter
     scale = math.ldexp(b_norm, -exponent)
-    # the stationary RAS state (H, m, x_m, z_m) as long as no cycle has run
-    ras = (np.zeros((1, 0), b.dtype), 0, x, residual)
+    # the stationary RAS state (x_m, z_m, norms) as long as no cycle has run
+    ras = (x, residual, [1.0])
     ras_iters = max_iter if ras_iters is None else ras_iters
 
     while len(history) <= max_iter and not (converged or stagnated or nonfinite):
@@ -732,7 +705,7 @@ def gmres(
         converged = history[-1] < tol
         stagnated = not converged and history[-1] >= history[start - 1] * (1.0 - 1e-12)
 
-    hessenberg, m, ras_x, ras_z = ras
+    ras_x, ras_z, norms = ras
     return GmresResult(
         x=scaled(x, exponent),
         history=np.asarray(history, dtype=float),
@@ -740,11 +713,7 @@ def gmres(
         stagnated=stagnated,
         iterations=max(len(history) - 1, 0),
         nonfinite=nonfinite,
-        hessenberg=hessenberg,
-        beta=b_norm,
-        ras_steps=m,
-        ras_x=scaled(ras_x, exponent),
-        ras_z=scaled(ras_z, exponent),
+        ras=(scaled(ras_x, exponent), scaled(ras_z, exponent), b_norm, norms),
     )
 
 
@@ -759,9 +728,8 @@ def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
     Returns (correction, estimates, ras).  The correction to the iterate
     is None when a step met a non-finite value; the estimates then end
     before it.  With ``ras`` = (beta, ras_iters) of the unscaled load, ras
-    is (H, m, x_m, z_m): the unrotated Hessenberg matrix of the finite
-    steps and the stationary RAS state of `GmresResult`, for this scaled
-    cycle from zero; else None.
+    is (x_m, z_m, [|y_0|, ..., |y_m|]), the stationary RAS state of
+    `GmresResult` for this scaled cycle from zero; else None.
     """
     matrix = solve.system.matrix
     dtype, n = residual.dtype, residual.size
@@ -813,13 +781,22 @@ def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
 
     state = None
     if ras is not None:
-        # the stationary RAS state after m steps, from V before it is dropped
+        # z_n = beta V y_n (Saad, Iterative Methods for Sparse Linear
+        # Systems, 2003, ch. 6), x_m and z_m from V before it is dropped
         beta_load, ras_iters = ras
-        h_bar = hessenberg[: done + 1, :done].copy()
-        rows, _ = _ras_residuals(h_bar, beta_load, ras_iters)
-        m = rows.shape[0] - 1
+        m = min(ras_iters, done)
+        rows = np.zeros((m + 1, done + 1), dtype)  # y_0 .. y_m
+        rows[0, 0] = 1.0
+        norms = [1.0]
+        for n in range(1, m + 1):
+            # y_(n-1) lies in the first n entries, so y_n in the first n + 1
+            rows[n, : n + 1] = rows[n - 1, : n + 1] - hessenberg[: n + 1, :n] @ rows[n - 1, :n]
+            norms.append(_l2_norm(rows[n]))
+            if not math.isfinite(beta_load * norms[-1]):
+                m, norms[-1] = n - 1, math.inf
+                break
         used = basis[: done + 1]
-        state = (h_bar, m, beta * (rows[:m].sum(axis=0) @ used), beta * (rows[m] @ used))
+        state = (beta * (rows[:m].sum(axis=0) @ used), beta * (rows[m] @ used), norms)
     if not finite:
         return None, estimates, state
 

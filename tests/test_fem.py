@@ -560,16 +560,20 @@ class TestExports:
     @pytest.mark.parametrize(
         "offset, field, message",
         [(0, b"ELSCHWZ0", "bad magic b'ELSCHWZ0'"),
-         (8, (2).to_bytes(4, "little"), "unsupported version 2")],
-        ids=["magic", "version"],
+         (8, (2).to_bytes(4, "little"), "unsupported version 2"),
+         (20, (4).to_bytes(4, "little"), "4 nodes do not make a 3x2 mesh"),
+         (12, bytes(12), "0 nodes do not make a 0x0 mesh")],
+        ids=["magic", "version", "node-count", "empty"],
     )
     def test_binary_rejects_wrong_header(self, tmp_path, offset, field, message):
+        # the file keeps the length its header's node count asks for
         mesh = build_mesh((0.0, 1.0), (0.0, 2.0), 3, 2)
         path = tmp_path / "field.bin"
         fem.export_solution_binary(mesh, np.zeros(2 * mesh.n_nodes), path)
         blob = bytearray(path.read_bytes())
         blob[offset:offset + len(field)] = field
-        path.write_bytes(bytes(blob))
+        n_nodes = int.from_bytes(blob[20:24], "little")
+        path.write_bytes(bytes(blob[:24 + 32 * n_nodes]))
         with pytest.raises(ValueError, match=message):
             fem.read_solution_binary(path)
 

@@ -841,6 +841,20 @@ class TestGmres:
         with pytest.raises(ValueError, match="tol"):
             gmres(RestrictedSolve(system, dec), system.rhs, tol=0.0)
 
+    @pytest.mark.parametrize(
+        "name, run",
+        [("ras_iters", lambda system, dec, solve, load: gmres(solve, load, ras_iters=-1)),
+         ("n_iter", lambda system, dec, solve, load: stationary_ras(solve, load, -1)),
+         ("n_iter", lambda system, dec, solve, load: schwarz_iterate(
+             system, dec, seeded_initial_guess(system, seed=1), -1))],
+        ids=["gmres", "stationary_ras", "schwarz_iterate"],
+    )
+    def test_rejects_negative_counts(self, small_setup, name, run):
+        system, dec = small_setup
+        load = system.matrix @ seeded_initial_guess(system, seed=11)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+            run(system, dec, RestrictedSolve(system, dec), load)
+
     def test_zero_rhs(self, small_setup):
         system, dec = small_setup
         result = gmres(RestrictedSolve(system, dec), np.zeros(system.n_dofs))
@@ -1106,6 +1120,14 @@ class TestSharedRasHistory:
     iteration's roundoff is relative to its unit start."""
 
     @staticmethod
+    def counted_applies(monkeypatch) -> list:
+        """Records a 1 for each `ras_apply` call until ``monkeypatch.undo``."""
+        applied = []
+        apply = schwarz.ras_apply
+        monkeypatch.setattr(schwarz, "ras_apply", lambda *a: applied.append(1) or apply(*a))
+        return applied
+
+    @staticmethod
     def assert_shared_is_direct(solve, rhs, n_iter, result, direct_solve=None):
         x, history = stationary_ras(solve, rhs, n_iter, start=result)
         x_direct, direct = stationary_ras(direct_solve or solve, rhs, n_iter)
@@ -1121,7 +1143,9 @@ class TestSharedRasHistory:
         system, dec, rhs = cli_problem(config, overrides)
         solve = RestrictedSolve(system, dec)
         result = gmres(solve, rhs, ras_iters=50)
-        assert result.converged and result.ras_steps == result.iterations < 50
+        shared = result.ras[3]
+        assert result.converged and len(shared) - 1 == result.iterations < 50
+        assert np.isfinite(shared).all()
         history = self.assert_shared_is_direct(solve, rhs, 50, result)
         assert history.size == 51 and (history[-1] > 1.0) == (omega == 5.0)
 
@@ -1134,17 +1158,16 @@ class TestSharedRasHistory:
     def test_restarted_run_shares_its_first_cycle(self, divergent):
         _, _, solve, rhs = divergent
         result = gmres(solve, rhs, restart=10, ras_iters=50)
-        assert result.converged and result.iterations > 10 and result.ras_steps == 10
-        assert result.hessenberg.shape == (11, 10)
+        assert result.converged and result.iterations > 10
+        assert len(result.ras[3]) == 11 and np.isfinite(result.ras[3]).all()
         self.assert_shared_is_direct(solve, rhs, 50, result)
 
-    def test_fewer_steps_than_gmres_come_from_the_hessenberg(self, divergent, monkeypatch):
+    def test_fewer_steps_than_gmres_come_from_the_first_cycle(self, divergent, monkeypatch):
         _, _, solve, rhs = divergent
         result = gmres(solve, rhs, ras_iters=10)
-        assert result.iterations == 17 and result.ras_steps == 10
-        applied = []
-        apply = schwarz.ras_apply
-        monkeypatch.setattr(schwarz, "ras_apply", lambda *a: applied.append(1) or apply(*a))
+        assert result.iterations == 17
+        assert len(result.ras[3]) == 11 and np.isfinite(result.ras[3]).all()
+        applied = self.counted_applies(monkeypatch)
         _, history = stationary_ras(solve, rhs, 10, start=result)
         assert history.size == 11 and not applied
         monkeypatch.undo()
@@ -1152,11 +1175,34 @@ class TestSharedRasHistory:
         with pytest.raises(ValueError, match="n_iter"):
             stationary_ras(solve, rhs, 9, start=result)
 
+    def test_start_converged_before_any_cycle(self, divergent, monkeypatch):
+        # at tol 2 GMRES stops at M^-1 b, so the iteration resumes from zero
+        # and is the direct one, bit for bit: 1 + 50 applications
+        _, _, solve, rhs = divergent
+        applied = self.counted_applies(monkeypatch)
+        result = gmres(solve, rhs, tol=2.0)
+        x, history = stationary_ras(solve, rhs, 50, start=result)
+        assert result.converged and result.iterations == 0 and len(applied) == 51
+        monkeypatch.undo()
+        x_direct, direct = stationary_ras(solve, rhs, 50)
+        np.testing.assert_array_equal(history, direct)
+        np.testing.assert_array_equal(x, x_direct)
+
+    def test_zero_load_takes_one_application(self, divergent, monkeypatch):
+        _, _, solve, rhs = divergent
+        applied = self.counted_applies(monkeypatch)
+        result = gmres(solve, np.zeros_like(rhs))
+        x, history = stationary_ras(solve, np.zeros_like(rhs), 50, start=result)
+        assert len(applied) == 1 and not x.any()
+        np.testing.assert_array_equal(history, np.r_[1.0, np.zeros(50)])
+
     def test_overflow_stops_where_beta_y_is_not_finite(self, divergent):
         # the load of `--initial-error 1e300`: |z_13| passes the largest double
         system, _, solve, rhs = divergent
         result = gmres(solve, 1e300 / 0.789 * rhs)
-        assert result.converged and result.ras_steps == 12
+        shared = result.ras[3]
+        assert result.converged and len(shared) == 14
+        assert np.isfinite(shared[:13]).all() and shared[13] == np.inf
         history = self.assert_shared_is_direct(solve, 1e300 / 0.789 * rhs, 50, result)
         assert history.size == 13
 
@@ -1164,8 +1210,8 @@ class TestSharedRasHistory:
         system, dec, rhs = cli_problem(None, {"nx": 40, "ny": 20, "identity_system": True})
         solve = RestrictedSolve(system, dec)
         result = gmres(solve, rhs)
-        assert result.converged and result.iterations == result.ras_steps == 1
-        np.testing.assert_array_equal(result.hessenberg, [[1.0], [0.0]])
+        assert result.converged and result.iterations == 1
+        np.testing.assert_array_equal(result.ras[3], [1.0, 0.0])
         self.assert_shared_is_direct(solve, rhs, 50, result)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1174,7 +1220,8 @@ class TestSharedRasHistory:
         system, dec, _, rhs = divergent
         solve = poisoned_solve(4)(system, dec)
         result = gmres(solve, rhs, ras_iters=50)
-        assert result.nonfinite and result.ras_steps == 3
+        shared = result.ras[3]
+        assert result.nonfinite and len(shared) == 4 and np.isfinite(shared).all()
         history = self.assert_shared_is_direct(
             solve, rhs, 50, result, direct_solve=poisoned_solve(4)(system, dec)
         )
