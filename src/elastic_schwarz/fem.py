@@ -251,16 +251,17 @@ def assemble(
 
 def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
     """sqrt(weight * sum |v|^2) of a vector (``np.linalg.norm`` for unit
-    weight), finite whenever that value is: only when the squares
-    overflow is it recomputed from v / max|v|, so finite sums keep their
-    bits."""
+    weight), finite and nonzero whenever that value is.  A sum that is not
+    finite or below 2^-500 (its squares may have over- or underflowed) is
+    recomputed from v 2^-e, with 2^(e-1) <= max|v| < 2^e, and scaled back
+    by 2^e; both scalings are exact on the real and imaginary parts, so
+    normal-range norms keep their bits and _l2_norm(2^j v) = 2^j _l2_norm(v)."""
     with np.errstate(over="ignore"):
         norm = math.sqrt(weight * float(np.vdot(v, v).real))
-    if not math.isfinite(norm):  # overflowing complex squares give nan
-        peak = float(np.max(np.abs(v)))
-        if math.isfinite(peak):
-            scaled = v / peak
-            norm = peak * math.sqrt(weight * float(np.vdot(scaled, scaled).real))
+        if not 2.0**-500 <= norm < math.inf:
+            e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+            w = np.ldexp(v.view(np.float64), -e).view(v.dtype)
+            norm = float(np.ldexp(math.sqrt(weight * float(np.vdot(w, w).real)), e))
     return norm
 
 

@@ -649,9 +649,15 @@ def gmres(
     residual flags ``nonfinite`` and returns the iterate it started from.
     The result carries the stationary RAS state after at most
     ``ras_iters`` (None: all) steps of the first cycle (`GmresResult`).
+    It runs on the load as given: `_l2_norm` keeps every norm finite and
+    nonzero wherever it is, even where its squares over- or underflow.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if restart is not None and restart < 1:
+        raise ValueError(f"restart must be >= 1 or None, got {restart}")
     if ras_iters is not None and ras_iters < 0:
         raise ValueError(f"ras_iters must be >= 0, got {ras_iters}")
     matrix = solve.system.matrix
@@ -659,16 +665,6 @@ def gmres(
     x = np.zeros_like(b)
     residual = ras_apply(solve, b)
     b_norm = _l2_norm(residual)
-    # the cycles take norms of the residual whose squares may overflow
-    # though b_norm is finite: iterate on the problem scaled by a power of
-    # two that brings b_norm into [0.5, 1) (exact, on the real and
-    # imaginary parts), and scale x and the RAS state back
-    exponent = math.frexp(b_norm)[1]
-
-    def scaled(v, by):
-        return np.ldexp(v.view(np.float64), by).view(v.dtype)
-
-    b, residual = scaled(b, -exponent), scaled(residual, -exponent)
     nonfinite = not math.isfinite(b_norm)
     if nonfinite:
         history, converged = [], False
@@ -678,16 +674,15 @@ def gmres(
         history, converged = [1.0], 1.0 < tol
     stagnated = False
     cycle_len = restart if restart is not None else max_iter
-    scale = math.ldexp(b_norm, -exponent)
-    # the stationary RAS state (x_m, z_m, norms) as long as no cycle has run
-    ras = (x, residual, [1.0])
+    # the stationary RAS state as long as no cycle has run
+    ras = (x, residual, b_norm, [1.0])
     ras_iters = max_iter if ras_iters is None else ras_iters
 
     while len(history) <= max_iter and not (converged or stagnated or nonfinite):
         start = len(history)
         correction, estimates, state = _gmres_cycle(
             solve, residual, min(cycle_len, max_iter + 1 - start, b.size),
-            tol * scale, scale, (b_norm, ras_iters) if start == 1 else None,
+            tol * b_norm, b_norm, ras_iters if start == 1 else None,
         )
         history += estimates
         ras = state or ras
@@ -696,7 +691,7 @@ def gmres(
             break
         candidate = x + correction
         residual = ras_apply(solve, b - matrix @ candidate)
-        relres = _l2_norm(residual) / scale
+        relres = _l2_norm(residual) / b_norm
         if not math.isfinite(relres):
             nonfinite = True
             break
@@ -705,31 +700,29 @@ def gmres(
         converged = history[-1] < tol
         stagnated = not converged and history[-1] >= history[start - 1] * (1.0 - 1e-12)
 
-    ras_x, ras_z, norms = ras
     return GmresResult(
-        x=scaled(x, exponent),
+        x=x,
         history=np.asarray(history, dtype=float),
         converged=converged,
         stagnated=stagnated,
         iterations=max(len(history) - 1, 0),
         nonfinite=nonfinite,
-        ras=(scaled(ras_x, exponent), scaled(ras_z, exponent), b_norm, norms),
+        ras=ras,
     )
 
 
-def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
+def _gmres_cycle(solve, residual, steps, ptol, b_norm, ras_iters):
     """One GMRES cycle of at most ``steps`` Arnoldi steps from an iterate
     whose preconditioned residual is ``residual``: modified
     Gram-Schmidt and Givens rotations as in SciPy 1.17's loop, with its
     breakdown test h1 <= eps h0.  It stops once the rotated residual is at
-    most ``ptol`` or at a breakdown, and reports each as a ratio to
-    ``scale``.
+    most ``ptol`` or at a breakdown, and reports each as a ratio to ``b_norm``.
 
     Returns (correction, estimates, ras).  The correction to the iterate
     is None when a step met a non-finite value; the estimates then end
-    before it.  With ``ras`` = (beta, ras_iters) of the unscaled load, ras
-    is (x_m, z_m, [|y_0|, ..., |y_m|]), the stationary RAS state of
-    `GmresResult` for this scaled cycle from zero; else None.
+    before it.  Given ``ras_iters`` (on the first cycle, from zero), ras
+    is (x_m, z_m, beta, [|y_0|, ..., |y_m|]), the stationary RAS state of
+    `GmresResult`; else None.
     """
     matrix = solve.system.matrix
     dtype, n = residual.dtype, residual.size
@@ -742,7 +735,7 @@ def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
     rotated = np.zeros((steps, steps + 1), dtype)  # a row per column, as SciPy's h
     givens = np.zeros((steps, 2), dtype)
     basis[0] = residual
-    beta = np.linalg.norm(basis[0])
+    beta = _l2_norm(basis[0])
     basis[0] *= 1 / beta
     g = np.zeros(steps + 1, dtype)  # beta e_1, rotated with the columns
     g[0] = beta
@@ -751,11 +744,11 @@ def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
     with np.errstate(invalid="ignore"):
         for col in range(steps):
             w = ras_apply(solve, matrix @ basis[col])
-            h0 = np.linalg.norm(w)
+            h0 = _l2_norm(w)
             for k in range(col + 1):
                 hessenberg[k, col] = dot(basis[k], w)
                 w -= hessenberg[k, col] * basis[k]
-            h1 = np.linalg.norm(w)
+            h1 = _l2_norm(w)
             breakdown = h1 <= eps * h0
             hessenberg[col + 1, col] = 0.0 if breakdown else h1
             basis[col + 1] = w
@@ -774,16 +767,15 @@ def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
             h[col], h[col + 1] = mag, 0
             g[col], g[col + 1] = c * g[col], -np.conj(s) * g[col]
             presid = abs(g[col + 1])
-            estimates.append(presid / scale)
+            estimates.append(presid / b_norm)
             if presid <= ptol or breakdown:
                 break
     done = col + 1 if finite else col  # the finite steps
 
     state = None
-    if ras is not None:
+    if ras_iters is not None:
         # z_n = beta V y_n (Saad, Iterative Methods for Sparse Linear
         # Systems, 2003, ch. 6), x_m and z_m from V before it is dropped
-        beta_load, ras_iters = ras
         m = min(ras_iters, done)
         rows = np.zeros((m + 1, done + 1), dtype)  # y_0 .. y_m
         rows[0, 0] = 1.0
@@ -792,11 +784,11 @@ def _gmres_cycle(solve, residual, steps, ptol, scale, ras):
             # y_(n-1) lies in the first n entries, so y_n in the first n + 1
             rows[n, : n + 1] = rows[n - 1, : n + 1] - hessenberg[: n + 1, :n] @ rows[n - 1, :n]
             norms.append(_l2_norm(rows[n]))
-            if not math.isfinite(beta_load * norms[-1]):
+            if not math.isfinite(beta * norms[-1]):
                 m, norms[-1] = n - 1, math.inf
                 break
         used = basis[: done + 1]
-        state = (beta * (rows[:m].sum(axis=0) @ used), beta * (rows[m] @ used), norms)
+        state = (beta * (rows[:m].sum(axis=0) @ used), beta * (rows[m] @ used), beta, norms)
     if not finite:
         return None, estimates, state
 

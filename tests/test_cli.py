@@ -592,6 +592,14 @@ class TestSchwarzCommand:
         lines = read(tmp_path / "schwarz_history.csv").decode().splitlines()
         assert lines[-2:] == ["# nonfinite_at=0", "iter,err_max,err_l2,dominant_mode_j"]
 
+    def test_tiny_initial_error_has_a_nonzero_l2_error(self, tmp_path):
+        # the squares of a start of modulus 1e-300 underflow; its norm does not
+        assert main(["schwarz", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e-300", "--n-iter", "3"]) == 0
+        _, body = flagged_history(tmp_path / "schwarz_history.csv")
+        assert len(body) == 4
+        assert all(float(line.split(",")[2]) > 0.0 for line in body)
+
     def test_finite_run_carries_no_flag(self, tmp_path):
         assert main(["schwarz", "--out", str(tmp_path), "--nx", "20", "--ny", "10",
                      "--omega", "5", "--n-iter", "5"]) == 0
@@ -681,6 +689,15 @@ class TestGmresCommand:
                      "--omega", "5", "--initial-error", "1e150"]) == 0
         flag, body = flagged_history(tmp_path / "ras_history.csv")
         assert not flag and len(body) == 51
+
+    def test_tiny_load_runs_like_a_unit_load(self, tmp_path):
+        # the squares of the preconditioned load underflow, its norm does
+        # not: GMRES takes the unit load's 17 iterations, not a zero load's 0
+        assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20",
+                     "--omega", "5", "--initial-error", "1e-300"]) == 0
+        _, body = flagged_history(tmp_path / "gmres_history.csv")
+        assert len(body) == 18
+        assert "# converged=true" in read(tmp_path / "gmres_history.csv").decode()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_gmres_exits_6(self, tmp_path, capsys, monkeypatch, poisoned_solve):

@@ -276,11 +276,20 @@ class TestL2Norm:
         assert 1e300 < norm < math.inf
 
     def test_rescaled_real_norm_bits(self):
-        # the squares overflow: the bits of the former real sum np.dot(v, v)
+        # the squares overflow: the real sum np.dot(w, w) of w = v 2^-e,
+        # with 2^(e-1) <= max|v| < 2^e, scaled back by 2^e
         v = 1e200 * np.random.default_rng(1).standard_normal(1001)
-        peak = np.abs(v).max()
-        former = peak * math.sqrt(0.5 * float(np.dot(v / peak, v / peak)))
-        assert _l2_norm(v, 0.5) == former
+        e = math.frexp(np.abs(v).max())[1]
+        w = np.ldexp(v, -e)
+        assert _l2_norm(v, 0.5) == math.ldexp(math.sqrt(0.5 * float(np.dot(w, w))), e)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    @pytest.mark.parametrize("j", [-1000, -540, 997])
+    def test_power_of_two_scaling_is_exact(self, j, weight):
+        # the squares of 2^j v overflow (997) or underflow (-540, -1000);
+        # those of v give the plain sum's bits
+        v = np.random.default_rng(1).standard_normal(1001)
+        assert _l2_norm(2.0**j * v, weight) == 2.0**j * _l2_norm(v, weight)
 
     def test_complex_input_is_the_modulus_norm(self):
         rng = np.random.default_rng(2)
@@ -844,16 +853,24 @@ class TestGmres:
     @pytest.mark.parametrize(
         "name, run",
         [("ras_iters", lambda system, dec, solve, load: gmres(solve, load, ras_iters=-1)),
+         ("max_iter", lambda system, dec, solve, load: gmres(solve, load, max_iter=-1)),
          ("n_iter", lambda system, dec, solve, load: stationary_ras(solve, load, -1)),
          ("n_iter", lambda system, dec, solve, load: schwarz_iterate(
              system, dec, seeded_initial_guess(system, seed=1), -1))],
-        ids=["gmres", "stationary_ras", "schwarz_iterate"],
+        ids=["gmres", "gmres-max_iter", "stationary_ras", "schwarz_iterate"],
     )
     def test_rejects_negative_counts(self, small_setup, name, run):
         system, dec = small_setup
         load = system.matrix @ seeded_initial_guess(system, seed=11)
         with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
             run(system, dec, RestrictedSolve(system, dec), load)
+
+    @pytest.mark.parametrize("restart", [0, -2])
+    def test_rejects_restart_below_one(self, small_setup, restart):
+        system, dec = small_setup
+        load = system.matrix @ seeded_initial_guess(system, seed=11)
+        with pytest.raises(ValueError, match=f"^restart must be >= 1 or None, got {restart}$"):
+            gmres(RestrictedSolve(system, dec), load, restart=restart)
 
     def test_zero_rhs(self, small_setup):
         system, dec = small_setup
@@ -873,21 +890,24 @@ class TestGmres:
         assert result.history.size >= 1 and np.isfinite(result.history).all()
         assert np.isfinite(result.x).all()
 
-    def test_huge_finite_load_runs_like_a_unit_load(self, medium):
-        # the preconditioned load norm is about 4e301: finite, but its
-        # squares overflow, so GMRES must run on a scaled copy of it
+    @pytest.mark.parametrize("j", [997, -600, -1000])
+    def test_huge_finite_load_runs_like_a_unit_load(self, medium, j):
+        # a load 2^j times a unit one: at 997 the preconditioned load norm
+        # is about 4e301, finite though its squares overflow, and at -600
+        # and -1000 its squares underflow; `_l2_norm` scales its norms
+        # exactly by 2^j, so GMRES runs on the load as given
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
         system = assemble(mesh, medium, 5.0)
         solve = RestrictedSolve(system, decompose(mesh, 4))
         target = seeded_initial_guess(system, seed=1)
         unit = gmres(solve, system.matrix @ target)
-        huge = gmres(solve, system.matrix @ (2.0**997 * target))
+        huge = gmres(solve, system.matrix @ (2.0**j * target))
         assert huge.converged and not huge.nonfinite
         assert huge.iterations == unit.iterations
-        # only the norm of the load differs in its last bits: it is
-        # recomputed from the rescaled vector when its squares overflow
+        # the histories may differ in their last bits, where the scaled
+        # vectors reach subnormal values
         np.testing.assert_allclose(huge.history, unit.history, rtol=1e-14)
-        np.testing.assert_array_equal(huge.x, 2.0**997 * unit.x)
+        np.testing.assert_array_equal(huge.x, 2.0**j * unit.x)
 
     def test_nonfinite_initial_residual_gives_empty_history(self, small_setup):
         system, dec = small_setup
