@@ -14,10 +14,10 @@ be created or take a new file too), 3 solver error, 4 memory budget
 exceeded (the subdomain LU factors plus what the command holds beside
 them, for ``spectrum`` its interface block, LAPACK's copy and one chunk of
 solves; checked before each factorization) or an allocation refused with
-`MemoryError` (such as the GMRES Krylov basis for a large ``max_iter``,
-which the budget does not count), 5 verification failure, 6 non-finite
-iterate (the history stops before it and carries a ``nonfinite_at=``
-header line).
+`MemoryError` (such as while a GMRES cycle grows by one n-vector and one
+Hessenberg column per step, which the budget does not count), 5
+verification failure, 6 non-finite iterate (the history stops before it
+and carries a ``nonfinite_at=`` header line).
 """
 
 from __future__ import annotations

@@ -253,13 +253,17 @@ def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
     """sqrt(weight * sum |v|^2) of a vector (``np.linalg.norm`` for unit
     weight), finite and nonzero whenever that value is.  A sum that is not
     finite or below 2^-500 (its squares may have over- or underflowed) is
-    recomputed from v 2^-e, with 2^(e-1) <= max|v| < 2^e, and scaled back
-    by 2^e; both scalings are exact on the real and imaginary parts, so
-    normal-range norms keep their bits and _l2_norm(2^j v) = 2^j _l2_norm(v)."""
+    recomputed from v 2^-e, with 2^(e-1) <= the largest |re| or |im| < 2^e
+    (returned as is if not finite), and scaled back by 2^e; both scalings
+    are exact on the real and imaginary parts, so normal-range norms keep
+    their bits and _l2_norm(2^j v) = 2^j _l2_norm(v)."""
     with np.errstate(over="ignore"):
         norm = math.sqrt(weight * float(np.vdot(v, v).real))
         if not 2.0**-500 <= norm < math.inf:
-            e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+            peak = float(np.max(np.abs(v.view(np.float64)), initial=0.0))
+            if not math.isfinite(peak):
+                return peak
+            e = math.frexp(peak)[1]
             w = np.ldexp(v.view(np.float64), -e).view(v.dtype)
             norm = float(np.ldexp(math.sqrt(weight * float(np.vdot(w, w).real)), e))
     return norm

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .fem import (
@@ -717,6 +717,9 @@ def _gmres_cycle(solve, residual, steps, ptol, b_norm, ras_iters):
     Gram-Schmidt and Givens rotations as in SciPy 1.17's loop, with its
     breakdown test h1 <= eps h0.  It stops once the rotated residual is at
     most ``ptol`` or at a breakdown, and reports each as a ratio to ``b_norm``.
+    Each step taken adds one basis vector (its `ras_apply` result,
+    normalized in place) and one Hessenberg column, kept also rotated;
+    vectors are updated in place by BLAS axpy.
 
     Returns (correction, estimates, ras).  The correction to the iterate
     is None when a step met a non-finite value; the estimates then end
@@ -724,19 +727,15 @@ def _gmres_cycle(solve, residual, steps, ptol, b_norm, ras_iters):
     is (x_m, z_m, beta, [|y_0|, ..., |y_m|]), the stationary RAS state of
     `GmresResult`; else None.
     """
-    matrix = solve.system.matrix
-    dtype, n = residual.dtype, residual.size
+    matrix, dtype = solve.system.matrix, residual.dtype
     dot = np.vdot if np.iscomplexobj(residual) else np.dot
     lartg = get_lapack_funcs("lartg", dtype=dtype)
+    axpy = get_blas_funcs("axpy", dtype=dtype)
     eps = np.finfo(dtype).eps
-    # only the rows the cycle reaches are touched
-    basis = np.empty((steps + 1, n), dtype)
-    hessenberg = np.zeros((steps + 1, steps), dtype)
-    rotated = np.zeros((steps, steps + 1), dtype)  # a row per column, as SciPy's h
+    beta = _l2_norm(residual)
+    basis = [residual * (1 / beta)]
+    hessenberg, rotated = [], []  # column col has col + 2 entries; rotated, SciPy's h
     givens = np.zeros((steps, 2), dtype)
-    basis[0] = residual
-    beta = _l2_norm(basis[0])
-    basis[0] *= 1 / beta
     g = np.zeros(steps + 1, dtype)  # beta e_1, rotated with the columns
     g[0] = beta
     estimates, finite = [], True
@@ -745,20 +744,22 @@ def _gmres_cycle(solve, residual, steps, ptol, b_norm, ras_iters):
         for col in range(steps):
             w = ras_apply(solve, matrix @ basis[col])
             h0 = _l2_norm(w)
-            for k in range(col + 1):
-                hessenberg[k, col] = dot(basis[k], w)
-                w -= hessenberg[k, col] * basis[k]
+            column = np.zeros(col + 2, dtype)
+            for k, v in enumerate(basis):
+                column[k] = dot(v, w)
+                w = axpy(v, w, a=-column[k])
             h1 = _l2_norm(w)
             breakdown = h1 <= eps * h0
-            hessenberg[col + 1, col] = 0.0 if breakdown else h1
-            basis[col + 1] = w
+            column[col + 1] = 0.0 if breakdown else h1
             if not breakdown:
-                basis[col + 1] *= 1 / h1
-            if not np.isfinite(hessenberg[: col + 2, col]).all():
+                w *= 1 / h1
+            basis.append(w)
+            hessenberg.append(column)
+            if not np.isfinite(column).all():
                 finite = False
                 break
-            h = rotated[col]
-            h[: col + 2] = hessenberg[: col + 2, col]
+            h = column.copy()
+            rotated.append(h)
             for k in range(col):
                 c, s = givens[k]
                 h[k], h[k + 1] = c * h[k] + s * h[k + 1], -s.conj() * h[k] + c * h[k + 1]
@@ -777,30 +778,41 @@ def _gmres_cycle(solve, residual, steps, ptol, b_norm, ras_iters):
         # z_n = beta V y_n (Saad, Iterative Methods for Sparse Linear
         # Systems, 2003, ch. 6), x_m and z_m from V before it is dropped
         m = min(ras_iters, done)
-        rows = np.zeros((m + 1, done + 1), dtype)  # y_0 .. y_m
+        block = np.zeros((m + 1, m), dtype)  # the first m columns of H
+        for j in range(m):
+            block[: j + 2, j] = hessenberg[j]
+        rows = np.zeros((m + 1, m + 1), dtype)  # y_0 .. y_m
         rows[0, 0] = 1.0
         norms = [1.0]
         for n in range(1, m + 1):
             # y_(n-1) lies in the first n entries, so y_n in the first n + 1
-            rows[n, : n + 1] = rows[n - 1, : n + 1] - hessenberg[: n + 1, :n] @ rows[n - 1, :n]
+            rows[n, : n + 1] = rows[n - 1, : n + 1] - block[: n + 1, :n] @ rows[n - 1, :n]
             norms.append(_l2_norm(rows[n]))
             if not math.isfinite(beta * norms[-1]):
                 m, norms[-1] = n - 1, math.inf
                 break
-        used = basis[: done + 1]
-        state = (beta * (rows[:m].sum(axis=0) @ used), beta * (rows[m] @ used), beta, norms)
+        state = (beta * _combination(rows[:m].sum(axis=0), basis, axpy),
+                 beta * _combination(rows[m], basis, axpy), beta, norms)
     if not finite:
         return None, estimates, state
 
     # back substitution on the rotated triangle, as SciPy's pseudo-solve
     # of a singular one
-    if rotated[col, col] == 0:
+    if rotated[col][col] == 0:
         g[col] = 0
     y = g[: col + 1].copy()
     for k in range(col, 0, -1):
         if y[k] != 0:
-            y[k] /= rotated[k, k]
-            y[:k] -= y[k] * rotated[k, :k]
+            y[k] /= rotated[k][k]
+            y[:k] -= y[k] * rotated[k][:k]
     if y[0] != 0:
-        y[0] /= rotated[0, 0]
-    return y @ basis[: col + 1], estimates, state
+        y[0] /= rotated[0][0]
+    return _combination(y, basis, axpy), estimates, state
+
+
+def _combination(coefficients, vectors, axpy):
+    """sum_k c_k v_k over the first len(c) vectors, by in-place ``axpy``."""
+    total = np.zeros_like(vectors[0])
+    for coefficient, vector in zip(coefficients, vectors):
+        total = axpy(vector, total, a=coefficient)
+    return total

@@ -499,20 +499,24 @@ class TestErrorMapping:
         ("", "out of memory"),
     ], ids=["numpy", "bare"])
     def test_refused_allocation_exits_4(self, tmp_path, monkeypatch, capsys, message, shown):
-        # an allocation refused for the GMRES Krylov basis, (steps + 1) x
-        # n_dofs (a huge --max-iter on a host that does not overcommit),
-        # which the budget does not count: here the 500-step basis at 40x20
-        empty, refused = np.empty, []
+        # an allocation refused while a GMRES cycle grows its Krylov basis
+        # by one n-vector a step (a huge --max-iter on a host that does not
+        # overcommit), which the budget does not count: here the 5th M^-1
+        # application of the 40x20 run, its cycle's 4th Arnoldi step
+        from elastic_schwarz import schwarz
 
-        def refuse(shape, *args, **kwargs):
-            if isinstance(shape, tuple) and shape == (501, 1722):
-                refused.append(shape)
+        apply, calls, refused = schwarz.ras_apply, [], []
+
+        def refuse(solve, residual):
+            calls.append(residual.shape)
+            if len(calls) == 5:
+                refused.append(len(calls))
                 raise MemoryError(message)
-            return empty(shape, *args, **kwargs)
+            return apply(solve, residual)
 
-        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(schwarz, "ras_apply", refuse)
         assert main(["gmres", "--out", str(tmp_path), "--nx", "40", "--ny", "20"]) == 4
-        assert refused == [(501, 1722)]
+        assert refused == [5]
         assert capsys.readouterr().err == f"budget exceeded: {shown or message}\n"
 
     def test_other_errors_are_not_solver_errors(self, tmp_path, monkeypatch):

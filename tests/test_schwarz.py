@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import tracemalloc
 import warnings
 import weakref
 
@@ -302,6 +303,12 @@ class TestL2Norm:
         assert _l2_norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2.0) * 1e308)
         assert _l2_norm(np.array([1.5e308, 1.5e308])) == math.inf
         assert _l2_norm(np.array([1.0, np.inf])) == math.inf
+
+    def test_complex_overflow_is_inf_and_nan_stays_nan(self):
+        # the moduli of these entries overflow or are not finite
+        assert _l2_norm(np.array([1.5e308 + 1.5e308j])) == math.inf
+        assert _l2_norm(np.array([1 + 0j, np.inf])) == math.inf
+        assert math.isnan(_l2_norm(np.array([1 + 0j, np.nan])))
 
 
 @pytest.fixture
@@ -908,6 +915,22 @@ class TestGmres:
         # vectors reach subnormal values
         np.testing.assert_allclose(huge.history, unit.history, rtol=1e-14)
         np.testing.assert_array_equal(huge.x, 2.0**j * unit.x)
+
+    def test_cycle_memory_follows_its_steps(self, medium):
+        # a cycle holds an n-vector and a Hessenberg column per step it
+        # takes, not per step it may take: 500 allowed, 18 taken
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 5.0)
+        solve = RestrictedSolve(system, decompose(mesh, 4))
+        rhs = system.matrix @ seeded_initial_guess(system, seed=1)
+        tracemalloc.start()
+        try:
+            result = gmres(solve, rhs, max_iter=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak <= (result.iterations + 16) * 8 * system.n_dofs
 
     def test_nonfinite_initial_residual_gives_empty_history(self, small_setup):
         system, dec = small_setup
