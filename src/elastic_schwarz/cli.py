@@ -10,14 +10,15 @@ file can be reproduced by feeding its own header back in (the output
 directory itself is deliberately not part of the header).
 
 Exit codes: 0 ok, 2 configuration error (an output directory that cannot
-be created or take a new file too), 3 solver error, 4 memory budget
-exceeded (the subdomain LU factors plus what the command holds beside
-them, for ``spectrum`` its interface block, LAPACK's copy and one chunk of
-solves; checked before each factorization) or an allocation refused with
-`MemoryError` (such as while a GMRES cycle grows by one n-vector and one
-Hessenberg column per step, which the budget does not count), 5
-verification failure, 6 non-finite iterate (the history stops before it
-and carries a ``nonfinite_at=`` header line).
+be created or take a new file too), 3 solver error (an assembled matrix
+that is not finite too, whose message names the fields that set its
+scale), 4 memory budget exceeded (the subdomain LU factors plus what the
+command holds beside them, for ``spectrum`` its interface block, LAPACK's
+copy and one chunk of solves; checked before each factorization) or an
+allocation refused with `MemoryError` (such as while a GMRES cycle grows
+by one n-vector and one Hessenberg column per step, which the budget does
+not count), 5 verification failure, 6 non-finite iterate (the history
+stops before it and carries a ``nonfinite_at=`` header line).
 """
 
 from __future__ import annotations
@@ -236,6 +237,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.k_max <= _ROOT_MAX, "k_max",
          f"must be <= {_ROOT_MAX:.3g}, got {cfg.k_max}")
     need(cfg.k_count >= 2, "k_count", "must be >= 2")
+    # a step past linspace's roundoff keeps the grid strictly increasing
+    step, ulps = (cfg.k_max - cfg.k_min) / (cfg.k_count - 1), 4 * np.spacing(cfg.k_max)
+    need(step > ulps, "k_count", f"the grid step {step:.3g} must exceed 4 ulps of "
+         f"k_max, {ulps:.3g}, for {cfg.k_count} distinct points")
     need(cfg.tol > 0, "tol", f"must be > 0, got {cfg.tol}")
     need(cfg.max_iter >= 1, "max_iter", "must be >= 1")
     need(cfg.restart is None or cfg.restart >= 1, "restart", "must be >= 1 or none")
@@ -279,6 +284,11 @@ def config_header(cfg: ExperimentConfig, command: str) -> list[str]:
     return lines
 
 
+def _write_csv(out: str, name: str, header: list[str], columns: dict) -> None:
+    """Write the table ``<out>/<name>.csv`` of ``columns`` (name: values)."""
+    _write_table(os.path.join(out, f"{name}.csv"), header, columns)
+
+
 def _write_history(out: str, name: str, header: list[str], columns: dict,
                    stopped: bool) -> bool:
     """Write the history ``<name>.csv``: an ``iter`` column, then ``columns``
@@ -289,8 +299,7 @@ def _write_history(out: str, name: str, header: list[str], columns: dict,
         print(f"{name}: non-finite iterate {rows}; history stops before it",
               file=sys.stderr)
         header = header + [f"nonfinite_at={rows}"]
-    _write_table(os.path.join(out, f"{name}.csv"), header, ["iter", *columns],
-                 [np.arange(rows), *columns.values()])
+    _write_csv(out, name, header, {"iter": np.arange(rows), **columns})
     return stopped
 
 
@@ -325,12 +334,9 @@ def cmd_sweep(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.k_count)
     s = analysis.sweep(cfg.medium(), cfg.omega, cfg.delta, ks)
     text = np.select([s.zone == z for z in Zone], [z.value for z in Zone], "")
-    _write_table(
-        os.path.join(out, "sweep.csv"),
-        header,
-        ["k", "abs_r_plus", "abs_r_minus", "rho", "zone"],
-        [s.k, s.abs_r_plus, s.abs_r_minus, s.rho_cla, text],
-    )
+    _write_csv(out, "sweep", header, {"k": s.k, "abs_r_plus": s.abs_r_plus,
+                                      "abs_r_minus": s.abs_r_minus,
+                                      "rho": s.rho_cla, "zone": text})
     return EXIT_OK
 
 
@@ -343,13 +349,10 @@ def cmd_modesim(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     closed = analysis.iteration_matrix(medium, cfg.omega, ks, cfg.delta)
     deviation = _pairing(eigs, closed.r_plus, closed.r_minus)
     growth = modesim.power_growth(sym, cfg.delta, cfg.power_iters, cfg.seed)
-    _write_table(
-        os.path.join(out, "modesim.csv"),
-        header,
-        ["k", "rho_closed", "rho_numeric", "eig_deviation", "power_growth"],
-        [ks, closed.rho_cla, np.abs(eigs).max(axis=1),
-         deviation / np.maximum(1.0, closed.rho_cla), growth],
-    )
+    _write_csv(out, "modesim", header, {
+        "k": ks, "rho_closed": closed.rho_cla, "rho_numeric": np.abs(eigs).max(axis=1),
+        "eig_deviation": deviation / np.maximum(1.0, closed.rho_cla),
+        "power_growth": growth})
     return EXIT_OK
 
 
@@ -384,12 +387,7 @@ def cmd_schwarz(cfg: ExperimentConfig, header: list[str], out: str) -> int:
 def cmd_spectrum(cfg: ExperimentConfig, header: list[str], out: str) -> int:
     system, decomposition = _problem(cfg)
     eigs = schwarz.spectrum(system, decomposition)
-    _write_table(
-        os.path.join(out, "spectrum.csv"),
-        header,
-        ["re", "im"],
-        [eigs.real, eigs.imag],
-    )
+    _write_csv(out, "spectrum", header, {"re": eigs.real, "im": eigs.imag})
     return EXIT_OK
 
 

@@ -49,8 +49,8 @@ _BINARY_HEADER = struct.Struct("<8sIIII")
 
 class SingularSystemError(RuntimeError):
     """Raised when the sparse factorization hits an exactly singular pivot
-    (possible at a discrete Dirichlet resonance) or the solve fails the
-    residual contract."""
+    (possible at a discrete Dirichlet resonance), the solve fails the
+    residual contract or the assembled matrix is not finite."""
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,15 @@ def check_mesh(
     x_range: tuple[float, float], y_range: tuple[float, float], nx: int, ny: int
 ) -> None:
     """Raise ValueError if `build_mesh` cannot build the mesh: a degenerate
-    range, fewer than one cell a side, or more dofs than the int32 indices
-    of assembly hold.  The message starts with the offending names (the
-    config keys ``x_min/x_max`` for ``x_range``) and a colon."""
+    range or one wider than the largest double, fewer than one cell a side,
+    or more dofs than the int32 indices of assembly hold.  The message
+    starts with the offending names (the config keys ``x_min/x_max`` for
+    ``x_range``) and a colon."""
     for names, (lo, hi) in (("x_min/x_max", x_range), ("y_min/y_max", y_range)):
         if not hi > lo:
             raise ValueError(f"{names}: range ({lo}, {hi}) is degenerate")
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"{names}: range ({lo}, {hi}) is wider than the largest double")
     if nx < 1 or ny < 1:
         raise ValueError(f"nx/ny: must be >= 1, got nx={nx}, ny={ny}")
     n_dofs = 2 * (nx + 1) * (ny + 1)
@@ -188,20 +191,21 @@ def assemble_raw(
     the load is integrated with the three-point edge-midpoint rule (exact
     for quadratics, leaving the P1 convergence order untouched).
     """
-    area, grads = _element_geometry(mesh.nodes[mesh.triangles[:2]])
     mu, lam, rho = medium.lame_mu, medium.lame_lambda, medium.rho
     eye2 = np.eye(2)
-    gg = np.einsum("tid,tjd->tij", grads, grads)
-    gout = np.einsum("tia,tjb->tiajb", grads, grads)
     mass3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-    ke = mu * area[:, None, None, None, None] * (
-        gg[:, :, None, :, None] * eye2[None, None, :, None, :]
-    )
-    ke = ke + (lam + mu) * area[:, None, None, None, None] * gout
-    ke = ke - (rho * omega * omega) * area[:, None, None, None, None] * (
-        mass3[None, :, None, :, None] * eye2[None, None, :, None, :]
-    )
+    # entries past the double range stay inf or nan, and `assemble` names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        area, grads = _element_geometry(mesh.nodes[mesh.triangles[:2]])
+        gg = np.einsum("tid,tjd->tij", grads, grads)
+        gout = np.einsum("tia,tjb->tiajb", grads, grads)
+        ke = mu * area[:, None, None, None, None] * (
+            gg[:, :, None, :, None] * eye2[None, None, :, None, :]
+        )
+        ke = ke + (lam + mu) * area[:, None, None, None, None] * gout
+        ke = ke - (rho * omega * omega) * area[:, None, None, None, None] * (
+            mass3[None, :, None, :, None] * eye2[None, None, :, None, :]
+        )
 
     nt = mesh.n_triangles
     corners = mesh.triangles.astype(np.int32)
@@ -235,7 +239,8 @@ def assemble(
     body_force=None,
 ) -> AssembledSystem:
     """Assemble and apply the homogeneous Dirichlet condition on the whole
-    outer boundary by row/column elimination with a unit diagonal."""
+    outer boundary by row/column elimination with a unit diagonal.  Raises
+    `SingularSystemError` if an entry of the result is not finite."""
     matrix, rhs = assemble_raw(mesh, medium, omega, body_force)
     mask = np.repeat(mesh.boundary_node_mask(), 2)
     # every raw row stores its diagonal, so pinning it adds no entry
@@ -243,6 +248,11 @@ def assemble(
     pinned = np.flatnonzero(mask)
     matrix[pinned, pinned] = 1.0
     matrix.eliminate_zeros()
+    if not np.isfinite(matrix.data).all():
+        raise SingularSystemError(
+            "assembled matrix is not finite: rho, cp/cs or lame_lambda/lame_mu, omega "
+            "and the mesh ranges x_min/x_max, y_min/y_max scale its entries past "
+            "the largest double")
     rhs = np.where(mask, 0.0, rhs)
     return AssembledSystem(
         matrix=matrix, rhs=rhs, dirichlet_mask=mask, mesh=mesh
@@ -348,17 +358,16 @@ def atomic_write(path, chunks) -> None:
 _TABLE_BLOCK_ROWS = 4096
 
 
-def write_table(path, header_lines, names, columns) -> None:
-    """Write equal-length columns as a CSV table under ``# `` header lines:
-    float columns with 17 significant digits (they read back to the same
-    doubles), any other column with ``str``.  Rows are formatted and
-    written in blocks of `_TABLE_BLOCK_ROWS`, so the memory the text takes
-    does not grow with the row count."""
-    columns = [np.asarray(column) for column in columns]
-    if len(names) != len(columns) or len({c.shape for c in columns}) > 1:
-        raise ValueError(
-            f"{len(names)} names for columns of shapes {[c.shape for c in columns]}"
-        )
+def write_table(path, header_lines, columns) -> None:
+    """Write the equal-length ``columns`` (name: values, in order) as a CSV
+    table under ``# `` header lines: float columns with 17 significant
+    digits (they read back to the same doubles), any other column with
+    ``str``.  Rows are formatted and written in blocks of
+    `_TABLE_BLOCK_ROWS`, so the memory the text takes does not grow with
+    the row count."""
+    names, columns = list(columns), [np.asarray(c) for c in columns.values()]
+    if len({c.shape for c in columns}) > 1:
+        raise ValueError(f"columns of unequal shapes {[c.shape for c in columns]}")
     row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     n_rows = len(columns[0]) if columns else 0
 
@@ -388,10 +397,9 @@ def export_solution_csv(
 ) -> None:
     """Write (node, x, y, u_x, u_y) rows with 17 significant digits."""
     u = _real_field(mesh, u)
-    write_table(
-        path, header_lines, ["node", "x", "y", "u_x", "u_y"],
-        [np.arange(mesh.n_nodes), mesh.nodes[:, 0], mesh.nodes[:, 1], u[0::2], u[1::2]],
-    )
+    write_table(path, header_lines, {
+        "node": np.arange(mesh.n_nodes), "x": mesh.nodes[:, 0], "y": mesh.nodes[:, 1],
+        "u_x": u[0::2], "u_y": u[1::2]})
 
 
 def export_solution_binary(mesh: StructuredMesh, u: np.ndarray, path) -> None:

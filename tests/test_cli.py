@@ -171,6 +171,15 @@ class TestConfig:
                     if not line.startswith("#"):
                         assert not {"nan", "inf", "-inf"} & set(line.split(","))
 
+    @pytest.mark.parametrize("command", ["sweep", "modesim"])
+    def test_grid_narrower_than_its_points_exits_2(self, tmp_path, capsys, command):
+        # ten points from 1 to the next double: linspace repeats values
+        out = tmp_path / "out"
+        assert main([command, "--k-min", "1", "--k-max", "1.0000000000000002",
+                     "--k-count", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: field k_count: ")
+        assert not out.exists()
+
     def test_comment_lines_ignored(self):
         parsed = parse_kv_lines(["# just a note", "", "omega = 2.0"])
         assert parsed == {"omega": 2.0}
@@ -528,6 +537,38 @@ class TestErrorMapping:
         monkeypatch.setattr(analysis, "sweep", broken)
         with pytest.raises(ValueError, match="broadcast"):
             main(["sweep", "--out", str(tmp_path)])
+
+
+class TestOverflowingAssembly:
+    """Configs that pass validation but whose element matrices (the first
+    two) or their CSR sum (the third, where lambda = 1e308) pass the largest
+    double: the solver commands exit 3 naming the scales, and warn nothing."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["schwarz", "spectrum", "gmres"])
+    @pytest.mark.parametrize("config", [
+        "nx=6\nny=8\nomega=0.5\ny_min=1e-300\ny_max=3e-300\ncp=1e150\ncs=0.5\nrho=1e-300\n",
+        "nx=16\nny=3\noverlap_cells=2\nomega=5\nx_min=-1e300\nx_max=2\ny_min=1e-300\n"
+        "y_max=2\ncp=1e150\ncs=1e-150\nsingle_domain=true\n",
+        "cp=1e154\nnx=40\nny=20\n",
+    ], ids=["thin-strip", "wide-strip", "csr-sum"])
+    def test_matrix_past_the_double_range_exits_3(self, tmp_path, capsys, command, config):
+        path, out = tmp_path / "overflow.cfg", tmp_path / "out"
+        path.write_text(config)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: assembled matrix is not finite: rho, cp/cs")
+        assert os.listdir(out) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_range_wider_than_the_largest_double_exits_2(self, tmp_path, capsys):
+        # x_max - x_min is inf, so linspace would build nan nodes
+        path, out = tmp_path / "wide.cfg", tmp_path / "out"
+        path.write_text("x_min=-1.7e308\nx_max=1.7e308\nnx=6\nny=3\n")
+        argv = ["schwarz", "--single-domain", "--overlap-cells", "2"]
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: field x_min/x_max: ")
+        assert not out.exists()
 
 
 class TestSchwarzCommand:

@@ -507,16 +507,16 @@ class TestExports:
             columns = [np.array(col, dtype=dtypes[kind]) for kind, col in zip(kinds, rows)]
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fem, "_TABLE_BLOCK_ROWS", 3)
-                fem.write_table(path, ["a=1", "b=x"], names, columns)
+                fem.write_table(path, ["a=1", "b=x"], dict(zip(names, columns)))
             expected = ["# a=1", "# b=x", ",".join(names)]
             expected += [",".join(fmt(v) for v in row) for row in zip(*rows)]
             assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_write_table_without_rows_or_columns(self, tmp_path):
         path = tmp_path / "t.csv"
-        fem.write_table(path, ["a=1"], ["x", "n"], [np.zeros(0), np.zeros(0, dtype=int)])
+        fem.write_table(path, ["a=1"], {"x": np.zeros(0), "n": np.zeros(0, dtype=int)})
         assert path.read_bytes() == b"# a=1\nx,n\n"
-        fem.write_table(path, ["a=1"], [], [])
+        fem.write_table(path, ["a=1"], {})
         assert path.read_bytes() == b"# a=1\n\n"
 
     def test_write_table_rejects_unequal_columns(self, tmp_path, monkeypatch):
@@ -524,10 +524,8 @@ class TestExports:
             raise AssertionError("a file was opened before the columns were checked")
 
         monkeypatch.setattr(fem, "atomic_write", no_write)
-        with pytest.raises(ValueError, match="names"):
-            fem.write_table(tmp_path / "t.csv", [], ["a", "b"], [np.zeros(3), np.zeros(2)])
-        with pytest.raises(ValueError, match="names"):
-            fem.write_table(tmp_path / "t.csv", [], ["a"], [np.zeros(3), np.zeros(3)])
+        with pytest.raises(ValueError, match="unequal shapes"):
+            fem.write_table(tmp_path / "t.csv", [], {"a": np.zeros(3), "b": np.zeros(2)})
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_stream_keeps_old_file(self, tmp_path):

@@ -1270,6 +1270,17 @@ class TestSharedRasHistory:
         )
         assert history.size == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_recomputed_residual(self, divergent, poisoned_solve):
+        # max_iter 3 ends the cycle after three finite Arnoldi steps, and
+        # the 5th M^-1 application, the recomputed residual, is not finite
+        system, dec, _, rhs = divergent
+        result = gmres(poisoned_solve(4)(system, dec), rhs, max_iter=3)
+        assert result.nonfinite and not (result.converged or result.stagnated)
+        np.testing.assert_allclose(result.history, [1.0, 0.98445, 0.38265, 0.098052],
+                                   rtol=1e-4)
+        assert not result.x.any() and len(result.ras[3]) == 4
+
 
 class TestGmresDenseReference:
     def test_matches_scipy_on_the_dense_free_operator(self, gmres_problem):
@@ -1288,6 +1299,33 @@ class TestGmresDenseReference:
         np.testing.assert_allclose(result.history[1:-1], estimates[:-1], rtol=1e-8)
         own = np.linalg.norm(b_pre - dense @ result.x[free]) / np.linalg.norm(b_pre)
         assert result.history[-1] == pytest.approx(own, rel=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_triangle_takes_the_zero_correction(self):
+        # M^-1 A is the nilpotent shift e_i -> e_(i+1) on 12 dofs and the
+        # load e_10, so M^-1 b = e_11 and the first Arnoldi step maps it to
+        # 0: the rotated triangle is singular, and its pseudo-solve, as
+        # SciPy's, gives a zero correction where the estimate reads 0
+        n = 12
+        shift = np.eye(n, k=-1)
+
+        class ShiftSolve:
+            system = fem.AssembledSystem(csr_matrix(np.eye(n)), np.zeros(n),
+                                         np.zeros(n, dtype=bool),
+                                         build_mesh((0.0, 1.0), (0.0, 1.0), 1, 2))
+
+            def __call__(self, v):
+                return shift @ v
+
+        load = np.eye(n)[10]
+        result = gmres(ShiftSolve(), load)
+        assert result.stagnated and not (result.converged or result.nonfinite)
+        assert result.history.tolist() == [1.0, 1.0] and not result.x.any()
+        estimates = []
+        x, info = scipy_gmres(shift, shift @ load, rtol=1e-6, atol=0.0, restart=n, maxiter=1,
+                              callback=estimates.append, callback_type="pr_norm")
+        assert estimates == [0.0] and info == 1 and not x.any()
+        assert result.iterations == len(estimates)
 
 
 class TestSolveSharesNoState:
