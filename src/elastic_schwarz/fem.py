@@ -2,16 +2,17 @@
 triangulated rectangle.
 
 The bilinear form is the grad:grad + (lambda+mu) div*div form obtained by
-integrating the displacement operator by parts; under the homogeneous
-Dirichlet condition applied on the whole outer boundary the boundary terms
-vanish, so this matches the strong operator exactly.  Unknowns are
-interleaved per node (u_x then u_y), the mass term uses the exact
-(consistent) P1 mass matrix, and Dirichlet rows/columns are eliminated
-with a unit diagonal.
+integrating the displacement operator by parts; with the homogeneous
+Dirichlet condition on the whole outer boundary the boundary terms vanish,
+so this matches the strong operator exactly.  Unknowns are interleaved per
+node (u_x then u_y), the mass is the exact (consistent) P1 one, and the two
+element matrices fold into the 2x2 blocks of a 7-point node stencil written
+straight into CSR, Dirichlet rows/columns eliminated with a unit diagonal.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -176,60 +177,83 @@ def _element_geometry(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return area, np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
 
 
+_STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _stencil_blocks(mesh, medium, omega, body_force) -> tuple[np.ndarray, np.ndarray]:
+    """The (ny+1, nx+1, 2, 7, 2) blocks of stiffness minus frequency-shifted
+    mass, ``[j, i, a, k, b]`` joining component a of node (i, j) to component
+    b of node (i + di, j + dj), (di, dj) = ``_STENCIL[k]``, and the load.
+    Each lower (upper) triangle of the uniform mesh translates the first
+    (second), so each corner pair of their element matrices adds a 2x2 block
+    to one slot of every cell."""
+    mu, lam, rho = medium.lame_mu, medium.lame_lambda, medium.rho
+    nx, ny = mesh.nx, mesh.ny
+    eye2 = np.eye(2)[None, None, :, None, :]
+    mass3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    blocks = np.zeros((len(_STENCIL), 2, 2, ny + 1, nx + 1))  # contiguous cell slices
+    # entries past the double range stay inf or nan, and `assemble` names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        area, grads = _element_geometry(mesh.nodes[mesh.triangles[:2]])
+        area = area[:, None, None, None, None]
+        ke = mu * area * (np.einsum("tid,tjd->tij", grads, grads)[:, :, None, :, None] * eye2)
+        ke = ke + (lam + mu) * area * np.einsum("tia,tjb->tiajb", grads, grads)
+        ke = ke - (rho * omega * omega) * area * (mass3[None, :, None, :, None] * eye2)
+        for t, ji in enumerate(np.stack(np.divmod(mesh.triangles[:2], nx + 1), -1).tolist()):
+            for (a, (aj, ai)), (b, (bj, bi)) in itertools.product(enumerate(ji), repeat=2):
+                k = _STENCIL.index((bi - ai, bj - aj))
+                blocks[k, :, :, aj:aj + ny, ai:ai + nx] += ke[t, a, :, b, :, None, None]
+    rhs = np.zeros(2 * mesh.n_nodes)
+    if body_force is not None:
+        pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
+        area = _element_geometry(pts)[0]
+        mids = 0.5 * (pts + np.roll(pts, -1, axis=1))  # edge midpoints 01, 12, 20
+        force = np.stack([np.broadcast_to(np.asarray(f, dtype=float), mids.shape[:2])
+                          for f in body_force(mids[..., 0], mids[..., 1])], axis=-1)
+        # vertex i carries weight 1/2 on its incident edges i and i - 1
+        load = 0.5 * (force + np.roll(force, 1, axis=1))  # (nt, 3, 2 components)
+        load *= (area / 3.0)[:, None, None]
+        np.add.at(rhs, (2 * mesh.triangles[:, :, None] + np.arange(2)).ravel(), load.ravel())
+    return np.ascontiguousarray(blocks.transpose(3, 4, 1, 0, 2)), rhs
+
+
+def _stencil_csr(blocks: np.ndarray, nodes: np.ndarray, keep) -> sp.csr_matrix:
+    """The CSR matrix over interleaved node dofs of the entries of ``blocks``
+    (`_stencil_blocks`) where ``keep`` (broadcast to their shape) that join a
+    node to itself or two of the ``nodes`` ((ny+1, nx+1) bool), each row in
+    stencil, which is column, order; int32 indices unless they need int64."""
+    ny1, nx1 = nodes.shape
+    n = 2 * ny1 * nx1
+    padded = np.pad(nodes, 1)
+    # repeated over the column component: NumPy broadcasts a last axis of 14 fast
+    joins = np.stack([nodes & padded[1 + dj:1 + dj + ny1, 1 + di:1 + di + nx1] | (di == dj == 0)
+                      for di, dj in _STENCIL for _ in (0, 1)], -1).reshape(ny1, nx1, 1, 7, 2)
+    keep = np.broadcast_to(joins & keep, blocks.shape).reshape(n, -1)  # rows 2 node + a
+    counts = np.einsum("rs->r", keep.view(np.uint8))
+    # the largest column formed below is that of a neighbour past the mesh
+    wide = max(int(counts.sum()), n + 2 * nx1 + 2) > np.iinfo(np.int32).max
+    indptr = np.cumsum(np.insert(counts, 0, 0), dtype=np.int64 if wide else np.int32)
+    step = [2 * (dj * nx1 + di) + b for di, dj in _STENCIL for b in (0, 1)]
+    columns = (np.arange(n, dtype=indptr.dtype) & ~1)[:, None] + np.array(step, indptr.dtype)
+    return sp.csr_matrix((blocks.reshape(n, -1)[keep], columns[keep], indptr), shape=(n, n))
+
+
 def assemble_raw(
     mesh: StructuredMesh,
     medium: ElasticMedium,
     omega: float,
     body_force=None,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Assemble stiffness minus frequency-shifted mass, no boundary handling.
-
-    Every lower (upper) triangle of the uniform mesh is a translate of the
-    first (second) one, so their two element matrices are tiled over the cells.
+    """Assemble stiffness minus frequency-shifted mass, no boundary
+    handling: the node stencil blocks of all neighbouring nodes (exact
+    zeros too), folded from the two element matrices straight into CSR.
 
     ``body_force``, if given, is a vectorized callable (x, y) -> (fx, fy);
     the load is integrated with the three-point edge-midpoint rule (exact
     for quadratics, leaving the P1 convergence order untouched).
     """
-    mu, lam, rho = medium.lame_mu, medium.lame_lambda, medium.rho
-    eye2 = np.eye(2)
-    mass3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    # entries past the double range stay inf or nan, and `assemble` names them
-    with np.errstate(over="ignore", invalid="ignore"):
-        area, grads = _element_geometry(mesh.nodes[mesh.triangles[:2]])
-        gg = np.einsum("tid,tjd->tij", grads, grads)
-        gout = np.einsum("tia,tjb->tiajb", grads, grads)
-        ke = mu * area[:, None, None, None, None] * (
-            gg[:, :, None, :, None] * eye2[None, None, :, None, :]
-        )
-        ke = ke + (lam + mu) * area[:, None, None, None, None] * gout
-        ke = ke - (rho * omega * omega) * area[:, None, None, None, None] * (
-            mass3[None, :, None, :, None] * eye2[None, None, :, None, :]
-        )
-
-    nt = mesh.n_triangles
-    corners = mesh.triangles.astype(np.int32)
-    dofs = (2 * corners[:, :, None] + np.arange(2, dtype=np.int32)).reshape(nt, 6)
-    n = 2 * mesh.n_nodes
-    data = np.tile(ke.ravel(), nt // 2)  # triangles alternate lower, upper
-    rows, cols = np.repeat(dofs.ravel(), 6), np.tile(dofs, 6).ravel()
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-    rhs = np.zeros(n)
-    if body_force is not None:
-        pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
-        area = _element_geometry(pts)[0]
-        mids = 0.5 * (pts + np.roll(pts, -1, axis=1))  # edge midpoints 01, 12, 20
-        force = np.stack(
-            [np.broadcast_to(np.asarray(f, dtype=float), (nt, 3))
-             for f in body_force(mids[..., 0], mids[..., 1])],
-            axis=-1,
-        )  # (nt, 3 edges, 2 components)
-        # vertex i carries weight 1/2 on its incident edges i and i - 1
-        load = 0.5 * (force + np.roll(force, 1, axis=1))
-        load *= (area / 3.0)[:, None, None]
-        np.add.at(rhs, dofs.reshape(-1), load.reshape(-1))
-    return matrix, rhs
+    blocks, rhs = _stencil_blocks(mesh, medium, omega, body_force)
+    return _stencil_csr(blocks, np.ones(blocks.shape[:2], dtype=bool), True), rhs
 
 
 def assemble(
@@ -239,24 +263,20 @@ def assemble(
     body_force=None,
 ) -> AssembledSystem:
     """Assemble and apply the homogeneous Dirichlet condition on the whole
-    outer boundary by row/column elimination with a unit diagonal.  Raises
-    `SingularSystemError` if an entry of the result is not finite."""
-    matrix, rhs = assemble_raw(mesh, medium, omega, body_force)
-    mask = np.repeat(mesh.boundary_node_mask(), 2)
-    # every raw row stores its diagonal, so pinning it adds no entry
-    matrix.data[np.repeat(mask, np.diff(matrix.indptr)) | mask[matrix.indices]] = 0.0
-    pinned = np.flatnonzero(mask)
-    matrix[pinned, pinned] = 1.0
-    matrix.eliminate_zeros()
+    outer boundary by row/column elimination with a unit diagonal, straight
+    into CSR: the nonzero stencil entries between interior nodes.  Raises
+    `SingularSystemError` if a stored entry is not finite."""
+    blocks, rhs = _stencil_blocks(mesh, medium, omega, body_force)
+    boundary = mesh.boundary_node_mask().reshape(blocks.shape[:2])
+    blocks[boundary, :, 3] = np.eye(2)
+    matrix = _stencil_csr(blocks, ~boundary, blocks != 0)
     if not np.isfinite(matrix.data).all():
         raise SingularSystemError(
             "assembled matrix is not finite: rho, cp/cs or lame_lambda/lame_mu, omega "
             "and the mesh ranges x_min/x_max, y_min/y_max scale its entries past "
             "the largest double")
-    rhs = np.where(mask, 0.0, rhs)
-    return AssembledSystem(
-        matrix=matrix, rhs=rhs, dirichlet_mask=mask, mesh=mesh
-    )
+    mask = np.repeat(boundary.ravel(), 2)
+    return AssembledSystem(matrix, np.where(mask, 0.0, rhs), mask, mesh)
 
 
 def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:

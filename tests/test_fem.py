@@ -42,10 +42,10 @@ def manufactured_error(medium, omega, nx):
     return math.sqrt(mesh.hx * mesh.hy * float(np.sum(ex**2 + ey**2)))
 
 
-def reference_assemble(mesh, medium, omega, body_force=None):
-    """Per-triangle P1 assembly and Dirichlet elimination through two
-    sparse products: the oracle of `assemble`, which tiles the two
-    element matrices of the uniform mesh instead."""
+def reference_assemble_raw(mesh, medium, omega, body_force=None):
+    """Per-triangle P1 assembly through COO triplets: the oracle of
+    `assemble_raw`, which folds the two element matrices of the uniform
+    mesh into a node stencil instead."""
     pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
     nt = pts.shape[0]
     e1 = pts[:, 1] - pts[:, 0]
@@ -101,7 +101,13 @@ def reference_assemble(mesh, medium, omega, body_force=None):
             load[:, 2, comp] = 0.5 * (f[:, 1] + f[:, 2])
         load *= (area / 3.0)[:, None, None]
         np.add.at(rhs, dofs.reshape(-1), load.reshape(-1))
+    return matrix, rhs
 
+
+def reference_assemble(mesh, medium, omega, body_force=None):
+    """`reference_assemble_raw` and Dirichlet elimination through two
+    sparse products: the oracle of `assemble`."""
+    matrix, rhs = reference_assemble_raw(mesh, medium, omega, body_force)
     mask = np.repeat(mesh.boundary_node_mask(), 2)
     keep = sp.diags((~mask).astype(float))
     pin = sp.diags(mask.astype(float))
@@ -180,19 +186,36 @@ class TestAssemble:
         ny=st.integers(1, 12),
         x0=st.floats(-2.0, 0.0),
         width=st.floats(0.5, 3.0),
+        y0=st.floats(-2.0, 0.0),
+        height=st.floats(0.5, 3.0),
         omega=st.sampled_from([0.0, 1.0, 5.0]),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_matches_per_triangle_oracle(self, medium, nx, ny, x0, width, omega):
-        mesh = build_mesh((x0, x0 + width), (0.0, 1.0), nx, ny)
+    def test_matches_per_triangle_oracle(self, medium, nx, ny, x0, width, y0, height, omega):
+        # the raw matrix stores the exact zeros of the triplet sum, the
+        # eliminated one drops them; summation order moves the last bits
+        mesh = build_mesh((x0, x0 + width), (y0, y0 + height), nx, ny)
         force = manufactured_force(medium, omega)
-        want, want_rhs = reference_assemble(mesh, medium, omega, force)
         system = assemble(mesh, medium, omega, force)
-        got = system.matrix
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
-        np.testing.assert_array_equal(system.rhs, want_rhs)
+        for (got, got_rhs), reference in (
+            (assemble_raw(mesh, medium, omega, force), reference_assemble_raw),
+            ((system.matrix, system.rhs), reference_assemble),
+        ):
+            want, want_rhs = reference(mesh, medium, omega, force)
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+            np.testing.assert_array_equal(got_rhs, want_rhs)
+
+    @pytest.mark.parametrize("omega", [0.0, 5.0])
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 5), (40, 20)])
+    def test_matrix_is_canonical_csr(self, medium, nx, ny, omega):
+        # `schwarz._rows_mirror` compares stored patterns: sorted,
+        # duplicate-free int32 indices and no stored zero (omega 0 sums some)
+        matrix = assemble(build_mesh((-1.0, 1.0), (0.0, 1.0), nx, ny), medium, omega).matrix
+        assert matrix.has_canonical_format
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        assert np.all(matrix.data != 0.0)
 
     @pytest.mark.parametrize("omega", [0.0, 5.0])
     def test_broadcast_load_matches_per_triangle_oracle(self, medium, omega):
@@ -208,7 +231,7 @@ class TestAssemble:
 
     def test_peak_memory_is_a_few_matrices(self, medium):
         # the per-triangle assembly peaked at 14.0 times the returned CSR
-        # arrays at this size, the tiled one at 7.2
+        # arrays at this size, the tiled COO one at 7.26, the node stencil 2.21
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 160, 80)
         tracemalloc.start()
         try:
@@ -217,7 +240,7 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        assert peak <= 9.0 * size
+        assert peak <= 3.0 * size
 
     def test_symmetry_before_elimination(self, medium):
         matrix, _ = assemble_raw(build_mesh((0.0, 1.0), (0.0, 1.0), 8, 8), medium, 1.0)
