@@ -249,6 +249,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.power_iters >= 50, "power_iters", "must be >= 50")
     need(cfg.initial_error >= 0, "initial_error", "must be >= 0")
     need(cfg.noise >= 0, "noise", "must be >= 0")
+    need(cfg.seed >= 0, "seed", f"must be >= 0, got {cfg.seed}")
     # geometry, for every command, then the interior node every subdomain solve needs
     try:
         fem.check_mesh((cfg.x_min, cfg.x_max), (cfg.y_min, cfg.y_max), cfg.nx, cfg.ny)

@@ -7,11 +7,12 @@ Dirichlet condition on the whole outer boundary the boundary terms vanish,
 so this matches the strong operator exactly.  Unknowns are interleaved per
 node (u_x then u_y), the mass is the exact (consistent) P1 one, and the two
 element matrices fold into the 2x2 blocks of a 7-point node stencil written
-straight into CSR, Dirichlet rows/columns eliminated with a unit diagonal.
+straight into int32 CSR, Dirichlet rows/columns eliminated with a unit diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -54,21 +55,43 @@ class SingularSystemError(RuntimeError):
     residual contract or the assembled matrix is not finite."""
 
 
+# a cell split along its lower-left to upper-right diagonal: the lower, then the
+# upper counterclockwise triangle, by (di, dj) corner offsets from the lower left
+_CELL_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+
 @dataclass(frozen=True)
 class StructuredMesh:
-    """Uniform triangulation of a rectangle.
+    """Uniform triangulation of a rectangle, a value of its four fields that
+    builds its ``nodes`` and ``triangles`` arrays when they are first read.
 
     Nodes are ordered lexicographically with x fastest; every cell is split
-    along its lower-left to upper-right diagonal into two counterclockwise
-    triangles of area hx*hy/2.
-    """
+    into the two triangles of `_CELL_TRIANGLES`, of area hx*hy/2."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
     nx: int
     ny: int
-    nodes: np.ndarray
-    triangles: np.ndarray
+
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nx+1 node abscissae and ny+1 node ordinates."""
+        return (np.linspace(*self.x_range, self.nx + 1),
+                np.linspace(*self.y_range, self.ny + 1))
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """(n_nodes, 2) node coordinates, in node order."""
+        gx, gy = np.meshgrid(*self._axes())  # row-major: y slow, x fast
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @functools.cached_property
+    def triangles(self) -> np.ndarray:
+        """(n_triangles, 3) int64 node ids, cell by cell in node order of
+        their lower-left nodes, each cell's triangles as `_CELL_TRIANGLES`."""
+        nx1 = self.nx + 1
+        cells = np.arange(self.ny, dtype=np.int64)[:, None] * nx1 + np.arange(self.nx)
+        corners = [[dj * nx1 + di for di, dj in tri] for tri in _CELL_TRIANGLES]
+        return (cells.reshape(-1, 1, 1) + np.array(corners)).reshape(-1, 3)
 
     @property
     def hx(self) -> float:
@@ -102,9 +125,9 @@ def check_mesh(
 ) -> None:
     """Raise ValueError if `build_mesh` cannot build the mesh: a degenerate
     range or one wider than the largest double, fewer than one cell a side,
-    or more dofs than the int32 indices of assembly hold.  The message
-    starts with the offending names (the config keys ``x_min/x_max`` for
-    ``x_range``) and a colon."""
+    or more than 153,391,689 dofs, whose up to 14 CSR entries a dof int32
+    indices would not reach.  The message starts with the offending names
+    (the config keys ``x_min/x_max`` for ``x_range``) and a colon."""
     for names, (lo, hi) in (("x_min/x_max", x_range), ("y_min/y_max", y_range)):
         if not hi > lo:
             raise ValueError(f"{names}: range ({lo}, {hi}) is degenerate")
@@ -113,42 +136,17 @@ def check_mesh(
     if nx < 1 or ny < 1:
         raise ValueError(f"nx/ny: must be >= 1, got nx={nx}, ny={ny}")
     n_dofs = 2 * (nx + 1) * (ny + 1)
-    if n_dofs > np.iinfo(np.int32).max:
-        raise ValueError(
-            f"nx/ny: nx={nx}, ny={ny} give {n_dofs} dofs, more than int32 indices hold"
-        )
+    if 14 * n_dofs > np.iinfo(np.int32).max:
+        raise ValueError(f"nx/ny: nx={nx}, ny={ny} give {n_dofs} dofs, "
+                         "too many for int32 CSR indices")
 
 
 def build_mesh(
     x_range: tuple[float, float], y_range: tuple[float, float], nx: int, ny: int
 ) -> StructuredMesh:
-    """Build the structured triangulated rectangle (see `check_mesh`)."""
+    """The structured triangulated rectangle (see `check_mesh`)."""
     check_mesh(x_range, y_range, nx, ny)
-    x_min, x_max = float(x_range[0]), float(x_range[1])
-    y_min, y_max = float(y_range[0]), float(y_range[1])
-    xs = np.linspace(x_min, x_max, nx + 1)
-    ys = np.linspace(y_min, y_max, ny + 1)
-    gx, gy = np.meshgrid(xs, ys)  # row-major: y slow, x fast
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    ll = (jj * (nx + 1) + ii).ravel()
-    lr = ll + 1
-    ul = ll + (nx + 1)
-    ur = ul + 1
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-    return StructuredMesh(
-        x_range=(x_min, x_max),
-        y_range=(y_min, y_max),
-        nx=nx,
-        ny=ny,
-        nodes=nodes,
-        triangles=triangles,
-    )
+    return StructuredMesh(tuple(map(float, x_range)), tuple(map(float, y_range)), nx, ny)
 
 
 @dataclass
@@ -184,9 +182,9 @@ def _stencil_blocks(mesh, medium, omega, body_force) -> tuple[np.ndarray, np.nda
     """The (ny+1, nx+1, 2, 7, 2) blocks of stiffness minus frequency-shifted
     mass, ``[j, i, a, k, b]`` joining component a of node (i, j) to component
     b of node (i + di, j + dj), (di, dj) = ``_STENCIL[k]``, and the load.
-    Each lower (upper) triangle of the uniform mesh translates the first
-    (second), so each corner pair of their element matrices adds a 2x2 block
-    to one slot of every cell."""
+    Every triangle of the uniform mesh translates one of the two of the
+    first cell, split as `_CELL_TRIANGLES`, so each corner pair of their
+    element matrices adds a 2x2 block to one slot of every cell."""
     mu, lam, rho = medium.lame_mu, medium.lame_lambda, medium.rho
     nx, ny = mesh.nx, mesh.ny
     eye2 = np.eye(2)[None, None, :, None, :]
@@ -194,13 +192,15 @@ def _stencil_blocks(mesh, medium, omega, body_force) -> tuple[np.ndarray, np.nda
     blocks = np.zeros((len(_STENCIL), 2, 2, ny + 1, nx + 1))  # contiguous cell slices
     # entries past the double range stay inf or nan, and `assemble` names them
     with np.errstate(over="ignore", invalid="ignore"):
-        area, grads = _element_geometry(mesh.nodes[mesh.triangles[:2]])
+        xs, ys = mesh._axes()
+        area, grads = _element_geometry(
+            np.array([[(xs[di], ys[dj]) for di, dj in tri] for tri in _CELL_TRIANGLES]))
         area = area[:, None, None, None, None]
         ke = mu * area * (np.einsum("tid,tjd->tij", grads, grads)[:, :, None, :, None] * eye2)
         ke = ke + (lam + mu) * area * np.einsum("tia,tjb->tiajb", grads, grads)
         ke = ke - (rho * omega * omega) * area * (mass3[None, :, None, :, None] * eye2)
-        for t, ji in enumerate(np.stack(np.divmod(mesh.triangles[:2], nx + 1), -1).tolist()):
-            for (a, (aj, ai)), (b, (bj, bi)) in itertools.product(enumerate(ji), repeat=2):
+        for t, tri in enumerate(_CELL_TRIANGLES):
+            for (a, (ai, aj)), (b, (bi, bj)) in itertools.product(enumerate(tri), repeat=2):
                 k = _STENCIL.index((bi - ai, bj - aj))
                 blocks[k, :, :, aj:aj + ny, ai:ai + nx] += ke[t, a, :, b, :, None, None]
     rhs = np.zeros(2 * mesh.n_nodes)
@@ -221,7 +221,7 @@ def _stencil_csr(blocks: np.ndarray, nodes: np.ndarray, keep) -> sp.csr_matrix:
     """The CSR matrix over interleaved node dofs of the entries of ``blocks``
     (`_stencil_blocks`) where ``keep`` (broadcast to their shape) that join a
     node to itself or two of the ``nodes`` ((ny+1, nx+1) bool), each row in
-    stencil, which is column, order; int32 indices unless they need int64."""
+    stencil, which is column, order, with int32 indices bounded by `check_mesh`."""
     ny1, nx1 = nodes.shape
     n = 2 * ny1 * nx1
     padded = np.pad(nodes, 1)
@@ -230,11 +230,9 @@ def _stencil_csr(blocks: np.ndarray, nodes: np.ndarray, keep) -> sp.csr_matrix:
                       for di, dj in _STENCIL for _ in (0, 1)], -1).reshape(ny1, nx1, 1, 7, 2)
     keep = np.broadcast_to(joins & keep, blocks.shape).reshape(n, -1)  # rows 2 node + a
     counts = np.einsum("rs->r", keep.view(np.uint8))
-    # the largest column formed below is that of a neighbour past the mesh
-    wide = max(int(counts.sum()), n + 2 * nx1 + 2) > np.iinfo(np.int32).max
-    indptr = np.cumsum(np.insert(counts, 0, 0), dtype=np.int64 if wide else np.int32)
+    indptr = np.cumsum(np.insert(counts, 0, 0), dtype=np.int32)
     step = [2 * (dj * nx1 + di) + b for di, dj in _STENCIL for b in (0, 1)]
-    columns = (np.arange(n, dtype=indptr.dtype) & ~1)[:, None] + np.array(step, indptr.dtype)
+    columns = (np.arange(n, dtype=np.int32) & ~1)[:, None] + np.array(step, np.int32)
     return sp.csr_matrix((blocks.reshape(n, -1)[keep], columns[keep], indptr), shape=(n, n))
 
 

@@ -44,7 +44,7 @@ def reference_system(omega: float):
 
 
 def reference_decomposition(mesh):
-    key = ("dec", id(mesh))
+    key = ("dec", mesh)
     if key not in _cache:
         _cache[key] = schwarz.decompose(mesh, 4)
     return _cache[key]

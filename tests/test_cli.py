@@ -180,6 +180,18 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("configuration error: field k_count: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("source", ["argument", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, source):
+        # np.random.default_rng refuses it; every command refuses it first
+        path, out = tmp_path / "seed.cfg", tmp_path / "out"
+        path.write_text("seed = -1\n")
+        given = ["--seed", "-1"] if source == "argument" else ["--config", str(path)]
+        assert main([command, *given, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: field seed: must be >= 0, got -1\n"
+        assert captured.out == "" and not out.exists()
+
     def test_comment_lines_ignored(self):
         parsed = parse_kv_lines(["# just a note", "", "omega = 2.0"])
         assert parsed == {"omega": 2.0}

@@ -45,7 +45,10 @@ def manufactured_error(medium, omega, nx):
 def reference_assemble_raw(mesh, medium, omega, body_force=None):
     """Per-triangle P1 assembly through COO triplets: the oracle of
     `assemble_raw`, which folds the two element matrices of the uniform
-    mesh into a node stencil instead."""
+    mesh into a node stencil instead.  It reads the cell split from
+    ``mesh.triangles``, which `assemble_raw` does not read, and
+    `TestBuildMesh` pins those to an explicit construction, so it checks
+    the split of assembly independently."""
     pts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
     nt = pts.shape[0]
     e1 = pts[:, 1] - pts[:, 0]
@@ -116,7 +119,56 @@ def reference_assemble(mesh, medium, omega, body_force=None):
     return eliminated, np.where(mask, 0.0, rhs)
 
 
+def explicit_nodes_and_triangles(x_range, y_range, nx, ny):
+    """The node and triangle arrays built out corner by corner: x fastest,
+    each cell's lower triangle (ll, lr, ur) before its upper one (ll, ur, ul)."""
+    gx, gy = np.meshgrid(np.linspace(*x_range, nx + 1), np.linspace(*y_range, ny + 1))
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    ll = (jj * (nx + 1) + ii).ravel()
+    lr, ul = ll + 1, ll + (nx + 1)
+    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([ll, lr, ul + 1])
+    triangles[1::2] = np.column_stack([ll, ul + 1, ul])
+    return nodes, triangles
+
+
 class TestBuildMesh:
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 2), (40, 20)])
+    def test_arrays_match_the_explicit_construction(self, nx, ny):
+        mesh = build_mesh((-1.0, 0.7), (0.1, 1.3), nx, ny)
+        nodes, triangles = explicit_nodes_and_triangles((-1.0, 0.7), (0.1, 1.3), nx, ny)
+        for got, want in ((mesh.nodes, nodes), (mesh.triangles, triangles)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        assert mesh.triangles.shape == (mesh.n_triangles, 3)
+        assert mesh.nodes.shape == (mesh.n_nodes, 2)
+
+    def test_mesh_is_a_value(self):
+        mesh = build_mesh((-1, 1), (0, 1), 40, 20)
+        same = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        assert mesh == same and hash(mesh) == hash(same)
+        assert mesh != build_mesh((-1.0, 1.0), (0.0, 1.0), 41, 20)
+        assert [f.name for f in dataclasses.fields(mesh)] == ["x_range", "y_range", "nx", "ny"]
+        assert mesh.nodes.size and mesh.triangles.size  # built, but not compared
+        assert mesh == same and hash(mesh) == hash(same)
+
+    def test_building_allocates_no_array(self):
+        # the node and triangle arrays of this mesh would take about 128 MB
+        tracemalloc.start()
+        try:
+            mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2000, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert mesh.n_nodes == 2001 * 1001
+
+    def test_assembly_builds_no_array(self, medium):
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        assemble(mesh, medium, 5.0)
+        assert "nodes" not in mesh.__dict__ and "triangles" not in mesh.__dict__
+
     def test_reference_mesh_counts(self):
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 80, 40)
         assert mesh.n_nodes == 3321
@@ -152,7 +204,7 @@ class TestBuildMesh:
         assert str(exc_info.value).startswith(f"{field}: ")
 
     def test_rejects_dofs_past_int32_before_allocating(self):
-        # 2 * 50001**2 dofs: the node array alone would take 40 GB
+        # 2 * 50001**2 dofs: their matrix alone would take hundreds of GB
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="nx=50000, ny=50000"):
@@ -161,6 +213,14 @@ class TestBuildMesh:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_size_limit_at_its_edge(self):
+        # at most 14 CSR entries a dof: 14 * 153,370,098 fits int32, 14 *
+        # 153,405,128 does not; arithmetic only, nothing is allocated
+        fem.check_mesh((0.0, 1.0), (0.0, 1.0), 8756, 8756)
+        with pytest.raises(ValueError) as exc_info:
+            fem.check_mesh((0.0, 1.0), (0.0, 1.0), 8757, 8757)
+        assert str(exc_info.value).startswith("nx/ny: nx=8757, ny=8757 give 153405128 dofs")
 
     @given(
         nx=st.integers(1, 8),
