@@ -25,13 +25,16 @@ B_i maps the data on subdomain i's interface line through its solve to
 the other interface line, which it owns.  That is the substructured
 Schwarz iteration (Dolean, Jolivet and Nataf, SIAM 2015, ch. 2), the
 discrete form of the interface iteration the mode analysis solves per
-Fourier mode.  Each factor solves its first subdomain's interface line
-once, |S|/2 solves; on the symmetric strip the point reflection P maps the
-second subdomain onto the first, so B1 = P B0 P comes from the same
-solves.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu of
-the eigenvalues mu of B0 P; `RestrictedSolve.interface_block` returns the
-block with the index of that |S|/2 x |S|/2 half, which `spectrum` then
-diagonalizes (None on every other decomposition: the whole block).
+Fourier mode.  `interface_block` builds it without factoring a subdomain:
+the matrix couples only neighbouring mesh columns, so a subdomain's solve
+of its interface columns is a block-tridiagonal Schur sweep across its
+mesh columns, from the wall far from the S rows it owns, with the dense
+blocks of one column's dofs.  On the symmetric strip the point reflection
+P maps the second subdomain onto the first, so B1 = P B0 P comes from the
+same sweep.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu
+of the eigenvalues mu of B0 P; `interface_block` returns the block with
+the index of that |S|/2 x |S|/2 half, which `spectrum` then diagonalizes
+(None on every other decomposition: the whole block).
 
 The scalar type of every solve, block and iterate is that of the assembled
 matrix, promoted with the load's, so a complex matrix runs complex (the
@@ -67,6 +70,7 @@ __all__ = [
     "subdomain_columns",
     "decompose",
     "interface_unknowns",
+    "interface_block",
     "single_domain",
     "seeded_initial_guess",
     "schwarz_iterate",
@@ -78,13 +82,12 @@ __all__ = [
 ]
 
 MEMORY_BUDGET_BYTES = 2 * 1024**3
-# interface columns per subdomain solve; each is dense over the interior
-SPECTRUM_CHUNK = 8
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when the subdomain LU factors and what the caller holds
-    beside them would exceed the memory budget."""
+    beside them, or the interface block and its sweep, would exceed the
+    memory budget."""
 
 
 @dataclass(frozen=True)
@@ -212,12 +215,13 @@ def interface_unknowns(
     return np.flatnonzero((read | ~owned) & ~system.dirichlet_mask)
 
 
-def _rows_mirror(matrix, rows, first_rows, reflect, tol) -> bool:
+def _rows_mirror(matrix, rows, first_rows, reflect) -> bool:
     """Whether ``matrix[rows]``, its columns reflected, equals
-    ``matrix[first_rows]`` to ``tol``: the interior block and the entries
-    outside the interior in one pass over the two row slices, without
-    building either subdomain matrix.  A stored pattern (explicit zeros
-    included) unlike the first rows' gives False."""
+    ``matrix[first_rows]`` to 1e-12 max|A_1|, A_1 the interior block of
+    ``first_rows``: the interior block and the entries outside the interior
+    in one pass over the two row slices, without building either subdomain
+    matrix.  A stored pattern (explicit zeros included) unlike the first
+    rows' gives False."""
     mirrored = matrix[rows]
     mirrored.indices = reflect.astype(mirrored.indices.dtype)[mirrored.indices]
     mirrored.has_sorted_indices = False
@@ -226,8 +230,42 @@ def _rows_mirror(matrix, rows, first_rows, reflect, tol) -> bool:
     if not (np.array_equal(mirrored.indptr, first.indptr)
             and np.array_equal(mirrored.indices, first.indices)):
         return False
+    inside = np.zeros(matrix.shape[1], dtype=bool)
+    inside[first_rows] = True
+    tol = 1e-12 * np.abs(first.data[inside[first.indices]]).max(initial=0.0)
     diff = np.subtract(mirrored.data, first.data, out=mirrored.data)
     return diff.size == 0 or np.abs(diff, out=diff).max() <= tol
+
+
+def _mirror_groups(system: AssembledSystem, decomposition: Decomposition) -> list:
+    """The subdomains grouped by the one whose matrix serves them, each
+    group a list of (interior, owned, reflection), the first part's
+    reflection None.  A subdomain whose interior is the point reflection of
+    the first one's (the reflection of the strip reverses node ids) is
+    taken in reflected order, and it joins the first group, with the
+    reflection, when its rows of A equal the first one's under it
+    (`_rows_mirror`) and the Dirichlet mask is reflection-invariant.  A
+    subdomain with no interior unknown raises ValueError."""
+    for i, sub in enumerate(decomposition.subdomains):
+        if sub.interior_free.size == 0:
+            raise ValueError(f"subdomain {i} has no interior unknown: it needs an "
+                             "interior node of the mesh")
+    matrix, mask = system.matrix.tocsr(), system.dirichlet_mask
+    reflect = np.arange(system.n_dofs).reshape(-1, 2)[::-1].ravel()
+    groups = []
+    for sub in decomposition.subdomains:
+        interior = sub.interior_free
+        if groups:
+            first = groups[0][0][0]
+            if np.array_equal(np.sort(reflect[first]), interior):
+                interior = reflect[first]
+                if np.array_equal(mask, mask[reflect]) and _rows_mirror(
+                    matrix, interior, first, reflect
+                ):
+                    groups[0].append((interior, sub.owned_free, reflect))
+                    continue
+        groups.append([(interior, sub.owned_free, None)])
+    return groups
 
 
 class RestrictedSolve:
@@ -240,24 +278,19 @@ class RestrictedSolve:
     ValueError before anything is factored.  ``beside`` is (bytes, phrase)
     of what the caller will hold beside the factors; before each
     factorization those bytes plus an upper estimate of all factors so far
-    are checked against `MEMORY_BUDGET_BYTES`, the one budget check of the
-    package (`BudgetExceededError`, naming the factors and the phrase).  Calling
+    are checked against `MEMORY_BUDGET_BYTES` (`BudgetExceededError`,
+    naming the factors and the phrase).  Calling
     the object on a vector, or a block of columns, with ``n_dofs`` rows
     solves every subdomain on its interior, reading no other row, and
     keeps the part it owns; that is the RAS preconditioner M^-1.  Every dof
     that no subdomain owns, the Dirichlet dofs among them, comes back zero.
     A complex vector on a real system is solved as its real and imaginary
-    parts, columns of the same solve.  ``interface`` holds the dof indices
-    of the interface unknowns S of the decomposition
-    (`interface_unknowns`), on which `interface_block` builds M^-1 A.
+    parts, columns of the same solve.
 
-    A subdomain whose interior is the point reflection of the first one's
-    (the reflection of the strip reverses node ids) is taken in reflected
-    order, and it shares the first one's factor when its rows of A equal
-    the first one's under the reflection, in stored pattern and to 1e-12
-    max|A_1| in value: its interior block and its entries outside the
-    interior, compared in one pass over the two row slices, with a
-    reflection-invariant Dirichlet mask; its own matrix is never built.
+    A subdomain that mirrors the first one (`_mirror_groups`: its rows of
+    A equal the first one's under the point reflection, in stored pattern
+    and to 1e-12 max|A_1| in value, with a reflection-invariant Dirichlet
+    mask) shares the first one's factor; its own matrix is never built.
     Its right-hand sides are then the first one's read through the
     reflection, and those of the subdomains a factor serves are the
     columns of one solve.
@@ -268,42 +301,19 @@ class RestrictedSolve:
     def __init__(
         self, system: AssembledSystem, decomposition: Decomposition, beside=(0, "")
     ):
-        for i, sub in enumerate(decomposition.subdomains):
-            if sub.interior_free.size == 0:
-                raise ValueError(f"subdomain {i} has no interior unknown: it needs an "
-                                 "interior node of the mesh")
-        self.system = system
-        mask = system.dirichlet_mask
-        self.interface = interface_unknowns(system, decomposition)
-        local = np.full(system.n_dofs, -1, dtype=np.int64)
         matrix = system.matrix.tocsr()
-        # the point reflection of the strip reverses node ids
-        reflect = np.arange(system.n_dofs).reshape(-1, 2)[::-1].ravel()
-        # (factor, [(interior, owned, owned within interior, reflection)]):
-        # a shared part's reflection is ``reflect``, the factor's first
-        # part has None
+        groups = _mirror_groups(system, decomposition)
+        self.system = system
+        local = np.full(system.n_dofs, -1, dtype=np.int64)
+        # (factor, [(interior, owned, owned within interior, reflection)])
         self._groups = []
-        first_interior = tol = None  # the first subdomain's interior and 1e-12 max|A_1|
         needed, phrase = beside  # what the caller holds; the factors add to it
         what = "the subdomain LU factors" + (f" and {phrase}" if phrase else "")
-
-        for sub in decomposition.subdomains:
-            interior, shared = sub.interior_free, False
-            if first_interior is not None and np.array_equal(
-                np.sort(reflect[first_interior]), interior
-            ):
-                interior = reflect[first_interior]
-                shared = np.array_equal(mask, mask[reflect]) and _rows_mirror(
-                    matrix, interior, first_interior, reflect, tol
-                )
-            local[interior] = np.arange(interior.size)
-            part = (interior, sub.owned_free, local[sub.owned_free])
-            if shared:
-                self._groups[0][1].append(part + (reflect,))
-                continue
+        for parts in groups:
             # L+U of n unknowns, a value and a 4-byte index per entry: the
             # fill measured at omega 5 is 7.7-9.5 n log2 n for n = 12,798
             # to 204,798, so 16 n log2 n bounds it
+            interior = parts[0][0]
             n = interior.size
             needed += 16 * n * math.log2(max(n, 2)) * (matrix.dtype.itemsize + 4)
             _check_budget(what, int(needed))
@@ -314,9 +324,11 @@ class RestrictedSolve:
             except RuntimeError as exc:
                 raise SingularSystemError(f"subdomain factorization failed: {exc}") from exc
             _checked_solve(lu, a, a @ np.ones(a.shape[0]))
-            self._groups.append((lu, [part + (None,)]))
-            if first_interior is None:
-                first_interior, tol = interior, 1e-12 * abs(a).max()
+            served = []
+            for part_interior, owned, reflection in parts:
+                local[part_interior] = np.arange(n)
+                served.append((part_interior, owned, local[owned], reflection))
+            self._groups.append((lu, served))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(v) and not np.iscomplexobj(self.system.matrix):
@@ -331,53 +343,6 @@ class RestrictedSolve:
             for i, (_, owned, keep, _) in enumerate(parts):
                 out[owned] = x[keep, i * width:(i + 1) * width]
         return z
-
-    def interface_block(self) -> tuple[np.ndarray, tuple | None]:
-        """(M^-1 A)[S, S] at S = ``self.interface``, and the `np.ix_` index
-        of its half block B0 P or None.  A subdomain solves an S column of
-        its own matrix to the unit vector, so only the other S columns (its
-        interface line, unowned dofs) are solved, and only the S rows it
-        owns are kept.  Each factor solves those columns of its group's
-        first subdomain, `SPECTRUM_CHUNK` at a time, once; a reflected
-        subdomain writes its rows of the solves at the reflected columns,
-        which are in S, as sharing needs mirrored subdomains and ownership
-        is geometric.  The half applies when one factor serves both
-        subdomains through the reflection P and every unknown of S is
-        owned: then, the S rows the first subdomain owns taken first,
-        (M^-1 A)[S, S] = [[I, B0], [P B0 P, I]], whose eigenvalues are
-        1 +- mu for the eigenvalues mu of B0 P.  B0 P has those rows, and
-        as columns their reflections, which must be the S rows the second
-        subdomain owns."""
-        columns = self.interface
-        a = self.system.matrix.tocsr()[:, columns]
-        at = np.full(self.system.n_dofs, -1, dtype=np.int64)
-        at[columns] = np.arange(columns.size)
-        block = np.zeros((columns.size, columns.size), a.dtype)
-        for lu, parts in self._groups:
-            solved = np.flatnonzero(np.isin(columns, parts[0][0], invert=True))
-            targets = []
-            for _, owned, keep, reflection in parts:
-                rows = at[owned]
-                keep, rows = keep[rows >= 0], rows[rows >= 0]
-                block[rows, rows] = 1.0
-                cols = solved if reflection is None else at[reflection[columns[solved]]]
-                targets.append((rows, keep, cols))
-            rhs = a[parts[0][0]]
-            for start in range(0, solved.size, SPECTRUM_CHUNK):
-                chunk = slice(start, start + SPECTRUM_CHUNK)
-                x = lu.solve(rhs[:, solved[chunk]].toarray())
-                for rows, keep, cols in targets:
-                    block[np.ix_(rows, cols[chunk])] = x[keep]
-                del x  # before the next chunk's right-hand sides are built
-        if len(self._groups) > 1 or len(parts) != 2:
-            return block, None
-        (rows, _, _), (rows_right, _, _) = targets
-        mirror = at[parts[1][3][columns[rows]]]
-        if rows.size + rows_right.size != columns.size or not np.array_equal(
-            np.sort(mirror), np.sort(rows_right)
-        ):
-            return block, None
-        return block, np.ix_(rows, mirror)
 
 
 def seeded_initial_guess(
@@ -563,36 +528,238 @@ def preconditioned_operator(
     return solve(system.matrix[:, free].toarray())[free]
 
 
+def interface_block(
+    system: AssembledSystem, decomposition: Decomposition
+) -> tuple[np.ndarray, tuple | None]:
+    """(M^-1 A)[S, S] at the interface unknowns S (`interface_unknowns`),
+    and the `np.ix_` index of its half block B0 P or None; it factors
+    nothing.
+
+    A subdomain's solve takes an S column of its own matrix to the unit
+    vector, a 1 where the subdomain owns it.  Its other S columns, those of
+    A[interior, S] outside the interior, go through a Schur sweep across the
+    subdomain's mesh columns (`_schur_sweep`), which keeps only the S rows
+    the subdomain owns.  A subdomain that owns no S row is not swept, nor
+    is one that mirrors the first (`_mirror_groups`): its rows are the
+    first one's read through the reflection, at the reflected columns,
+    which are in S, as mirroring needs mirrored subdomains and ownership
+    is geometric.  The half applies when one sweep serves both subdomains
+    through the reflection P and every unknown of S is owned: then, the S
+    rows the first subdomain owns taken first, (M^-1 A)[S, S] =
+    [[I, B0], [P B0 P, I]], whose eigenvalues are 1 +- mu for the
+    eigenvalues mu of B0 P.  B0 P has those rows, and as columns their
+    reflections, which must be the S rows the second subdomain owns.
+
+    The block, one copy of it for the caller's eigensolve and the column
+    blocks of the largest sweep are checked against `MEMORY_BUDGET_BYTES`
+    before anything is allocated (`BudgetExceededError`).  A failed sweep
+    probe or a singular Schur complement raises `SingularSystemError`; a
+    subdomain with no interior unknown raises ValueError.
+    """
+    matrix = system.matrix.tocsr()
+    groups = _mirror_groups(system, decomposition)
+    columns = interface_unknowns(system, decomposition)
+    at = np.full(system.n_dofs, -1, dtype=np.int64)
+    at[columns] = np.arange(columns.size)
+    dtype = np.result_type(matrix.dtype, np.float64)
+    # per group: its sweep (interior order, column bounds, first kept column,
+    # solved dofs, needed dofs) or None, and per part (S rows, their dofs in
+    # the swept interior, S columns of the solved dofs)
+    sweeps, largest = [], 0
+    for parts in groups:
+        interior = parts[0][0]
+        solved = columns[np.isin(columns, interior, invert=True)]
+        targets = []
+        for _, owned, reflection in parts:
+            rows = owned[at[owned] >= 0]
+            if reflection is None:
+                targets.append((at[rows], rows, at[solved]))
+            else:
+                targets.append((at[rows], reflection[rows], at[reflection[solved]]))
+        needed = np.unique(np.concatenate([source for _, source, _ in targets]))
+        sweep = None
+        if needed.size:
+            order, bounds, keep = _sweep_order(interior, system.mesh.nx, needed)
+            sweep = order, bounds, keep, solved, needed
+            width = int(np.diff(bounds).max())
+            # the kept column blocks, and the Schur complement, right-hand
+            # sides and solution of one step
+            largest = max(largest, (bounds.size - keep + 2) * width * (width + 1 + solved.size))
+        sweeps.append((sweep, targets))
+    m, n = columns.size, int(np.count_nonzero(~system.dirichlet_mask))
+    _check_budget(
+        f"a {m} x {m} interface block of {n} unknowns, its eigenproblem and the "
+        "column blocks of its sweep", dtype.itemsize * (2 * m * m + largest),
+    )
+
+    block = np.zeros((m, m), dtype)
+    for sweep, targets in sweeps:
+        for rows, source, cols in targets:
+            block[rows, rows] = 1.0
+        if sweep is not None:
+            x = _schur_sweep(matrix, *sweep)
+            for rows, source, cols in targets:
+                block[np.ix_(rows, cols)] = x[np.searchsorted(sweep[-1], source)]
+    if len(groups) > 1 or len(groups[0]) != 2:
+        return block, None
+    (rows, _, _), (rows_right, _, _) = sweeps[0][1]
+    mirror = at[groups[0][1][2][columns[rows]]]
+    if rows.size + rows_right.size != m or not np.array_equal(
+        np.sort(mirror), np.sort(rows_right)
+    ):
+        return block, None
+    return block, np.ix_(rows, mirror)
+
+
+def _sweep_order(interior, nx, needed):
+    """The ``interior`` dofs grouped by mesh column, the groups in sweep
+    order: from the end of the subdomain farther from the ``needed`` dofs.
+    Returns the dofs in that order, the bounds of the groups, and the
+    first group that holds a needed dof."""
+    key = (interior // 2) % (nx + 1)
+    ends = np.unique(key)
+    near = np.searchsorted(ends, (needed // 2) % (nx + 1))
+    if near.max() < ends.size - 1 - near.min():
+        key, near = -key, ends.size - 1 - near
+    by_column = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[by_column])) + 1
+    return interior[by_column], np.concatenate([[0], bounds, [key.size]]), int(near.min())
+
+
+def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
+    """A_i^-1 A[interior, solved] on the ``needed`` dofs, A_i the matrix of
+    the interior ``order`` (`_sweep_order`), with no factorization: a
+    block-tridiagonal Schur sweep across its column groups c = 0, 1, ...,
+    each group's blocks dense, cut from the CSR rows: D_c, L_c and U_c
+    couple it to itself and the groups before and after.
+
+    S_0 = D_0, S_c = D_c - L_c S_(c-1)^-1 U_(c-1), and the right-hand sides
+    G_c = F_c - L_c S_(c-1)^-1 G_(c-1), F = A[interior, solved], each
+    solved column carried from the first group it touches; one LAPACK
+    ``gesv`` per group solves S_c for [U_c, g_c, G_c] in place.  Then
+    x_c = S_c^-1 (G_c - U_c x_(c+1)) from the last group back to group
+    ``keep``, the first holding a needed dof; only groups from there on
+    are kept.  g is the probe A_i @ ones carried along: g_c must equal
+    S_c 1 + U_c 1 within the relative residual bound 1e-10 of
+    `direct_solve`, else `SingularSystemError`, as is a singular S_c.  A
+    nonzero entry coupling groups more than one apart raises ValueError.
+    """
+    n, count = order.size, bounds.size - 1
+    rows = matrix[order]
+    rows.sum_duplicates()
+    # per entry, in int32 (`check_mesh` bounds the dofs): its row, its row's
+    # group, its column's interior position (-1 outside) and solved index
+    # (-1 else)
+    row = np.repeat(np.arange(n, dtype=np.int32), np.diff(rows.indptr))
+    group = np.repeat(np.arange(count, dtype=np.int32), np.diff(bounds))[row]
+    index = np.full(matrix.shape[1], -1, dtype=np.int32)
+    index[order] = np.arange(n, dtype=np.int32)
+    pos = index[rows.indices]
+    where = index[needed]
+    index[order] = -1
+    index[solved] = np.arange(solved.size, dtype=np.int32)
+    col = index[rows.indices]
+    values = rows.data
+    first_of = np.asarray(bounds, dtype=np.int32)  # group c spans [first_of[c], first_of[c + 1])
+    lo = first_of[np.maximum(group - 1, 0)]
+    hi = first_of[np.minimum(group + 2, count)]
+    band = (pos >= lo) & (pos < hi)
+    if np.any(values[(pos >= 0) & ~band]):
+        raise ValueError("the subdomain matrix couples mesh columns more than one "
+                         "apart; the interface sweep needs it block tridiagonal")
+    # the solved columns in the order of the first group they touch
+    touch = (col >= 0) & (values != 0)
+    first = np.full(solved.size, count)
+    np.minimum.at(first, col[touch], group[touch])
+    by_touch = np.argsort(first, kind="stable")
+    rank = np.empty(solved.size, dtype=np.int32)
+    rank[by_touch] = np.arange(solved.size, dtype=np.int32)
+    widths = np.searchsorted(first[by_touch], np.arange(count), side="right")
+    # each kept entry's row and column in its group's [L_c, D_c, U_c, g_c, G_c],
+    # filtered one array at a time to hold one copy of each
+    stored = band | touch
+    del rows, touch
+    row, group, values, band = row[stored], group[stored], values[stored], band[stored]
+    row -= first_of[group]
+    pos, col, lo, hi = pos[stored], col[stored], lo[stored], hi[stored]
+    target = np.where(band, pos - lo, hi - lo + 1 + rank[col])
+    del pos, col, lo, hi, band
+    starts = np.searchsorted(group, np.arange(count + 1))
+    dtype = np.result_type(matrix.dtype, np.float64)
+
+    gesv = get_lapack_funcs("gesv", dtype=dtype)
+    ones = np.ones(3 * int(np.diff(bounds).max()))
+    bounds, widths = bounds.tolist(), widths.tolist()
+    kept, solution = [], None  # S_c^-1 [U_c, g_c, G_c] of the kept groups; of the last
+    for c in range(count):
+        r0, r1 = bounds[c], bounds[c + 1]
+        lo, hi = bounds[max(c - 1, 0)], bounds[min(c + 2, count)]
+        size, after = r1 - r0, hi - r1  # the order of S_c, the width of U_c
+        # Fortran order: the right-hand sides are solved in place
+        work = np.zeros((size, hi - lo + 1 + widths[c]), dtype, order="F")
+        entries = slice(starts[c], starts[c + 1])
+        work[row[entries], target[entries]] = values[entries]
+        work[:, hi - lo] = work[:, :hi - lo] @ ones[:hi - lo]  # A_i @ ones
+        schur, rhs = work[:, r0 - lo:r1 - lo], work[:, r1 - lo:]
+        if c:
+            product = work[:, :r0 - lo] @ solution
+            schur = schur - product[:, :size]
+            rhs[:, after:after + product.shape[1] - size] -= product[:, size:]
+        expected = schur @ ones[:size] + rhs[:, :after] @ ones[:after]
+        deviation, scale = _l2_norm(rhs[:, after] - expected), _l2_norm(expected)
+        if not deviation <= 1e-10 * scale:
+            raise SingularSystemError(
+                f"interface sweep residual {deviation:.3e} exceeds 1e-10 of {scale:.3e} at "
+                f"column {c} of {count}; the subdomain matrix is numerically singular or "
+                "badly scaled"
+            )
+        _, _, solution, info = gesv(schur, rhs, overwrite_a=True, overwrite_b=True)
+        if info > 0:
+            raise SingularSystemError(
+                f"interface sweep: the Schur complement of column {c} of {count} "
+                "is exactly singular"
+            )
+        if c >= keep:
+            kept.append(solution)
+
+    x = np.zeros((needed.size, solved.size), dtype)
+    width = widths[-1]
+    for c in range(count - 1, keep - 1, -1):
+        solution = kept.pop()
+        after = solution.shape[1] - 1 - widths[c]
+        step = np.zeros((bounds[c + 1] - bounds[c], width), dtype)
+        step[:, :widths[c]] = solution[:, after + 1:]
+        if c < count - 1:
+            step -= solution[:, :after] @ previous
+        here = (where >= bounds[c]) & (where < bounds[c + 1])
+        x[here, :width] = step[where[here] - bounds[c]]
+        previous = step
+    return x[:, rank]
+
+
 def spectrum(
     system: AssembledSystem, decomposition: Decomposition
 ) -> np.ndarray:
     """All eigenvalues of the preconditioned operator on the free unknowns,
     sorted by (re, im) so repeated runs emit identical tables.
 
-    Only the interface block (M^-1 A)[S, S]
-    (`RestrictedSolve.interface_block`) is built; the other n - |S|
-    eigenvalues are exactly one.  On a mirrored strip, where its
-    eigenvalues are 1 +- mu for the eigenvalues mu of the half block B0 P,
-    only that half of it is diagonalized; otherwise (an asymmetric strip,
-    one subdomain, unowned unknowns in S) the whole block.  The dense
-    ``eigvals(preconditioned_operator(system, decomposition))`` is the
-    reference it agrees with.  The whole block, LAPACK's copy of it and
-    one chunk of right-hand sides and solutions are held beside the
-    subdomain factors in the budget of `RestrictedSolve`, checked before
-    each factorization.
+    Only the interface block (M^-1 A)[S, S] (`interface_block`, from a
+    Schur sweep across mesh columns, with no subdomain factorization) is
+    built; the other n - |S| eigenvalues are exactly one.  On a mirrored
+    strip, where its eigenvalues are 1 +- mu for the eigenvalues mu of the
+    half block B0 P, only that half of it is diagonalized; otherwise (an
+    asymmetric strip, one subdomain, unowned unknowns in S) the whole
+    block.  The dense ``eigvals(preconditioned_operator(system,
+    decomposition))`` is the reference it agrees with.
     """
     n = int(np.count_nonzero(~system.dirichlet_mask))
-    m = interface_unknowns(system, decomposition).size
-    # the block, LAPACK's copy, one chunk of right-hand sides and solutions
-    held = system.matrix.dtype.itemsize * (2 * m * m + 2 * SPECTRUM_CHUNK * n)
-    beside = held, f"a {m} x {m} interface block of {n} unknowns and its eigenproblem"
-    block, half = RestrictedSolve(system, decomposition, beside).interface_block()
+    block, half = interface_block(system, decomposition)
     if half is None:
         interface = np.linalg.eigvals(block)
     else:
         mu = np.linalg.eigvals(block[half])
         interface = np.concatenate([1.0 + mu, 1.0 - mu])
-    eigs = np.concatenate([interface, np.ones(n - m)])
+    eigs = np.concatenate([interface, np.ones(n - block.shape[0])])
     order = np.lexsort((eigs.imag, eigs.real))
     return eigs[order]
 

@@ -70,9 +70,9 @@ def test_a_class_attribute_target():
     source = (
         "def install(tracer):\n"
         "    from elastic_schwarz import schwarz\n"
-        '    tracer.wrap(schwarz.RestrictedSolve, "interface_block", "schwarz.operator")\n'
+        '    tracer.wrap(schwarz.RestrictedSolve, "__call__", "schwarz.ras")\n'
         "    schwarz.splu = None\n"
     )
     names = traced_names(source)
-    assert sorted(names) == [("schwarz", "splu"), ("schwarz.RestrictedSolve", "interface_block")]
-    test_traced_name_exists("schwarz.RestrictedSolve", "interface_block")
+    assert sorted(names) == [("schwarz", "splu"), ("schwarz.RestrictedSolve", "__call__")]
+    test_traced_name_exists("schwarz.RestrictedSolve", "__call__")

@@ -21,6 +21,7 @@ from elastic_schwarz.schwarz import (
     RestrictedSolve,
     decompose,
     gmres,
+    interface_block,
     interface_unknowns,
     preconditioned_operator,
     ras_apply,
@@ -311,27 +312,6 @@ class TestL2Norm:
         assert math.isnan(_l2_norm(np.array([1 + 0j, np.nan])))
 
 
-@pytest.fixture
-def solved_columns(monkeypatch):
-    """The width of each solve the subdomain factors of `schwarz` make
-    (1 for a vector), in order."""
-    counts = []
-    original = schwarz.splu
-
-    class Counting:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            counts.append(1 if rhs.ndim == 1 else rhs.shape[1])
-            return self.lu.solve(rhs)
-
-    monkeypatch.setattr(
-        schwarz, "splu", lambda *args, **kwargs: Counting(original(*args, **kwargs))
-    )
-    return counts
-
-
 def raw_system(medium, scale=1.0):
     """The 40x20 strip at omega 1 without Dirichlet rows, its boundary dofs
     free and unowned; ``scale`` multiplies the coupling of one interior row
@@ -375,6 +355,69 @@ def reference_solve(system, dec, v, previous=None):
         x = spsolve(rows[:, sub.interior_free].tocsc(), rhs)
         z[sub.owned_free] = x[np.searchsorted(sub.interior_free, sub.owned_free)]
     return z
+
+
+def reference_interface_block(system, dec):
+    """`interface_block` from the SuperLU factors of `RestrictedSolve`, as
+    it was built before the Schur sweep: each factor solves the S columns
+    outside its first subdomain's interior, and every subdomain it serves
+    keeps the S rows it owns, a mirrored one at the reflected columns."""
+    solve = RestrictedSolve(system, dec)
+    columns = interface_unknowns(system, dec)
+    a = system.matrix.tocsr()[:, columns]
+    at = np.full(system.n_dofs, -1, dtype=np.int64)
+    at[columns] = np.arange(columns.size)
+    block = np.zeros((columns.size, columns.size), a.dtype)
+    for lu, parts in solve._groups:
+        solved = np.flatnonzero(np.isin(columns, parts[0][0], invert=True))
+        x = lu.solve(a[parts[0][0]][:, solved].toarray()) if solved.size else None
+        targets = []
+        for _, owned, keep, reflection in parts:
+            rows = at[owned]
+            keep, rows = keep[rows >= 0], rows[rows >= 0]
+            block[rows, rows] = 1.0
+            cols = solved if reflection is None else at[reflection[columns[solved]]]
+            if x is not None:
+                block[np.ix_(rows, cols)] = x[keep]
+            targets.append(rows)
+    if len(solve._groups) > 1 or len(parts) != 2:
+        return block, None
+    rows, rows_right = targets
+    mirror = at[parts[1][3][columns[rows]]]
+    if rows.size + rows_right.size != columns.size or not np.array_equal(
+        np.sort(mirror), np.sort(rows_right)
+    ):
+        return block, None
+    return block, np.ix_(rows, mirror)
+
+
+def assert_block_matches_reference(system, dec):
+    """`interface_block` against `reference_interface_block`: the block to
+    1e-12 of max(1, its largest entry) and the same half index."""
+    block, half = interface_block(system, dec)
+    want, want_half = reference_interface_block(system, dec)
+    assert block.dtype == want.dtype
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    np.testing.assert_allclose(block, want, rtol=0, atol=1e-12 * scale)
+    assert (half is None) == (want_half is None)
+    for index, want_index in zip(half or (), want_half or ()):
+        np.testing.assert_array_equal(index, want_index)
+    return block, half
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The arguments (matrix, order, bounds, keep, solved, needed) of every
+    Schur sweep `interface_block` runs, in order."""
+    calls = []
+    original = schwarz._schur_sweep
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(schwarz, "_schur_sweep", recording)
+    return calls
 
 
 def scattered(system, values):
@@ -488,21 +531,26 @@ class TestSharedFactor:
 
     @pytest.mark.parametrize("scale", [1.0, 1.5])
     def test_entries_outside_the_interior_decide_sharing(
-        self, medium, factor_calls, scale
+        self, medium, factor_calls, sweeps, scale
     ):
         # equal interior blocks, but the perturbed right subdomain's
         # right-hand sides are no longer the left one's reflected
         system, dec = raw_system(medium, scale)
         columns = interface_unknowns(system, dec)
-        block, _ = RestrictedSolve(system, dec).interface_block()
-        n_factors = len(factor_calls)
+        block, _ = interface_block(system, dec)
+        assert len(sweeps) == (1 if scale == 1.0 else 2)
+        assert factor_calls == []
         dense = preconditioned_operator(system, dec)[np.ix_(columns, columns)]
+        assert len(factor_calls) == (1 if scale == 1.0 else 2)
         np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)
-        assert n_factors == (1 if scale == 1.0 else 2)
 
     @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "single_domain"])
-    def test_interface_block_solves_once_per_factor(self, medium, solved_columns, case):
-        # one shared factor solves the left interface line only, |S|/2
+    def test_interface_block_sweeps_once_per_distinct_subdomain(
+        self, medium, sweeps, case
+    ):
+        # the mirrored right subdomain is read off the left one's sweep,
+        # whose right-hand sides are the right interface line, |S|/2; a
+        # subdomain that owns no S row is not swept
         if case == "single_domain":
             # without Dirichlet rows the unowned boundary dofs make up S
             system, dec = raw_system(medium)
@@ -511,13 +559,121 @@ class TestSharedFactor:
             x_max = 1.5 if case == "asymmetric" else 1.0
             mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
             system, dec = assemble(mesh, medium, 1.0), decompose(mesh, 4)
-        solve = RestrictedSolve(system, dec)
-        solved_columns.clear()
-        solve.interface_block()
-        assert solve.interface.size > 0
-        assert sum(solved_columns) == solve.interface.size // (
-            2 if case == "symmetric" else 1
-        )
+        columns = interface_unknowns(system, dec)
+        block, _ = interface_block(system, dec)
+        assert columns.size > 0
+        solved = [args[4].size for args in sweeps]
+        assert solved == {"symmetric": [38], "asymmetric": [38, 38], "single_domain": []}[case]
+        if case == "single_domain":
+            assert not block.any()  # M^-1 is zero on the unowned rows
+
+
+class TestInterfaceBlock:
+    """The Schur sweep's block against the SuperLU-built one."""
+
+    @pytest.mark.parametrize("case", [
+        "mirrored-omega1", "mirrored-omega5", "asymmetric-omega1", "asymmetric-omega5",
+        "raw", "raw-perturbed", "identity", "single_domain", "single_domain-raw",
+    ])
+    def test_matches_the_superlu_block(self, medium, factor_calls, case):
+        import scipy.sparse as sp
+
+        x_max = 1.5 if case.startswith("asymmetric") else 1.0
+        mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
+        system = assemble(mesh, medium, 5.0 if case.endswith("omega5") else 1.0)
+        dec = decompose(mesh, 4)
+        if case.startswith("raw") or case == "single_domain-raw":
+            system, dec = raw_system(medium, 1.5 if case == "raw-perturbed" else 1.0)
+        if case == "identity":
+            system = fem.AssembledSystem(
+                matrix=sp.identity(system.n_dofs, format="csr"),
+                rhs=np.zeros(system.n_dofs),
+                dirichlet_mask=np.zeros(system.n_dofs, dtype=bool),
+                mesh=mesh,
+            )
+        if case.startswith("single_domain"):
+            dec = single_domain(mesh)
+        factor_calls.clear()
+        block, half = interface_block(system, dec)
+        assert factor_calls == []
+        assert_block_matches_reference(system, dec)
+        assert (half is not None) == case.startswith("mirrored")
+        if case == "identity":
+            # A[interior, S] vanishes outside the interior: the owned rows
+            # of the unit matrix
+            assert block.size and not (block - np.diag(np.diag(block))).any()
+
+
+class TestSweepCheck:
+    """The sweep's counterpart of the factor check: the probe A_i @ ones
+    carried through it, and singular Schur complements."""
+
+    @staticmethod
+    def wrong_gesv(monkeypatch, error=0.0, info=0):
+        """Make the sweep's `gesv` off by a relative ``error``, or report
+        an exactly singular pivot ``info``."""
+        from scipy.linalg import get_lapack_funcs
+
+        def patched(name, *args, **kwargs):
+            found = get_lapack_funcs(name, *args, **kwargs)
+            if name != "gesv":
+                return found
+
+            def gesv(a, b, **flags):
+                lu, piv, x, status = found(a, b, **flags)
+                return lu, piv, (1.0 + error) * x, info or status
+
+            return gesv
+
+        monkeypatch.setattr(schwarz, "get_lapack_funcs", patched)
+
+    @pytest.mark.parametrize("x_max", [1.0, 1.5])
+    def test_wrong_solve_fails_the_probe(self, medium, monkeypatch, x_max):
+        mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
+        system = assemble(mesh, medium, 5.0)
+        self.wrong_gesv(monkeypatch, error=1e-6)
+        with pytest.raises(fem.SingularSystemError, match="interface sweep residual"):
+            interface_block(system, decompose(mesh, 4))
+
+    def test_roundoff_passes(self, small_setup, monkeypatch):
+        self.wrong_gesv(monkeypatch, error=1e-14)
+        interface_block(*small_setup)
+
+    def test_singular_schur_complement(self, small_setup):
+        # a dof of the first swept column without row and column: its
+        # Schur complement, the column's own block, is exactly singular
+        system, dec = small_setup
+        matrix = system.matrix.tolil()
+        dof = dec.subdomains[0].interior_free[0]
+        matrix[dof, :] = 0.0
+        matrix[:, dof] = 0.0
+        system = dataclasses.replace(system, matrix=matrix.tocsr())
+        with pytest.raises(fem.SingularSystemError, match="column 0 of 21 is exactly singular"):
+            interface_block(system, dec)
+
+    def test_far_coupling_is_refused(self, small_setup):
+        # the sweep needs a matrix block tridiagonal across mesh columns
+        system, dec = small_setup
+        interior = dec.subdomains[0].interior_free
+        matrix = system.matrix.tolil()
+        matrix[interior[0], interior[4]] = 1.0  # mesh columns 1 and 3
+        system = dataclasses.replace(system, matrix=matrix.tocsr())
+        with pytest.raises(ValueError, match="block tridiagonal"):
+            interface_block(system, dec)
+
+    @pytest.mark.parametrize("failure", ["probe", "singular"])
+    def test_cli_exits_3(self, tmp_path, monkeypatch, capsys, failure):
+        from elastic_schwarz.cli import main
+
+        if failure == "probe":
+            self.wrong_gesv(monkeypatch, error=1e-6)
+        else:
+            self.wrong_gesv(monkeypatch, info=1)
+        assert main(["spectrum", "--out", str(tmp_path), "--nx", "40", "--ny", "20"]) == 3
+        shown = {"probe": "interface sweep residual", "singular": "exactly singular"}[failure]
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: interface sweep") and shown in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestFactorCheck:
@@ -681,30 +837,44 @@ class TestSpectrum:
         dec = decompose(mesh, 4)
         eigs = spectrum(system, dec)
         columns = interface_unknowns(system, dec)
-        full = np.linalg.eigvals(RestrictedSolve(system, dec).interface_block()[0])
+        full = np.linalg.eigvals(interface_block(system, dec)[0])
         want = np.concatenate([full, np.ones(eigs.size - columns.size)])
         assert matched_deviation(eigs, want) < 1e-13
         if nx == 40:
             # the dense eigensolve blurs the n - |S| defective ones into a
-            # ball of radius about 1e-8 around 1; outside it the two agree
+            # ball of radius about 1e-8 around 1; outside it the two agree,
+            # to the SuperLU solves' roundoff: at omega 5 the dense operator's
+            # eigenvalues are 1.6e-13 off those of a refined dense interface
+            # block, the sweep's 1.2e-14
             dense = np.linalg.eigvals(preconditioned_operator(system, dec))
 
             def far(x):
                 return x[np.abs(x - 1.0) > 1e-6]
 
             assert far(eigs).size == far(dense).size > 0
-            assert matched_deviation(far(eigs), far(dense)) < 1e-13
+            assert matched_deviation(far(eigs), far(dense)) < 5e-13
         assert_pairs_about_one(eigs)
 
-    def test_mirrored_spectrum_solves_half_in_narrow_chunks(
-        self, small_setup, solved_columns
+    def test_mirrored_spectrum_sweeps_the_left_subdomain_once(
+        self, small_setup, factor_calls, sweeps
     ):
-        # the half block B0 P is read off the |S|/2 interface solves, which
-        # are made a few columns at a time
+        # the half block B0 P is read off one sweep of the left subdomain's
+        # 21 mesh columns, whose right-hand sides are the |S|/2 = 38 dofs of
+        # the right interface line; it keeps and back-substitutes only the
+        # 4 columns from its own interface line x = -0.05 on, where the S
+        # rows it owns lie
         spectrum(*small_setup)
-        check, *widths = solved_columns  # the factor check solves a vector
-        assert check == 1 and sum(widths) == 38
-        assert max(widths) <= schwarz.SPECTRUM_CHUNK == 8
+        assert factor_calls == []
+        [(_, order, bounds, keep, solved, needed)] = sweeps
+        assert order.size == 21 * 38 and bounds.size - 1 == 21
+        assert solved.size == needed.size == 38
+        assert bounds.size - 1 - keep == 4
+
+    @pytest.mark.parametrize("x_max", [1.0, 1.5])
+    def test_spectrum_factors_nothing(self, medium, factor_calls, x_max):
+        mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
+        spectrum(assemble(mesh, medium, 5.0), decompose(mesh, 4))
+        assert factor_calls == []
 
     @pytest.mark.parametrize(
         "case", ["mirrored", "asymmetric", "single_domain", "identity", "raw"]
@@ -742,7 +912,7 @@ class TestSpectrum:
         assert n_interface > 0
         want = (38, 38) if case == "mirrored" else (n_interface, n_interface)
         assert shapes == [want]
-        block, half = RestrictedSolve(system, dec).interface_block()
+        block, half = interface_block(system, dec)
         if case == "mirrored":
             assert block[half].shape == (38, 38)
         else:
@@ -755,11 +925,14 @@ class TestSpectrum:
         system = assemble(mesh, medium, 5.0)
         dec = decompose(mesh, 4)
         columns = interface_unknowns(system, dec)
-        block, _ = RestrictedSolve(system, dec).interface_block()
+        block, _ = interface_block(system, dec)
         at = np.searchsorted(np.flatnonzero(~system.dirichlet_mask), columns)
         dense = preconditioned_operator(system, dec)[np.ix_(at, at)]
         assert block.shape == (76, 76)
-        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)
+        # B1 of the asymmetric strip reaches 3.86; the SuperLU solves are
+        # 2.8e-12 off a refined dense solve there, the sweep 8.8e-14
+        scale = max(1.0, float(np.abs(dense).max()))
+        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12 * scale)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -795,6 +968,7 @@ class TestSpectrum:
             else decompose(mesh, 2 * min(half_overlap, half_nx - 1))
         )
         eigs = spectrum(system, dec)
+        assert_block_matches_reference(system, dec)
         dense = np.linalg.eigvals(preconditioned_operator(system, dec))
         scale = max(1.0, float(np.abs(dense).max()))
         assert eigs.shape == dense.shape
@@ -1006,11 +1180,12 @@ class TestComplexMatrix:
 
     def test_interface_block_and_shared_factor(self, phase_pair, factor_calls):
         real, rotated, dec, load, mirrored = phase_pair
+        block, half = assert_block_matches_reference(real, dec)
+        rotated_block, rotated_half = assert_block_matches_reference(rotated, dec)
+        del factor_calls[:]
         solve = RestrictedSolve(real, dec)
-        block, half = solve.interface_block()
         calls = len(factor_calls)
         rotated_solve = RestrictedSolve(rotated, dec)
-        rotated_block, rotated_half = rotated_solve.interface_block()
         assert len(factor_calls) - calls == calls == (1 if mirrored else 2)
         # a real vector through a complex factor: M^-1 scales by 1 / PHASE
         z = solve(load)
@@ -1075,19 +1250,26 @@ class TestComplexMatrix:
     )
     def test_budget_counts_the_item_size(self, medium, monkeypatch, budgeted, nx, ny):
         # a complex entry takes 16 bytes, so the complex need is twice the
-        # real one; the 8x400 strip's interface block outweighs its factor
+        # real one
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), nx, ny)
         real = assemble(mesh, medium, 1.0)
         rotated = dataclasses.replace(real, matrix=PHASE * real.matrix)
         dec = decompose(mesh, 4)
         n = int(np.count_nonzero(~real.dirichlet_mask))
         m = interface_unknowns(real, dec).size
-        real_need = {
-            "spectrum": 8 * (2 * m * m + 2 * schwarz.SPECTRUM_CHUNK * n),
+        if budgeted == "spectrum":
+            # the one need `interface_block` checks, on the real system
+            needs, check = [], schwarz._check_budget
+            with monkeypatch.context() as patch:
+                patch.setattr(schwarz, "_check_budget",
+                              lambda what, needed: needs.append(needed) or check(what, needed))
+                spectrum(real, dec)
+            [real_need] = needs
+            assert real_need > 8 * 2 * m * m  # the block and LAPACK's copy
+        else:
             # the reserve of `preconditioned_operator`: its n_dofs x n
             # right-hand sides and solutions, the operator and its eigenproblem
-            "preconditioned_operator": 8 * n * (2 * real.n_dofs + 4 * n),
-        }[budgeted]
+            real_need = 8 * n * (2 * real.n_dofs + 4 * n)
         monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", 3 * real_need // 2)
         run = getattr(schwarz, budgeted)
         run(real, dec)
@@ -1405,20 +1587,20 @@ class TestFactorBudget:
             RestrictedSolve(*small_setup)
         assert factor_calls == []
 
-    def test_budget_sums_the_block_and_the_factors(
-        self, medium, monkeypatch, factor_calls
+    def test_budget_sums_the_block_and_the_sweep(
+        self, medium, monkeypatch, factor_calls, sweeps
     ):
-        # the 8x400 strip at omega 1: a 41.5 MB interface block and a
-        # 9.2 MB factor, each under 45 MB, together over it
+        # the 8x400 strip at omega 1: a 1596 x 1596 interface block and its
+        # copy take 40.8 MB, under 45 MB; the left subdomain's sweep adds
+        # 6 column blocks of 798 x 1597 (61.2 MB), and it never starts
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 8, 400)
         system = assemble(mesh, medium, 1.0)
         dec = decompose(mesh, 4)
-        n = int(np.count_nonzero(~system.dirichlet_mask))
         m = interface_unknowns(system, dec).size
         budget = 45 * 10**6
-        assert 8 * (2 * m * m + 2 * schwarz.SPECTRUM_CHUNK * n) < budget
+        assert 8 * 2 * m * m < budget < 8 * (2 * m * m + 6 * 798 * 1597)
         monkeypatch.setattr(schwarz, "MEMORY_BUDGET_BYTES", budget)
-        match = "LU factors and a 1596 x 1596 .*coarser"
+        match = "a 1596 x 1596 interface block .* column blocks of its sweep .*coarser"
         with pytest.raises(BudgetExceededError, match=match):
             spectrum(system, dec)
-        assert factor_calls == []
+        assert factor_calls == [] and sweeps == []
