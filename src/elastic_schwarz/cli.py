@@ -13,8 +13,9 @@ Exit codes: 0 ok, 2 configuration error (an output directory that cannot
 be created or take a new file too), 3 solver error (an assembled matrix
 that is not finite too, whose message names the fields that set its
 scale), 4 memory budget exceeded (the subdomain LU factors plus what the
-command holds beside them, for ``spectrum`` its interface block, LAPACK's
-copy and one chunk of solves; checked before each factorization) or an
+command holds beside them, checked before each factorization; ``spectrum``
+factors nothing and checks its interface block, LAPACK's copy of it and the
+column blocks of its sweep before allocating any of them) or an
 allocation refused with `MemoryError` (such as while a GMRES cycle grows
 by one n-vector and one Hessenberg column per step, which the budget does
 not count), 5 verification failure, 6 non-finite iterate (the history

@@ -566,6 +566,7 @@ def interface_block(
     # solved dofs, needed dofs) or None, and per part (S rows, their dofs in
     # the swept interior, S columns of the solved dofs)
     sweeps, largest = [], 0
+    dof_columns = np.repeat(system.mesh.node_columns(), 2)
     for parts in groups:
         interior = parts[0][0]
         solved = columns[np.isin(columns, interior, invert=True)]
@@ -579,12 +580,14 @@ def interface_block(
         needed = np.unique(np.concatenate([source for _, source, _ in targets]))
         sweep = None
         if needed.size:
-            order, bounds, keep = _sweep_order(interior, system.mesh.nx, needed)
+            order, bounds, keep = _sweep_order(interior, dof_columns, needed)
             sweep = order, bounds, keep, solved, needed
-            width = int(np.diff(bounds).max())
-            # the kept column blocks, and the Schur complement, right-hand
-            # sides and solution of one step
-            largest = max(largest, (bounds.size - keep + 2) * width * (width + 1 + solved.size))
+            width, kept = int(np.diff(bounds).max()), bounds.size - 1 - keep
+            # the kept column blocks with their S_c and [U_c, g_c], and the
+            # Schur complement, right-hand sides and solution of one step
+            largest = max(largest, width * (
+                (kept + 3) * (width + 1 + solved.size) + kept * (2 * width + 1)
+            ))
         sweeps.append((sweep, targets))
     m, n = columns.size, int(np.count_nonzero(~system.dirichlet_mask))
     _check_budget(
@@ -611,14 +614,15 @@ def interface_block(
     return block, np.ix_(rows, mirror)
 
 
-def _sweep_order(interior, nx, needed):
-    """The ``interior`` dofs grouped by mesh column, the groups in sweep
-    order: from the end of the subdomain farther from the ``needed`` dofs.
-    Returns the dofs in that order, the bounds of the groups, and the
-    first group that holds a needed dof."""
-    key = (interior // 2) % (nx + 1)
+def _sweep_order(interior, dof_columns, needed):
+    """The ``interior`` dofs grouped by mesh column (``dof_columns``, the
+    column of every dof), the groups in sweep order: from the end of the
+    subdomain farther from the ``needed`` dofs.  Returns the dofs in that
+    order, the bounds of the groups, and the first group that holds a
+    needed dof."""
+    key = dof_columns[interior]
     ends = np.unique(key)
-    near = np.searchsorted(ends, (needed // 2) % (nx + 1))
+    near = np.searchsorted(ends, dof_columns[needed])
     if near.max() < ends.size - 1 - near.min():
         key, near = -key, ends.size - 1 - near
     by_column = np.argsort(key, kind="stable")
@@ -640,7 +644,10 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
     x_c = S_c^-1 (G_c - U_c x_(c+1)) from the last group back to group
     ``keep``, the first holding a needed dof; only groups from there on
     are kept.  g is the probe A_i @ ones carried along: g_c must equal
-    S_c 1 + U_c 1 within the relative residual bound 1e-10 of
+    S_c 1 + U_c 1, which checks each solve by the next group, and the
+    probe's back-substituted x must satisfy S_c x_c + U_c x_(c+1) = g_c on
+    the kept groups, which checks the last solve and the back
+    substitution, each within the relative residual bound 1e-10 of
     `direct_solve`, else `SingularSystemError`, as is a singular S_c.  A
     nonzero entry coupling groups more than one apart raises ValueError.
     """
@@ -690,7 +697,8 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
     gesv = get_lapack_funcs("gesv", dtype=dtype)
     ones = np.ones(3 * int(np.diff(bounds).max()))
     bounds, widths = bounds.tolist(), widths.tolist()
-    kept, solution = [], None  # S_c^-1 [U_c, g_c, G_c] of the kept groups; of the last
+    # of the kept groups S_c^-1 [U_c, g_c, G_c], S_c and [U_c, g_c]
+    kept, solution = [], None
     for c in range(count):
         r0, r1 = bounds[c], bounds[c + 1]
         lo, hi = bounds[max(c - 1, 0)], bounds[min(c + 2, count)]
@@ -713,6 +721,8 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
                 f"column {c} of {count}; the subdomain matrix is numerically singular or "
                 "badly scaled"
             )
+        if c >= keep:
+            held = schur.copy(), rhs[:, :after + 1].copy()
         _, _, solution, info = gesv(schur, rhs, overwrite_a=True, overwrite_b=True)
         if info > 0:
             raise SingularSystemError(
@@ -720,20 +730,33 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
                 "is exactly singular"
             )
         if c >= keep:
-            kept.append(solution)
+            kept.append((solution, *held))
 
+    # the probe's solution is column 0 of each step, its residual in
+    # S_c x_c + U_c x_(c+1) = g_c summed over the kept groups
     x = np.zeros((needed.size, solved.size), dtype)
-    width = widths[-1]
+    width, deviation, scale = widths[-1], 0.0, 0.0
     for c in range(count - 1, keep - 1, -1):
-        solution = kept.pop()
-        after = solution.shape[1] - 1 - widths[c]
-        step = np.zeros((bounds[c + 1] - bounds[c], width), dtype)
-        step[:, :widths[c]] = solution[:, after + 1:]
+        solution, schur, coupling = kept.pop()
+        after = coupling.shape[1] - 1
+        step = np.zeros((bounds[c + 1] - bounds[c], 1 + width), dtype)
+        step[:, :1 + widths[c]] = solution[:, after:]
+        residual = coupling[:, after].copy()
         if c < count - 1:
             step -= solution[:, :after] @ previous
+            residual -= coupling[:, :after] @ previous[:, 0]
+        residual -= schur @ step[:, 0]
+        deviation = math.hypot(deviation, _l2_norm(residual))
+        scale = math.hypot(scale, _l2_norm(coupling[:, after]))
         here = (where >= bounds[c]) & (where < bounds[c + 1])
-        x[here, :width] = step[where[here] - bounds[c]]
+        x[here, :width] = step[where[here] - bounds[c], 1:]
         previous = step
+    if not deviation <= 1e-10 * scale:
+        raise SingularSystemError(
+            f"interface sweep residual {deviation:.3e} exceeds 1e-10 of {scale:.3e} in the "
+            f"back substitution of columns {keep} to {count - 1}; the subdomain matrix is "
+            "numerically singular or badly scaled"
+        )
     return x[:, rank]
 
 

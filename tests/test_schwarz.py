@@ -357,20 +357,57 @@ def reference_solve(system, dec, v, previous=None):
     return z
 
 
+def refined(solve, a, rhs, steps=2):
+    """``a^-1 rhs`` to a few ulps: ``solve``, an approximate inverse of the
+    sparse ``a``, and ``steps`` steps of iterative refinement whose
+    residuals are taken in long double (80-bit extended on x86-64).  A
+    SuperLU solve alone is up to 3.5e-12 off on the asymmetric strip at
+    omega 5, which would blur a 1e-12 comparison."""
+    wide = a.astype(np.result_type(a.dtype, np.longdouble))
+    x = solve(rhs)
+    for _ in range(steps):
+        residual = rhs.astype(wide.dtype) - wide @ x.astype(wide.dtype)
+        x = x + solve(residual.astype(x.dtype))
+    return x
+
+
+def refined_operator(system, dec):
+    """The dense M^-1 A on the free unknowns, like `preconditioned_operator`,
+    from a dense LU solve of each subdomain matrix, `refined`."""
+    from scipy.linalg import lu_factor, lu_solve
+
+    matrix = system.matrix.tocsr()
+    free = np.flatnonzero(~system.dirichlet_mask)
+    a = matrix[:, free]
+    z = np.zeros((system.n_dofs, free.size), np.result_type(matrix.dtype, np.float64))
+    for sub in dec.subdomains:
+        interior = sub.interior_free
+        local = matrix[interior][:, interior]
+        factor = lu_factor(local.toarray())
+        x = refined(lambda rhs: lu_solve(factor, rhs), local, a[interior].toarray())
+        z[sub.owned_free] = x[np.searchsorted(interior, sub.owned_free)]
+    return z[free]
+
+
 def reference_interface_block(system, dec):
     """`interface_block` from the SuperLU factors of `RestrictedSolve`, as
-    it was built before the Schur sweep: each factor solves the S columns
-    outside its first subdomain's interior, and every subdomain it serves
-    keeps the S rows it owns, a mirrored one at the reflected columns."""
+    it was built before the Schur sweep, the solves `refined`: each factor
+    solves the S columns outside its first subdomain's interior, and every
+    subdomain it serves keeps the S rows it owns, a mirrored one at the
+    reflected columns."""
     solve = RestrictedSolve(system, dec)
     columns = interface_unknowns(system, dec)
-    a = system.matrix.tocsr()[:, columns]
+    matrix = system.matrix.tocsr()
+    a = matrix[:, columns]
     at = np.full(system.n_dofs, -1, dtype=np.int64)
     at[columns] = np.arange(columns.size)
     block = np.zeros((columns.size, columns.size), a.dtype)
     for lu, parts in solve._groups:
         solved = np.flatnonzero(np.isin(columns, parts[0][0], invert=True))
-        x = lu.solve(a[parts[0][0]][:, solved].toarray()) if solved.size else None
+        interior = parts[0][0]
+        x = refined(
+            lu.solve, matrix[interior][:, interior], a[interior][:, solved].toarray()
+        ) if solved.size else None
         targets = []
         for _, owned, keep, reflection in parts:
             rows = at[owned]
@@ -393,12 +430,11 @@ def reference_interface_block(system, dec):
 
 def assert_block_matches_reference(system, dec):
     """`interface_block` against `reference_interface_block`: the block to
-    1e-12 of max(1, its largest entry) and the same half index."""
+    1e-12 and the same half index."""
     block, half = interface_block(system, dec)
     want, want_half = reference_interface_block(system, dec)
     assert block.dtype == want.dtype
-    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
-    np.testing.assert_allclose(block, want, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(block, want, rtol=0, atol=1e-12)
     assert (half is None) == (want_half is None)
     for index, want_index in zip(half or (), want_half or ()):
         np.testing.assert_array_equal(index, want_index)
@@ -609,10 +645,13 @@ class TestSweepCheck:
     carried through it, and singular Schur complements."""
 
     @staticmethod
-    def wrong_gesv(monkeypatch, error=0.0, info=0):
+    def wrong_gesv(monkeypatch, error=0.0, info=0, calls=None):
         """Make the sweep's `gesv` off by a relative ``error``, or report
-        an exactly singular pivot ``info``."""
+        an exactly singular pivot ``info``, on the calls numbered in
+        ``calls`` (from 0, counted across sweeps), or on every call."""
         from scipy.linalg import get_lapack_funcs
+
+        made = []
 
         def patched(name, *args, **kwargs):
             found = get_lapack_funcs(name, *args, **kwargs)
@@ -621,6 +660,9 @@ class TestSweepCheck:
 
             def gesv(a, b, **flags):
                 lu, piv, x, status = found(a, b, **flags)
+                made.append(None)
+                if calls is not None and len(made) - 1 not in calls:
+                    return lu, piv, x, status
                 return lu, piv, (1.0 + error) * x, info or status
 
             return gesv
@@ -634,6 +676,17 @@ class TestSweepCheck:
         self.wrong_gesv(monkeypatch, error=1e-6)
         with pytest.raises(fem.SingularSystemError, match="interface sweep residual"):
             interface_block(system, decompose(mesh, 4))
+
+    @pytest.mark.parametrize("call", [0, 10, 19, 20])
+    @pytest.mark.parametrize("error", [1e-6, np.nan])
+    def test_one_wrong_solve_fails_the_probe(self, small_setup, monkeypatch, call, error):
+        # the one sweep of the mirrored strip solves its 21 columns in turn:
+        # the next column's probe checks a solve, the back substitution's
+        # residual the last one, 20
+        self.wrong_gesv(monkeypatch, error=error, calls={call})
+        where = "back substitution" if call == 20 else f"at column {call + 1} of 21"
+        with pytest.raises(fem.SingularSystemError, match=f"interface sweep residual .* {where}"):
+            interface_block(*small_setup)
 
     def test_roundoff_passes(self, small_setup, monkeypatch):
         self.wrong_gesv(monkeypatch, error=1e-14)
@@ -842,17 +895,16 @@ class TestSpectrum:
         assert matched_deviation(eigs, want) < 1e-13
         if nx == 40:
             # the dense eigensolve blurs the n - |S| defective ones into a
-            # ball of radius about 1e-8 around 1; outside it the two agree,
-            # to the SuperLU solves' roundoff: at omega 5 the dense operator's
-            # eigenvalues are 1.6e-13 off those of a refined dense interface
-            # block, the sweep's 1.2e-14
-            dense = np.linalg.eigvals(preconditioned_operator(system, dec))
+            # ball of radius about 1e-8 around 1; outside it the two agree
+            # (the eigenvalues of `preconditioned_operator`, from SuperLU
+            # solves alone, are 1.9e-13 off at omega 5)
+            dense = np.linalg.eigvals(refined_operator(system, dec))
 
             def far(x):
                 return x[np.abs(x - 1.0) > 1e-6]
 
             assert far(eigs).size == far(dense).size > 0
-            assert matched_deviation(far(eigs), far(dense)) < 5e-13
+            assert matched_deviation(far(eigs), far(dense)) < 1e-13
         assert_pairs_about_one(eigs)
 
     def test_mirrored_spectrum_sweeps_the_left_subdomain_once(
@@ -927,12 +979,9 @@ class TestSpectrum:
         columns = interface_unknowns(system, dec)
         block, _ = interface_block(system, dec)
         at = np.searchsorted(np.flatnonzero(~system.dirichlet_mask), columns)
-        dense = preconditioned_operator(system, dec)[np.ix_(at, at)]
+        dense = refined_operator(system, dec)[np.ix_(at, at)]
         assert block.shape == (76, 76)
-        # B1 of the asymmetric strip reaches 3.86; the SuperLU solves are
-        # 2.8e-12 off a refined dense solve there, the sweep 8.8e-14
-        scale = max(1.0, float(np.abs(dense).max()))
-        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-12)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -1592,7 +1641,8 @@ class TestFactorBudget:
     ):
         # the 8x400 strip at omega 1: a 1596 x 1596 interface block and its
         # copy take 40.8 MB, under 45 MB; the left subdomain's sweep adds
-        # 6 column blocks of 798 x 1597 (61.2 MB), and it never starts
+        # at least 6 column blocks of 798 x 1597 (61.2 MB), and it never
+        # starts
         mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 8, 400)
         system = assemble(mesh, medium, 1.0)
         dec = decompose(mesh, 4)
