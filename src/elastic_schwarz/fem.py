@@ -297,19 +297,24 @@ def _l2_norm(v: np.ndarray, weight: float = 1.0) -> float:
     return norm
 
 
+def _check_residual(deviation: float, scale: float, what: str, where: str = "") -> None:
+    """Raise `SingularSystemError` unless the residual ``deviation`` is at
+    most 1e-10 of ``scale``, the bound of every checked solve; a deviation
+    or scale that is not a number fails the check."""
+    if not deviation <= 1e-10 * scale:
+        raise SingularSystemError(
+            f"{what} residual {deviation:.3e} exceeds 1e-10 of {scale:.3e}{where}; "
+            "the matrix is numerically singular or badly scaled"
+        )
+
+
 def _checked_solve(lu, matrix, rhs: np.ndarray) -> np.ndarray:
-    """``lu.solve(rhs)`` with the relative residual against ``matrix``
-    checked against 1e-10 (a residual that is not a number fails the
-    check); raises `SingularSystemError` on failure."""
+    """``lu.solve(rhs)`` with the residual against ``matrix`` checked
+    against 1e-10 of the load (`_check_residual`, so a load or residual
+    that is not a number fails the check); raises `SingularSystemError` on
+    failure."""
     x = lu.solve(rhs)
-    rhs_norm = _l2_norm(rhs)
-    if rhs_norm > 0.0:
-        rel = _l2_norm(matrix @ x - rhs) / rhs_norm
-        if not rel <= 1e-10:
-            raise SingularSystemError(
-                f"direct solve residual {rel:.3e} exceeds 1e-10; "
-                "the system is numerically singular or badly scaled"
-            )
+    _check_residual(_l2_norm(matrix @ x - rhs), _l2_norm(rhs), "direct solve")
     return x
 
 

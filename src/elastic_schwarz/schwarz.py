@@ -30,8 +30,11 @@ the matrix couples only neighbouring mesh columns, so a subdomain's solve
 of its interface columns is a block-tridiagonal Schur sweep across its
 mesh columns, from the wall far from the S rows it owns, with the dense
 blocks of one column's dofs.  On the symmetric strip the point reflection
-P maps the second subdomain onto the first, so B1 = P B0 P comes from the
-same sweep.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu
+P maps the second subdomain onto the first (`_reflection`, the one place
+that decides it), so both share one factor in `RestrictedSolve`, and
+B1 = P B0 P comes from the first one's sweep: S is then
+reflection-invariant, as ownership is geometric and the Dirichlet mask
+invariant.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu
 of the eigenvalues mu of B0 P; `interface_block` returns the block with
 the index of that |S|/2 x |S|/2 half, which `spectrum` then diagonalizes
 (None on every other decomposition: the whole block).
@@ -55,6 +58,7 @@ from .fem import (
     SingularSystemError,
     StructuredMesh,
     _l2_norm,
+    _check_residual,
     _checked_solve,
     dominant_mode,
     interface_mode_amplitudes,
@@ -237,35 +241,27 @@ def _rows_mirror(matrix, rows, first_rows, reflect) -> bool:
     return diff.size == 0 or np.abs(diff, out=diff).max() <= tol
 
 
-def _mirror_groups(system: AssembledSystem, decomposition: Decomposition) -> list:
-    """The subdomains grouped by the one whose matrix serves them, each
-    group a list of (interior, owned, reflection), the first part's
-    reflection None.  A subdomain whose interior is the point reflection of
-    the first one's (the reflection of the strip reverses node ids) is
-    taken in reflected order, and it joins the first group, with the
-    reflection, when its rows of A equal the first one's under it
-    (`_rows_mirror`) and the Dirichlet mask is reflection-invariant.  A
-    subdomain with no interior unknown raises ValueError."""
-    for i, sub in enumerate(decomposition.subdomains):
+def _reflection(system: AssembledSystem, decomposition: Decomposition) -> np.ndarray | None:
+    """The point reflection of the strip's dofs (it reverses node ids) when
+    the second of two subdomains mirrors the first, else None.  It mirrors
+    when its interior is the reflection of the first one's, the Dirichlet
+    mask is reflection-invariant and its rows of A equal the first one's
+    under the reflection (`_rows_mirror`).  A subdomain with no interior
+    unknown raises ValueError."""
+    subs = decomposition.subdomains
+    for i, sub in enumerate(subs):
         if sub.interior_free.size == 0:
             raise ValueError(f"subdomain {i} has no interior unknown: it needs an "
                              "interior node of the mesh")
-    matrix, mask = system.matrix.tocsr(), system.dirichlet_mask
+    if len(subs) != 2:
+        return None
+    mask, first = system.dirichlet_mask, subs[0].interior_free
     reflect = np.arange(system.n_dofs).reshape(-1, 2)[::-1].ravel()
-    groups = []
-    for sub in decomposition.subdomains:
-        interior = sub.interior_free
-        if groups:
-            first = groups[0][0][0]
-            if np.array_equal(np.sort(reflect[first]), interior):
-                interior = reflect[first]
-                if np.array_equal(mask, mask[reflect]) and _rows_mirror(
-                    matrix, interior, first, reflect
-                ):
-                    groups[0].append((interior, sub.owned_free, reflect))
-                    continue
-        groups.append([(interior, sub.owned_free, None)])
-    return groups
+    if (np.array_equal(np.sort(reflect[first]), subs[1].interior_free)
+            and np.array_equal(mask, mask[reflect])
+            and _rows_mirror(system.matrix.tocsr(), reflect[first], first, reflect)):
+        return reflect
+    return None
 
 
 class RestrictedSolve:
@@ -287,25 +283,32 @@ class RestrictedSolve:
     A complex vector on a real system is solved as its real and imaginary
     parts, columns of the same solve.
 
-    A subdomain that mirrors the first one (`_mirror_groups`: its rows of
-    A equal the first one's under the point reflection, in stored pattern
-    and to 1e-12 max|A_1| in value, with a reflection-invariant Dirichlet
-    mask) shares the first one's factor; its own matrix is never built.
-    Its right-hand sides are then the first one's read through the
-    reflection, and those of the subdomains a factor serves are the
-    columns of one solve.
+    When the second subdomain mirrors the first (`_reflection` is not
+    None: its rows of A equal the first one's under the point reflection,
+    in stored pattern and to 1e-12 max|A_1| in value, with a
+    reflection-invariant Dirichlet mask), it shares the first one's factor
+    and its own matrix is never built: it reads its interior in reflected
+    order, and the right-hand sides of both are the columns of one solve.
     Otherwise (an x range not symmetric about the midline, a matrix that
-    is not reflection-invariant) each subdomain has its own factor.
+    is not reflection-invariant, one subdomain) each subdomain has its own
+    factor.
     """
 
     def __init__(
         self, system: AssembledSystem, decomposition: Decomposition, beside=(0, "")
     ):
         matrix = system.matrix.tocsr()
-        groups = _mirror_groups(system, decomposition)
+        reflect = _reflection(system, decomposition)
+        # per factor, the (interior in solve order, owned) of the subdomains it serves
+        if reflect is None:
+            groups = [[(sub.interior_free, sub.owned_free)] for sub in decomposition.subdomains]
+        else:
+            first, second = decomposition.subdomains
+            groups = [[(first.interior_free, first.owned_free),
+                       (reflect[first.interior_free], second.owned_free)]]
         self.system = system
         local = np.full(system.n_dofs, -1, dtype=np.int64)
-        # (factor, [(interior, owned, owned within interior, reflection)])
+        # (factor, [(interior read, owned, owned within interior)])
         self._groups = []
         needed, phrase = beside  # what the caller holds; the factors add to it
         what = "the subdomain LU factors" + (f" and {phrase}" if phrase else "")
@@ -325,9 +328,9 @@ class RestrictedSolve:
                 raise SingularSystemError(f"subdomain factorization failed: {exc}") from exc
             _checked_solve(lu, a, a @ np.ones(a.shape[0]))
             served = []
-            for part_interior, owned, reflection in parts:
-                local[part_interior] = np.arange(n)
-                served.append((part_interior, owned, local[owned], reflection))
+            for read, owned in parts:
+                local[read] = np.arange(n)
+                served.append((read, owned, local[owned]))
             self._groups.append((lu, served))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
@@ -339,8 +342,8 @@ class RestrictedSolve:
         width = columns.shape[1]
         for lu, parts in self._groups:
             # every part's right-hand sides as the columns of one solve
-            x = lu.solve(np.hstack([columns[part[0]] for part in parts]))
-            for i, (_, owned, keep, _) in enumerate(parts):
+            x = lu.solve(np.hstack([columns[read] for read, _, _ in parts]))
+            for i, (_, owned, keep) in enumerate(parts):
                 out[owned] = x[keep, i * width:(i + 1) * width]
         return z
 
@@ -539,16 +542,15 @@ def interface_block(
     vector, a 1 where the subdomain owns it.  Its other S columns, those of
     A[interior, S] outside the interior, go through a Schur sweep across the
     subdomain's mesh columns (`_schur_sweep`), which keeps only the S rows
-    the subdomain owns.  A subdomain that owns no S row is not swept, nor
-    is one that mirrors the first (`_mirror_groups`): its rows are the
-    first one's read through the reflection, at the reflected columns,
-    which are in S, as mirroring needs mirrored subdomains and ownership
-    is geometric.  The half applies when one sweep serves both subdomains
-    through the reflection P and every unknown of S is owned: then, the S
-    rows the first subdomain owns taken first, (M^-1 A)[S, S] =
-    [[I, B0], [P B0 P, I]], whose eigenvalues are 1 +- mu for the
-    eigenvalues mu of B0 P.  B0 P has those rows, and as columns their
-    reflections, which must be the S rows the second subdomain owns.
+    the subdomain owns; a subdomain that owns no S row is not swept.  When
+    the second subdomain mirrors the first (`_reflection` is not None), S
+    is reflection-invariant, as ownership is geometric and the Dirichlet
+    mask invariant, and only the first is swept: the second one's rows are
+    the first one's S rows at the reflected columns.  If every unknown of
+    S is owned, then, the S rows the first subdomain owns taken first,
+    (M^-1 A)[S, S] = [[I, B0], [P B0 P, I]], whose eigenvalues are 1 +- mu
+    for the eigenvalues mu of B0 P: the half index takes the first one's S
+    rows and, as columns, their reflections.
 
     The block, one copy of it for the caller's eigensolve and the column
     blocks of the largest sweep are checked against `MEMORY_BUDGET_BYTES`
@@ -557,38 +559,31 @@ def interface_block(
     subdomain with no interior unknown raises ValueError.
     """
     matrix = system.matrix.tocsr()
-    groups = _mirror_groups(system, decomposition)
+    reflect = _reflection(system, decomposition)
+    subs = decomposition.subdomains
     columns = interface_unknowns(system, decomposition)
     at = np.full(system.n_dofs, -1, dtype=np.int64)
     at[columns] = np.arange(columns.size)
+    owned = [at[sub.owned_free][at[sub.owned_free] >= 0] for sub in subs]  # S rows
     dtype = np.result_type(matrix.dtype, np.float64)
-    # per group: its sweep (interior order, column bounds, first kept column,
-    # solved dofs, needed dofs) or None, and per part (S rows, their dofs in
-    # the swept interior, S columns of the solved dofs)
+    # per swept subdomain: its S rows and its sweep (interior order, column
+    # bounds, first kept column, solved dofs, needed dofs), None if it owns
+    # no S row
     sweeps, largest = [], 0
     dof_columns = np.repeat(system.mesh.node_columns(), 2)
-    for parts in groups:
-        interior = parts[0][0]
-        solved = columns[np.isin(columns, interior, invert=True)]
-        targets = []
-        for _, owned, reflection in parts:
-            rows = owned[at[owned] >= 0]
-            if reflection is None:
-                targets.append((at[rows], rows, at[solved]))
-            else:
-                targets.append((at[rows], reflection[rows], at[reflection[solved]]))
-        needed = np.unique(np.concatenate([source for _, source, _ in targets]))
+    for sub, rows in zip(subs[:1] if reflect is not None else subs, owned):
         sweep = None
-        if needed.size:
-            order, bounds, keep = _sweep_order(interior, dof_columns, needed)
-            sweep = order, bounds, keep, solved, needed
+        if rows.size:
+            solved = columns[np.isin(columns, sub.interior_free, invert=True)]
+            order, bounds, keep = _sweep_order(sub.interior_free, dof_columns, columns[rows])
+            sweep = order, bounds, keep, solved, columns[rows]
             width, kept = int(np.diff(bounds).max()), bounds.size - 1 - keep
             # the kept column blocks with their S_c and [U_c, g_c], and the
             # Schur complement, right-hand sides and solution of one step
             largest = max(largest, width * (
                 (kept + 3) * (width + 1 + solved.size) + kept * (2 * width + 1)
             ))
-        sweeps.append((sweep, targets))
+        sweeps.append((rows, sweep))
     m, n = columns.size, int(np.count_nonzero(~system.dirichlet_mask))
     _check_budget(
         f"a {m} x {m} interface block of {n} unknowns, its eigenproblem and the "
@@ -596,22 +591,18 @@ def interface_block(
     )
 
     block = np.zeros((m, m), dtype)
-    for sweep, targets in sweeps:
-        for rows, source, cols in targets:
-            block[rows, rows] = 1.0
+    for rows, sweep in sweeps:
+        block[rows, rows] = 1.0
         if sweep is not None:
-            x = _schur_sweep(matrix, *sweep)
-            for rows, source, cols in targets:
-                block[np.ix_(rows, cols)] = x[np.searchsorted(sweep[-1], source)]
-    if len(groups) > 1 or len(groups[0]) != 2:
+            block[np.ix_(rows, at[sweep[3]])] = _schur_sweep(matrix, *sweep)
+    if reflect is None:
         return block, None
-    (rows, _, _), (rows_right, _, _) = sweeps[0][1]
-    mirror = at[groups[0][1][2][columns[rows]]]
-    if rows.size + rows_right.size != m or not np.array_equal(
-        np.sort(mirror), np.sort(rows_right)
-    ):
+    first, second = owned
+    mirror = at[reflect[columns]]
+    block[second] = block[np.ix_(mirror[second], mirror)]
+    if first.size + second.size != m:
         return block, None
-    return block, np.ix_(rows, mirror)
+    return block, np.ix_(first, mirror[first])
 
 
 def _sweep_order(interior, dof_columns, needed):
@@ -647,9 +638,9 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
     S_c 1 + U_c 1, which checks each solve by the next group, and the
     probe's back-substituted x must satisfy S_c x_c + U_c x_(c+1) = g_c on
     the kept groups, which checks the last solve and the back
-    substitution, each within the relative residual bound 1e-10 of
-    `direct_solve`, else `SingularSystemError`, as is a singular S_c.  A
-    nonzero entry coupling groups more than one apart raises ValueError.
+    substitution, each within the 1e-10 bound of `_check_residual`, else
+    `SingularSystemError`, as is a singular S_c.  A nonzero entry coupling
+    groups more than one apart raises ValueError.
     """
     n, count = order.size, bounds.size - 1
     rows = matrix[order]
@@ -714,13 +705,8 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
             schur = schur - product[:, :size]
             rhs[:, after:after + product.shape[1] - size] -= product[:, size:]
         expected = schur @ ones[:size] + rhs[:, :after] @ ones[:after]
-        deviation, scale = _l2_norm(rhs[:, after] - expected), _l2_norm(expected)
-        if not deviation <= 1e-10 * scale:
-            raise SingularSystemError(
-                f"interface sweep residual {deviation:.3e} exceeds 1e-10 of {scale:.3e} at "
-                f"column {c} of {count}; the subdomain matrix is numerically singular or "
-                "badly scaled"
-            )
+        _check_residual(_l2_norm(rhs[:, after] - expected), _l2_norm(expected),
+                        "interface sweep", f" at column {c} of {count}")
         if c >= keep:
             held = schur.copy(), rhs[:, :after + 1].copy()
         _, _, solution, info = gesv(schur, rhs, overwrite_a=True, overwrite_b=True)
@@ -751,12 +737,8 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
         here = (where >= bounds[c]) & (where < bounds[c + 1])
         x[here, :width] = step[where[here] - bounds[c], 1:]
         previous = step
-    if not deviation <= 1e-10 * scale:
-        raise SingularSystemError(
-            f"interface sweep residual {deviation:.3e} exceeds 1e-10 of {scale:.3e} in the "
-            f"back substitution of columns {keep} to {count - 1}; the subdomain matrix is "
-            "numerically singular or badly scaled"
-        )
+    _check_residual(deviation, scale, "interface sweep",
+                    f" in the back substitution of columns {keep} to {count - 1}")
     return x[:, rank]
 
 

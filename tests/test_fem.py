@@ -411,20 +411,27 @@ class TestDirectSolve:
                 direct_solve(system)
 
     def test_nan_residual_fails_the_check(self, monkeypatch):
+        # a factor that returns NaN, and the real factor on a load holding
+        # one NaN (a body force that is NaN on part of the mesh)
         class NanSolve:
             def solve(self, b):
                 return np.full_like(b, np.nan)
 
-        monkeypatch.setattr(fem, "splu", lambda matrix: NanSolve())
         mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
-        system = fem.AssembledSystem(
-            matrix=sp.identity(2 * mesh.n_nodes, format="csr"),
-            rhs=np.ones(2 * mesh.n_nodes),
-            dirichlet_mask=np.zeros(2 * mesh.n_nodes, dtype=bool),
-            mesh=mesh,
-        )
-        with pytest.raises(fem.SingularSystemError, match="residual"):
-            direct_solve(system)
+        nan_load = np.ones(2 * mesh.n_nodes)
+        nan_load[3] = np.nan
+        for factor, load in ((NanSolve, np.ones(2 * mesh.n_nodes)), (None, nan_load)):
+            system = fem.AssembledSystem(
+                matrix=sp.identity(2 * mesh.n_nodes, format="csr"),
+                rhs=load,
+                dirichlet_mask=np.zeros(2 * mesh.n_nodes, dtype=bool),
+                mesh=mesh,
+            )
+            with monkeypatch.context() as patch:
+                if factor is not None:
+                    patch.setattr(fem, "splu", lambda matrix: factor())
+                with pytest.raises(fem.SingularSystemError, match="residual"):
+                    direct_solve(system)
 
     def test_failed_factorization_is_singular(self, medium, monkeypatch):
         def fail(matrix):

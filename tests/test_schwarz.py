@@ -393,9 +393,10 @@ def reference_interface_block(system, dec):
     """`interface_block` from the SuperLU factors of `RestrictedSolve`, as
     it was built before the Schur sweep, the solves `refined`: each factor
     solves the S columns outside its first subdomain's interior, and every
-    subdomain it serves keeps the S rows it owns, a mirrored one at the
-    reflected columns."""
+    subdomain it serves keeps the S rows it owns, a mirrored one
+    (`_reflection`) at the reflected columns."""
     solve = RestrictedSolve(system, dec)
+    reflect = schwarz._reflection(system, dec)
     columns = interface_unknowns(system, dec)
     matrix = system.matrix.tocsr()
     a = matrix[:, columns]
@@ -409,18 +410,18 @@ def reference_interface_block(system, dec):
             lu.solve, matrix[interior][:, interior], a[interior][:, solved].toarray()
         ) if solved.size else None
         targets = []
-        for _, owned, keep, reflection in parts:
+        for mirrored, (_, owned, keep) in enumerate(parts):
             rows = at[owned]
             keep, rows = keep[rows >= 0], rows[rows >= 0]
             block[rows, rows] = 1.0
-            cols = solved if reflection is None else at[reflection[columns[solved]]]
+            cols = at[reflect[columns[solved]]] if mirrored else solved
             if x is not None:
                 block[np.ix_(rows, cols)] = x[keep]
             targets.append(rows)
-    if len(solve._groups) > 1 or len(parts) != 2:
+    if reflect is None:
         return block, None
     rows, rows_right = targets
-    mirror = at[parts[1][3][columns[rows]]]
+    mirror = at[reflect[columns[rows]]]
     if rows.size + rows_right.size != columns.size or not np.array_equal(
         np.sort(mirror), np.sort(rows_right)
     ):
@@ -476,7 +477,7 @@ class TestSharedFactor:
             "perturbed_outside", "unreflected_mask", "stored_zero",
         ],
     )
-    def test_fallback_factors_every_subdomain(self, medium, factor_calls, case):
+    def test_fallback_factors_every_subdomain(self, medium, factor_calls, sweeps, case):
         if case == "asymmetric":
             mesh = build_mesh((-1.0, 1.5), (0.0, 1.0), 50, 20)
         else:
@@ -529,6 +530,11 @@ class TestSharedFactor:
         v = scattered(system, np.random.default_rng(3).standard_normal(n))
         want = reference_solve(system, dec, v)
         assert np.abs(solve(v) - want).max() <= 1e-10 * np.abs(want).max()
+        # the interface block falls back too: a sweep per subdomain that
+        # owns an S row, none on the one subdomain, and the whole block
+        _, half = assert_block_matches_reference(system, dec)
+        assert half is None
+        assert len(sweeps) == (0 if case == "single_domain" else 2)
 
     @pytest.mark.parametrize("omega", [1.0, 5.0])
     def test_mirror_path_matches_subdomain_spsolve(self, medium, factor_calls, omega):
