@@ -21,23 +21,27 @@ iteration's first residuals (`GmresResult`, `stationary_ras`).
 The RAS error propagator T = I - M^-1 A reads its argument only on the
 interface unknowns S (`interface_unknowns`), so the spectrum of M^-1 A is
 that of the |S| x |S| block T_SS = [[0, -B0], [-B1, 0]] plus ones, where
-B_i maps the data on subdomain i's interface line through its solve to
-the other interface line, which it owns.  That is the substructured
-Schwarz iteration (Dolean, Jolivet and Nataf, SIAM 2015, ch. 2), the
-discrete form of the interface iteration the mode analysis solves per
-Fourier mode.  `interface_block` builds it without factoring a subdomain:
-the matrix couples only neighbouring mesh columns, so a subdomain's solve
-of its interface columns is a block-tridiagonal Schur sweep across its
-mesh columns, from the wall far from the S rows it owns, with the dense
-blocks of one column's dofs.  On the symmetric strip the point reflection
-P maps the second subdomain onto the first (`_reflection`, the one place
-that decides it), so both share one factor in `RestrictedSolve`, and
-B1 = P B0 P comes from the first one's sweep: S is then
-reflection-invariant, as ownership is geometric and the Dirichlet mask
-invariant.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues +-mu
-of the eigenvalues mu of B0 P; `interface_block` returns the block with
-the index of that |S|/2 x |S|/2 half, which `spectrum` then diagonalizes
-(None on every other decomposition: the whole block).
+B_i maps the data on subdomain i's interface line through its solve to the
+other interface line, which it owns.  That is the substructured Schwarz
+iteration (Dolean, Jolivet and Nataf, SIAM 2015, ch. 2), the discrete form
+of the interface iteration the mode analysis solves per Fourier mode.
+`interface_block` builds it without factoring a subdomain: the matrix
+couples only neighbouring mesh columns, so a subdomain's solve of its
+interface columns is a block-tridiagonal Schur sweep across its mesh
+columns, from the wall far from the S rows it owns, with the dense blocks
+of one column's dofs.  Where the columns before the first kept one store
+the same blocks, as on the homogeneous strip, their Schur complement
+follows by doubling over them (block cyclic reduction, Buzbee, Golub and
+Nielson 1970; Chu, Fan and Lin 2005), the probe A_i @ ones checking every
+merge; elsewhere the sweep steps through every column.  On the symmetric
+strip the point reflection P maps the second subdomain onto the first
+(`_reflection`, the one place that decides it), so both share one factor
+in `RestrictedSolve`, and B1 = P B0 P comes from the first one's sweep: S
+is then reflection-invariant, as ownership is geometric and the Dirichlet
+mask invariant.  There T_SS = -[[0, B0], [P B0 P, 0]] has the eigenvalues
++-mu of the eigenvalues mu of B0 P; `interface_block` returns the block
+with the index of that |S|/2 x |S|/2 half, which `spectrum` then
+diagonalizes (None on every other decomposition: the whole block).
 
 The scalar type of every solve, block and iterate is that of the assembled
 matrix, promoted with the load's, so a complex matrix runs complex (the
@@ -542,7 +546,11 @@ def interface_block(
     vector, a 1 where the subdomain owns it.  Its other S columns, those of
     A[interior, S] outside the interior, go through a Schur sweep across the
     subdomain's mesh columns (`_schur_sweep`), which keeps only the S rows
-    the subdomain owns; a subdomain that owns no S row is not swept.  When
+    the subdomain owns; a subdomain that owns no S row is not swept.  On
+    the homogeneous strip the mesh columns before the first kept one are
+    alike, and the sweep takes them by doubling, in about log2 of their
+    count solves of twice a column's order, each checked by the probe it
+    carries; elsewhere it steps through every column.  When
     the second subdomain mirrors the first (`_reflection` is not None), S
     is reflection-invariant, as ownership is geometric and the Dirichlet
     mask invariant, and only the first is swept: the second one's rows are
@@ -553,10 +561,11 @@ def interface_block(
     rows and, as columns, their reflections.
 
     The block, one copy of it for the caller's eigensolve and the column
-    blocks of the largest sweep are checked against `MEMORY_BUDGET_BYTES`
-    before anything is allocated (`BudgetExceededError`).  A failed sweep
-    probe or a singular Schur complement raises `SingularSystemError`; a
-    subdomain with no interior unknown raises ValueError.
+    blocks of the largest sweep, its doubling's blocks included, are
+    checked against `MEMORY_BUDGET_BYTES` before anything is allocated
+    (`BudgetExceededError`).  A failed sweep probe, or a singular Schur
+    complement or merge, raises `SingularSystemError`; a subdomain with no
+    interior unknown raises ValueError.
     """
     matrix = system.matrix.tocsr()
     reflect = _reflection(system, decomposition)
@@ -578,10 +587,13 @@ def interface_block(
             order, bounds, keep = _sweep_order(sub.interior_free, dof_columns, columns[rows])
             sweep = order, bounds, keep, solved, columns[rows]
             width, kept = int(np.diff(bounds).max()), bounds.size - 1 - keep
-            # the kept column blocks with their S_c and [U_c, g_c], and the
-            # Schur complement, right-hand sides and solution of one step
+            # the kept column blocks with their S_c and [U_c, g_c], the
+            # Schur complement, right-hand sides and solution of one step,
+            # and the doubling's blocks: [L, D, U], the 1-port, two chains,
+            # a merge's system and a product, 12 of 2 * width + 1 columns
             largest = max(largest, width * (
                 (kept + 3) * (width + 1 + solved.size) + kept * (2 * width + 1)
+                + 12 * (2 * width + 1)
             ))
         sweeps.append((rows, sweep))
     m, n = columns.size, int(np.count_nonzero(~system.dirichlet_mask))
@@ -641,56 +653,86 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
     substitution, each within the 1e-10 bound of `_check_residual`, else
     `SingularSystemError`, as is a singular S_c.  A nonzero entry coupling
     groups more than one apart raises ValueError.
+
+    The groups before K, the first group kept or touched by a solved
+    column, matter only through S_(K-1) and g_(K-1).  When they are alike
+    (`_alike_band`: one order, the same stored D, L and U, group 0 without
+    its L), as on the homogeneous strip, `_wall_complement` takes those by
+    doubling, in about log2 K solves of order 2m, the probe checked after
+    each; their entries are dropped, and the loop starts at group K from
+    S_(K-1)^-1 [U_(K-1), g_(K-1)].  Otherwise it starts at group 0.
     """
     n, count = order.size, bounds.size - 1
     rows = matrix[order]
     rows.sum_duplicates()
-    # per entry, in int32 (`check_mesh` bounds the dofs): its row, its row's
-    # group, its column's interior position (-1 outside) and solved index
-    # (-1 else)
-    row = np.repeat(np.arange(n, dtype=np.int32), np.diff(rows.indptr))
-    group = np.repeat(np.arange(count, dtype=np.int32), np.diff(bounds))[row]
+    per_row, first_of = np.diff(rows.indptr), np.asarray(bounds, dtype=np.int32)
+    # per entry, in int32 (`check_mesh` bounds the dofs), repeated from its
+    # row: its row's group, its row in that group and the group's band
+    # [lo, hi) of interior positions; taken from its column: the column's
+    # interior position (-1 outside) and solved index (-1 else)
+    of_row = np.repeat(np.arange(count, dtype=np.int32), np.diff(bounds))
+    group = np.repeat(of_row, per_row)
+    row = np.repeat(np.arange(n, dtype=np.int32) - first_of[of_row], per_row)
+    lo = np.repeat(first_of[np.maximum(of_row - 1, 0)], per_row)
+    hi = np.repeat(first_of[np.minimum(of_row + 2, count)], per_row)
     index = np.full(matrix.shape[1], -1, dtype=np.int32)
     index[order] = np.arange(n, dtype=np.int32)
-    pos = index[rows.indices]
+    pos = index.take(rows.indices)
     where = index[needed]
     index[order] = -1
     index[solved] = np.arange(solved.size, dtype=np.int32)
-    col = index[rows.indices]
-    values = rows.data
-    first_of = np.asarray(bounds, dtype=np.int32)  # group c spans [first_of[c], first_of[c + 1])
-    lo = first_of[np.maximum(group - 1, 0)]
-    hi = first_of[np.minimum(group + 2, count)]
+    col = index.take(rows.indices)
     band = (pos >= lo) & (pos < hi)
-    if np.any(values[(pos >= 0) & ~band]):
+    if np.any(rows.data[(pos >= 0) & ~band]):
         raise ValueError("the subdomain matrix couples mesh columns more than one "
                          "apart; the interface sweep needs it block tridiagonal")
     # the solved columns in the order of the first group they touch
-    touch = (col >= 0) & (values != 0)
+    touch = (col >= 0) & (rows.data != 0)
     first = np.full(solved.size, count)
     np.minimum.at(first, col[touch], group[touch])
     by_touch = np.argsort(first, kind="stable")
     rank = np.empty(solved.size, dtype=np.int32)
     rank[by_touch] = np.arange(solved.size, dtype=np.int32)
     widths = np.searchsorted(first[by_touch], np.arange(count), side="right")
-    # each kept entry's row and column in its group's [L_c, D_c, U_c, g_c, G_c],
-    # filtered one array at a time to hold one copy of each
-    stored = band | touch
-    del rows, touch
-    row, group, values, band = row[stored], group[stored], values[stored], band[stored]
-    row -= first_of[group]
-    pos, col, lo, hi = pos[stored], col[stored], lo[stored], hi[stored]
-    target = np.where(band, pos - lo, hi - lo + 1 + rank[col])
-    del pos, col, lo, hi, band
-    starts = np.searchsorted(group, np.arange(count + 1))
+    # each kept entry's row and column in its group's [L_c, D_c, U_c, g_c, G_c]
+    target = pos - lo
+    target[touch] = (hi - lo + 1)[touch] + rank[col[touch]]
+    del group, lo, hi, pos, col
+    stored = np.flatnonzero(band | touch)
+    starts = np.searchsorted(stored, rows.indptr[bounds])
+    row, target, values = row[stored], target[stored], rows.data[stored]
+    del rows, band, touch, stored
     dtype = np.result_type(matrix.dtype, np.float64)
 
     gesv = get_lapack_funcs("gesv", dtype=dtype)
+
+    def solve(a, b, what):
+        _, _, x, info = gesv(a, b, overwrite_a=True, overwrite_b=True)
+        if info > 0:
+            raise SingularSystemError(f"interface sweep: {what} is exactly singular")
+        return x
+
+    # K, the first group kept or touched by a solved column: from there on
+    # the loop, before it doubling if those groups are alike
+    start = min(keep, int(first.min(initial=keep)))
+    band = _alike_band(bounds, starts, row, target, values, start, dtype)
+    if band is None:
+        start = 0
+    else:
+        # the loop reads only the groups from K on: drop the entries
+        # before them, which the doubling need not hold
+        rest = slice(starts[start], None)
+        row, target, values = row[rest].copy(), target[rest].copy(), values[rest].copy()
+        starts = starts - starts[start]
+        port = _wall_complement(band, start, solve)
+        m = band.shape[0]
+        solution = solve(port[:, :m], port[:, m:],
+                         f"the Schur complement of column {start - 1} of {count}")
     ones = np.ones(3 * int(np.diff(bounds).max()))
     bounds, widths = bounds.tolist(), widths.tolist()
     # of the kept groups S_c^-1 [U_c, g_c, G_c], S_c and [U_c, g_c]
-    kept, solution = [], None
-    for c in range(count):
+    kept = []
+    for c in range(start, count):
         r0, r1 = bounds[c], bounds[c + 1]
         lo, hi = bounds[max(c - 1, 0)], bounds[min(c + 2, count)]
         size, after = r1 - r0, hi - r1  # the order of S_c, the width of U_c
@@ -709,12 +751,7 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
                         "interface sweep", f" at column {c} of {count}")
         if c >= keep:
             held = schur.copy(), rhs[:, :after + 1].copy()
-        _, _, solution, info = gesv(schur, rhs, overwrite_a=True, overwrite_b=True)
-        if info > 0:
-            raise SingularSystemError(
-                f"interface sweep: the Schur complement of column {c} of {count} "
-                "is exactly singular"
-            )
+        solution = solve(schur, rhs, f"the Schur complement of column {c} of {count}")
         if c >= keep:
             kept.append((solution, *held))
 
@@ -740,6 +777,110 @@ def _schur_sweep(matrix, order, bounds, keep, solved, needed) -> np.ndarray:
     _check_residual(deviation, scale, "interface sweep",
                     f" in the back substitution of columns {keep} to {count - 1}")
     return x[:, rank]
+
+
+def _alike_band(bounds, starts, row, target, values, groups, dtype):
+    """[L, D, U], m x 3m, of the first ``groups`` column groups of a sweep
+    if they are alike, else None; their entries are ``row``, ``target``
+    and ``values`` from ``starts`` on (`_schur_sweep`).  Alike: at least
+    two groups, these and the next one of one order m, groups 1 to
+    ``groups`` - 1 with the same stored entries and group 0 with those of
+    group 1 outside L, whose columns would lie behind the wall."""
+    if groups < 2:
+        return None
+    m, per = bounds[1] - bounds[0], starts[2] - starts[1]
+    if (np.diff(bounds[:groups + 2]) != m).any() or (np.diff(starts[1:groups + 1]) != per).any():
+        return None
+    # group c against group c + 1 for c = 1 to groups - 2, in one comparison
+    one, wall = slice(starts[1], starts[2]), slice(0, starts[1])
+    before, after = slice(starts[1], starts[groups - 1]), slice(starts[2], starts[groups])
+    outer = target[one] >= m
+    if starts[1] != np.count_nonzero(outer):
+        return None
+    for entries, shift in ((values, 0), (row, 0), (target, m)):
+        if not ((entries[before] == entries[after]).all()
+                and (entries[wall] == entries[one][outer] - shift).all()):
+            return None
+    band = np.zeros((m, 3 * m), dtype)
+    band[row[one], target[one]] = values[one]
+    return band
+
+
+def _wall_complement(band, groups, solve) -> np.ndarray:
+    """[S, U, g] of the first ``groups`` column groups of a sweep, all alike:
+    ``band`` is [L, D, U] of one group, m x 3m, and group 0 lacks its L.
+    S is the Schur complement of the last of them, g its condensed probe
+    A_i @ ones and ``solve`` the sweep's ``gesv``, which names a singular
+    system.
+
+    S_c = D - L S_(c-1)^-1 U from S_0 = D is the power of one map, so it
+    follows by doubling, as in block cyclic reduction (Buzbee, Golub and
+    Nielson, SIAM J. Numer. Anal. 1970) and the structure-preserving
+    doubling algorithm (Chu, Fan and Lin, Linear Algebra Appl. 2005).  A
+    chain of n groups is held as its 2-port [[P, Q, p], [R, T, t]], the
+    Schur complement onto its first and last group with their condensed
+    probes.  Two chains of n merge into one of 2n by one solve of order
+    2m, for the last group of the first and the first of the second.
+    Bit 0 of groups - 1 appends group 1 to the 1-port [S, U, g] of group
+    0 as a column of the sweep, and each higher set bit its chain, by one
+    solve of order 2m.  The probe rides along as one more right-hand
+    side: after every merge p = P 1 + Q 1 + L 1 and t = R 1 + T 1 + U 1,
+    after every append g = S 1 + U 1, each within the 1e-10 bound of
+    `_check_residual`, else `SingularSystemError`.
+    """
+    m = band.shape[0]
+    lower, diag, upper = band[:, :m], band[:, m:2 * m], band[:, 2 * m:]
+    probe = band.sum(axis=1)
+    edges = np.concatenate([lower.sum(axis=1), upper.sum(axis=1)])  # [L 1, U 1]
+    # the probe column less the row sums: the probe's residual
+    signs = np.full(2 * m + 1, -1.0)
+    signs[-1] = 1.0
+
+    def check(held, outside, what):
+        _check_residual(_l2_norm(held @ signs - outside), _l2_norm(held[:, -1]),
+                        "interface sweep", f" in {what}")
+
+    port = np.empty((m, 2 * m + 1), band.dtype, order="F")
+    port[:, :m], port[:, m:2 * m], port[:, -1] = diag, upper, probe - edges[:m]
+    done = 1
+    if groups - 1 & 1:
+        work = port.copy(order="F")
+        z = solve(work[:, :m], work[:, m:], "the append of column 1")
+        port[:, :m], port[:, -1] = diag - lower @ z[:, :m], probe - lower @ z[:, -1]
+        done = 2
+        check(port, 0.0, "the append of column 1")
+    chain, length = np.empty((2 * m, 2 * m + 1), band.dtype), 2
+    chain[:m, :m], chain[:m, m:2 * m], chain[:m, -1] = diag, upper, probe
+    chain[m:, :m], chain[m:, m:2 * m], chain[m:, -1] = lower, diag, probe
+    while True:
+        if groups - 1 & length:
+            # [[S, U], [L, P]] for [[0, g], [Q, p]]
+            work = np.zeros((2 * m, 3 * m + 1), band.dtype, order="F")
+            work[:m, :2 * m], work[:m, -1], work[m:, :m] = port[:, :2 * m], port[:, -1], lower
+            work[m:, m:] = chain[:m]
+            what = f"the append of columns {done} to {done + length - 1}"
+            z = solve(work[:, :2 * m], work[:, 2 * m:], what)
+            port[:, :m] = chain[m:, m:2 * m] - chain[m:, :m] @ z[m:, :m]
+            port[:, -1] = chain[m:, -1] - chain[m:, :m] @ z[m:, -1]
+            done += length
+            check(port, 0.0, what)
+        if done == groups:
+            return port
+        # in the order (first of the second, last of the first), the
+        # middle [[P, L], [U, T]] for [[0, Q, p], [R, 0, t]]
+        work = np.empty((2 * m, 4 * m + 1), band.dtype, order="F")
+        work[:, :2 * m], work[:, 2 * m:] = chain[:, :2 * m], chain
+        work[:m, m:2 * m], work[m:, :m] = lower, upper
+        work[:m, 2 * m:3 * m], work[m:, 3 * m:4 * m] = 0.0, 0.0
+        length *= 2
+        what = f"the merge into a chain of {length} columns"
+        z = solve(work[:, :2 * m], work[:, 2 * m:], what)
+        merged = chain.copy()
+        merged[:m, m:2 * m], merged[m:, :m] = 0.0, 0.0
+        merged[:m] -= chain[:m, m:2 * m] @ z[m:]
+        merged[m:] -= chain[m:, :m] @ z[:m]
+        chain = merged
+        check(chain, edges, what)
 
 
 def spectrum(

@@ -457,6 +457,68 @@ def sweeps(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def doublings(monkeypatch):
+    """The count of column groups every sweep takes by doubling
+    (`_wall_complement`), in order."""
+    groups = []
+    original = schwarz._wall_complement
+
+    def recording(band, count, solve):
+        groups.append(count)
+        return original(band, count, solve)
+
+    monkeypatch.setattr(schwarz, "_wall_complement", recording)
+    return groups
+
+
+@pytest.fixture
+def gesv_calls(monkeypatch):
+    """The order of the system of every `gesv` call of the sweeps, in
+    order."""
+    from scipy.linalg import get_lapack_funcs
+
+    orders = []
+
+    def patched(name, *args, **kwargs):
+        found = get_lapack_funcs(name, *args, **kwargs)
+        if name != "gesv":
+            return found
+
+        def gesv(a, b, **flags):
+            orders.append(a.shape[0])
+            return found(a, b, **flags)
+
+        return gesv
+
+    monkeypatch.setattr(schwarz, "get_lapack_funcs", patched)
+    return orders
+
+
+def strip_with_unlike_column(system, dec, group, coupling=False, scale=1.0 + 1e-3):
+    """``system`` with one symmetric pair of entries of the first
+    subdomain's column group ``group`` from its wall scaled, and the
+    mirror image of that pair: two dofs of the group, or with
+    ``coupling`` a dof of the group and its neighbour in the next.  The
+    strip stays symmetric, block tridiagonal and mirrored."""
+    interior = dec.subdomains[0].interior_free
+    dof_columns = np.repeat(system.mesh.node_columns(), 2)[interior]
+    columns = np.unique(dof_columns)
+    dofs = interior[dof_columns == columns[group]]
+    # its lowest node's x dof and that of the node above or to the right
+    i = dofs[0]
+    j = interior[dof_columns == columns[group + 1]][0] if coupling else dofs[2]
+    reflect = schwarz._reflection(system, dec)
+    matrix = system.matrix.tolil(copy=True)
+    for a, b in ((i, j), (reflect[i], reflect[j])):
+        assert matrix[a, b] != 0.0 and matrix[a, b] == matrix[b, a]
+        matrix[a, b] *= scale
+        matrix[b, a] *= scale
+    system = dataclasses.replace(system, matrix=matrix.tocsr())
+    assert schwarz._reflection(system, dec) is not None
+    return system
+
+
 def scattered(system, values):
     """``values`` over the free unknowns as full-length dofs, zero on the
     Dirichlet ones."""
@@ -645,6 +707,68 @@ class TestInterfaceBlock:
             # of the unit matrix
             assert block.size and not (block - np.diag(np.diag(block))).any()
 
+    @pytest.mark.parametrize("x_max, overlap, omega, groups", [
+        (1.0, 2, 5.0, [18]), (1.0, 4, 1.0, [17]), (1.0, 4, 5.0, [17]),
+        (1.0, 6, 5.0, [16]), (1.0, 8, 5.0, [15]), (1.5, 4, 1.0, [17, 27]),
+        (1.5, 4, 5.0, [17, 27]),
+    ])
+    def test_alike_columns_are_doubled(
+        self, medium, sweeps, doublings, gesv_calls, x_max, overlap, omega, groups
+    ):
+        # every column before the first kept one, K = 19 - overlap / 2 on
+        # the 40x20 strip, goes through the doubling, each sweep in fewer
+        # solves than it has columns: K - 1 = 17, 16, 15, 14, 16 and 26
+        # take the append of one column and the chains of 2, 4, 8 and 16
+        # in every mix
+        mesh = build_mesh((-1.0, x_max), (0.0, 1.0), round(20 * (1 + x_max)), 20)
+        system, dec = assemble(mesh, medium, omega), decompose(mesh, overlap)
+        assert_block_matches_reference(system, dec)
+        assert doublings == groups
+        assert len(gesv_calls) < sum(args[2].size - 1 for args in sweeps)
+
+    @pytest.mark.parametrize("group, coupling", [
+        (0, False), (8, False), (16, False), (8, True), (16, True),
+    ], ids=["wall", "middle", "last", "middle-coupling", "last-coupling"])
+    def test_unlike_column_takes_the_recurrence(
+        self, small_setup, sweeps, doublings, gesv_calls, group, coupling
+    ):
+        # one column group before the first kept one, 17, no longer like
+        # the others, in its own block or its coupling to the next: the
+        # sweep steps through all 21 columns, one solve each
+        system, dec = small_setup
+        interface_block(system, dec)
+        assert doublings == [17] and len(gesv_calls) == 9
+        del sweeps[:], doublings[:], gesv_calls[:]
+        system = strip_with_unlike_column(system, dec, group, coupling)
+        assert_block_matches_reference(system, dec)
+        assert [args[2].size - 1 for args in sweeps] == [21]
+        assert doublings == [] and gesv_calls == [38] * 21
+
+    def test_cavity_peak(self, medium, monkeypatch, doublings):
+        # omega 8.2 on the 80x40 strip, a cavity peak: the double-sweep
+        # radius r^2 is 1.4e5 and the subdomain matrix's condition number
+        # 4.5e6, 71 times that at omega 5, so roundoff in any direct solve
+        # moves the block by up to about 5e-10 of its largest entry (46.6).
+        # The refined reference keeps its digits; the sweep, unrefined,
+        # cannot meet the 1e-12 of the other tests: the doubling is
+        # 1.4e-11 of that entry off, the column recurrence 5.5e-12.  Both
+        # are held to 1e-10 of it.
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 80, 40)
+        system, dec = assemble(mesh, medium, 8.2), decompose(mesh, 4)
+        want, want_half = reference_interface_block(system, dec)
+        block, half = interface_block(system, dec)
+        assert doublings == [37]
+        monkeypatch.setattr(schwarz, "_alike_band", lambda *args: None)
+        recurrence, _ = interface_block(system, dec)
+        scale = np.abs(want).max()
+        assert scale > 40.0
+        mu = np.linalg.eigvals(block[half])
+        assert 1e5 < np.abs(mu).max() ** 2 < 2e5
+        for got in (block, recurrence):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
+        for index, want_index in zip(half, want_half):
+            np.testing.assert_array_equal(index, want_index)
+
 
 class TestSweepCheck:
     """The sweep's counterpart of the factor check: the probe A_i @ ones
@@ -686,12 +810,52 @@ class TestSweepCheck:
     @pytest.mark.parametrize("call", [0, 10, 19, 20])
     @pytest.mark.parametrize("error", [1e-6, np.nan])
     def test_one_wrong_solve_fails_the_probe(self, small_setup, monkeypatch, call, error):
-        # the one sweep of the mirrored strip solves its 21 columns in turn:
-        # the next column's probe checks a solve, the back substitution's
-        # residual the last one, 20
+        # the column recurrence: the one sweep of the mirrored strip with an
+        # unlike column group, 8, solves its 21 columns in turn: the next
+        # column's probe checks a solve, the back substitution's residual
+        # the last one, 20
+        system = strip_with_unlike_column(*small_setup, 8)
         self.wrong_gesv(monkeypatch, error=error, calls={call})
         where = "back substitution" if call == 20 else f"at column {call + 1} of 21"
         with pytest.raises(fem.SingularSystemError, match=f"interface sweep residual .* {where}"):
+            interface_block(system, small_setup[1])
+
+    # the doubled sweep of the mirrored 40x20 strip: K - 1 = 16 alike
+    # columns after column 0 in three merges and one append of order 2m =
+    # 76, the solve of S_16 that hands over to the loop, and the kept
+    # columns 17 to 20; each is checked where its error first shows
+    DOUBLED = [
+        ("the merge into a chain of 4 columns", "in the merge into a chain of 4 columns"),
+        ("the merge into a chain of 8 columns", "in the merge into a chain of 8 columns"),
+        ("the merge into a chain of 16 columns", "in the merge into a chain of 16 columns"),
+        ("the append of columns 1 to 16", "in the append of columns 1 to 16"),
+        ("the Schur complement of column 16 of 21", "at column 17 of 21"),
+        ("the Schur complement of column 17 of 21", "at column 18 of 21"),
+        ("the Schur complement of column 18 of 21", "at column 19 of 21"),
+        ("the Schur complement of column 19 of 21", "at column 20 of 21"),
+        ("the Schur complement of column 20 of 21", "in the back substitution of columns 17 to 20"),
+    ]
+
+    def test_doubled_sweep_solves(self, small_setup, gesv_calls):
+        interface_block(*small_setup)
+        assert gesv_calls == [76] * 4 + [38] * 5
+
+    @pytest.mark.parametrize("call", range(9))
+    @pytest.mark.parametrize("error", [1e-6, np.nan])
+    def test_one_wrong_doubled_solve_fails_the_probe(
+        self, small_setup, monkeypatch, call, error
+    ):
+        # each merge, the append, the hand-over and every kept column
+        self.wrong_gesv(monkeypatch, error=error, calls={call})
+        where = self.DOUBLED[call][1]
+        with pytest.raises(fem.SingularSystemError, match=f"interface sweep residual .* {where};"):
+            interface_block(*small_setup)
+
+    @pytest.mark.parametrize("call", range(9))
+    def test_singular_doubled_solve_is_named(self, small_setup, monkeypatch, call):
+        self.wrong_gesv(monkeypatch, info=1, calls={call})
+        what = self.DOUBLED[call][0]
+        with pytest.raises(fem.SingularSystemError, match=f"^interface sweep: {what} is exactly singular$"):
             interface_block(*small_setup)
 
     def test_roundoff_passes(self, small_setup, monkeypatch):
@@ -1233,10 +1397,13 @@ class TestComplexMatrix:
     """The solver core runs in the scalar type of the matrix: a real system
     rotated by a unit phase gives the real run's results."""
 
-    def test_interface_block_and_shared_factor(self, phase_pair, factor_calls):
+    def test_interface_block_and_shared_factor(self, phase_pair, factor_calls, doublings):
         real, rotated, dec, load, mirrored = phase_pair
         block, half = assert_block_matches_reference(real, dec)
         rotated_block, rotated_half = assert_block_matches_reference(rotated, dec)
+        # both sweep through the doubling, the asymmetric strip's two
+        # subdomains from different columns
+        assert doublings == ([17] if mirrored else [17, 27]) * 2
         del factor_calls[:]
         solve = RestrictedSolve(real, dec)
         calls = len(factor_calls)
