@@ -1761,12 +1761,130 @@ class TestSolveSharesNoState:
             np.testing.assert_array_equal(solve(load), first)
 
 
+def reference_dissection(mesh, dofs):
+    """`schwarz._dissection` as a recursion over boxes: a box's nodes before
+    its middle line, those after it, then those on it."""
+    nodes = list(dict.fromkeys((dofs // 2).tolist()))
+    column = {node: node % (mesh.nx + 1) for node in nodes}
+    row = {node: node // (mesh.nx + 1) for node in nodes}
+
+    def ordered(members, x0, x1, y0, y1):
+        if not members or (x0 == x1 and y0 == y1):
+            return members
+        if x1 - x0 >= y1 - y0:
+            at, split = column, (x0 + x1) // 2
+            boxes = (x0, split - 1, y0, y1), (split + 1, x1, y0, y1)
+        else:
+            at, split = row, (y0 + y1) // 2
+            boxes = (x0, x1, y0, split - 1), (x0, x1, split + 1, y1)
+        before = [node for node in members if at[node] < split]
+        after = [node for node in members if at[node] > split]
+        return (ordered(before, *boxes[0]) + ordered(after, *boxes[1])
+                + [node for node in members if at[node] == split])
+
+    xs, ys = [column[node] for node in nodes], [row[node] for node in nodes]
+    order = ordered(nodes, min(xs), max(xs), min(ys), max(ys))
+    positions = {node: [] for node in nodes}
+    for i, node in enumerate((dofs // 2).tolist()):
+        positions[node].append(i)
+    return np.array([i for node in order for i in positions[node]])
+
+
+class TestDissection:
+    @pytest.mark.parametrize("case", ["left", "right", "asymmetric", "single_domain", "scattered"])
+    def test_matches_the_recursion(self, case):
+        if case == "scattered":
+            # a seeded random 30 % of the nodes of an 11x7 mesh
+            mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 11, 7)
+            nodes = np.flatnonzero(np.random.default_rng(9).random(mesh.n_nodes) < 0.3)
+            dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
+        elif case == "single_domain":
+            mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 24, 10)
+            dofs = single_domain(mesh).subdomains[0].interior_free
+        else:
+            mesh = build_mesh((-1.0, 1.5 if case == "asymmetric" else 1.0), (0.0, 1.0), 30, 12)
+            dofs = decompose(mesh, 4).subdomains[case == "right"].interior_free
+        np.testing.assert_array_equal(
+            schwarz._dissection(mesh, dofs), reference_dissection(mesh, dofs))
+
+    @pytest.mark.parametrize("config, overrides", [
+        (None, {}), (ASYMMETRIC_STRIP, {}), (None, {"single_domain": True}),
+    ], ids=["mirrored", "asymmetric", "single_domain"])
+    def test_order_permutes_whole_nodes(self, config, overrides):
+        from elastic_schwarz import cli
+
+        size = {} if config else {"nx": 40, "ny": 20}
+        system, dec = cli._problem(cli.load_config(config, {**size, **overrides}))
+        for sub in dec.subdomains:
+            order = schwarz._dissection(system.mesh, sub.interior_free)
+            np.testing.assert_array_equal(np.sort(order), np.arange(sub.interior_free.size))
+            read = sub.interior_free[order]
+            assert (read[0::2] % 2 == 0).all() and (read[1::2] == read[0::2] + 1).all()
+            np.testing.assert_array_equal(
+                schwarz._dissection(system.mesh, sub.interior_free), order)
+
+    def test_first_separator_comes_last(self):
+        # the 7 x 3 interior nodes of the 8x4 mesh split at their middle
+        # column 4, whose 3 nodes close the order, and each half's 3 x 3
+        # box at its middle column, 2 and 6
+        mesh = build_mesh((0.0, 1.0), (0.0, 1.0), 8, 4)
+        dofs = single_domain(mesh).subdomains[0].interior_free
+        nodes = dofs[schwarz._dissection(mesh, dofs)][0::2] // 2
+        columns = mesh.node_columns()[nodes]
+        np.testing.assert_array_equal(columns[-3:], 4)
+        np.testing.assert_array_equal(columns[6:9], 2)
+        np.testing.assert_array_equal(columns[15:18], 6)
+        np.testing.assert_array_equal(np.sort(columns[:6]), [1, 1, 1, 3, 3, 3])
+
+    def test_fill_below_minimum_degree(self, medium, monkeypatch):
+        # 160x80 at omega 5: the shared factor's L+U against SuperLU's
+        # MMD_AT_PLUS_A ordering of the same subdomain matrix
+        from scipy.sparse.linalg import splu
+
+        fills = []
+
+        def counting(matrix, **kwargs):
+            lu = splu(matrix, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(schwarz, "splu", counting)
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 160, 80)
+        system = assemble(mesh, medium, 5.0)
+        dec = decompose(mesh, 4)
+        RestrictedSolve(system, dec)
+        interior = dec.subdomains[0].interior_free
+        mmd = splu(system.matrix[interior][:, interior].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert len(fills) == 1 and fills[0] < mmd.L.nnz + mmd.U.nnz
+
+    @pytest.mark.parametrize("config, calls", [(None, 1), (ASYMMETRIC_STRIP, 2)],
+                             ids=["mirrored", "asymmetric"])
+    def test_one_factor_per_distinct_subdomain(self, factor_calls, config, calls):
+        system, dec, rhs = cli_problem(config, {} if config else {"nx": 40, "ny": 20})
+        solve = RestrictedSolve(system, dec)
+        assert len(factor_calls) == calls
+        want = reference_solve(system, dec, rhs)
+        assert np.abs(solve(rhs) - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_single_domain_solves_the_system(self, medium):
+        mesh = build_mesh((-1.0, 1.0), (0.0, 1.0), 40, 20)
+        system = assemble(mesh, medium, 5.0)
+        rhs = np.where(system.dirichlet_mask, 0.0,
+                       np.random.default_rng(8).standard_normal(system.n_dofs))
+        x = ras_apply(RestrictedSolve(system, single_domain(mesh)), rhs)
+        free = ~system.dirichlet_mask
+        residual = system.matrix[free][:, free] @ x[free] - rhs[free]
+        assert _l2_norm(residual) <= 1e-10 * _l2_norm(rhs)
+
+
 class TestFactorBudget:
     @pytest.mark.parametrize("nx, fill", [(160, 1.34e6), (320, 6.96e6), (640, 34.2e6)])
     def test_estimate_bounds_the_measured_fill(self, monkeypatch, nx, fill):
-        # the L+U fill measured at omega 5 (MMD_AT_PLUS_A), 12 bytes an
-        # entry; the check runs on an identity system, whose one shared
-        # factor is never built, so the 640x320 strip costs no factor
+        # the L+U fill measured at omega 5 under SuperLU's MMD_AT_PLUS_A
+        # ordering, above the nested-dissection fill of the factor (1.31e6,
+        # 6.68e6 and 32.7e6), 12 bytes an entry; the check runs on an
+        # identity system, whose one shared factor is never built, so the
+        # 640x320 strip costs no factor
         import scipy.sparse as sp
 
         class NotFactored(Exception):
